@@ -11,16 +11,15 @@ Run:  python demos/02_detection_features.py
 
 import numpy as np
 
-from neuroloop.core import Window
 from neuroloop.features import (
-    AdaptiveThresholdState,
+    Detector,
     HalfWaveConfig,
-    adaptive_threshold,
     area_under_curve,
     half_wave_count,
     line_length,
 )
 from neuroloop.plant import IeegPlantConfig, ieeg_frame
+from neuroloop.scenario import ToolSpec
 
 FS = 256.0
 FRAME = 32
@@ -34,9 +33,10 @@ hw_cfg = HalfWaveConfig(
 )
 
 rng = np.random.default_rng(42)
-state = AdaptiveThresholdState(
-    long_window=Window(120), short_window=Window(4), multiplier=2.0
-)
+detector = Detector(ToolSpec(
+    feature="line_length", threshold_mode="adaptive", multiplier=2.0,
+    long_window_ticks=120, short_window_ticks=4,
+))
 
 N_TICKS = 240
 SEIZURE = range(140, 180)  # a 5 s event starting at t = 17.5 s
@@ -49,10 +49,7 @@ for t in range(N_TICKS):
     area = area_under_curve(frame)
     hw = half_wave_count(frame, hw_cfg)
 
-    threshold = adaptive_threshold(state) if len(state.long_window) else None
-    state = state.observe(ll)
-    smoothed = state.short_term_value()
-    flag = threshold is not None and smoothed > threshold
+    smoothed, threshold, flag = detector.observe(ll)
 
     if t % 20 == 0 or seizing and t % 4 == 0:
         thr = f"{threshold:9.1f}" if threshold is not None else "  warming"

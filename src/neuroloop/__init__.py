@@ -6,9 +6,9 @@ stimulator hardware — advancing once per tick in a fixed order so that every
 run is a pure function of its scenario and seed.
 
 Layout:
-    core       time base, dose arithmetic, windows, event records
+    core       time base, dose arithmetic, event records
     plant      dose-response curves, evoked potentials, signals, device model
-    features   detection features, band power, thresholds, quality flags
+    features   detection features and detectors, band power, quality flags
     control    the control policies
     safety     limits, trust checks, supervisor state machine, budgets, log
     scenario   JSON scenario schema, parsing, design-checklist validation
@@ -24,7 +24,6 @@ from .core import (
     DoseLimits,
     EventRecord,
     TimeBase,
-    Window,
     charge_per_pulse,
     make_timebase,
     teed_rate,
@@ -44,7 +43,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "TimeBase",
-    "Window",
     "charge_per_pulse",
     "compare_modes",
     "load_scenario",

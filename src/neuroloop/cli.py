@@ -39,12 +39,6 @@ EXIT_VALIDATION = 2
 EXIT_FAULT = 3
 
 
-def _load_and_validate(path: str):
-    """Parse + checklist-validate; returns (raw, report)."""
-    raw = load_scenario_file(path)
-    return raw, validate_scenario(raw)
-
-
 def _print_report(report) -> None:
     if report.ok:
         print("ok: scenario passes the design checklist")
@@ -55,32 +49,25 @@ def _print_report(report) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        _, report = _load_and_validate(args.scenario)
-    except ScenarioParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = validate_scenario(load_scenario_file(args.scenario))
     _print_report(report)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 def _build_checked(args):
-    raw, report = _load_and_validate(args.scenario)
+    """Parse, apply the --seed override, validate; None if validation fails."""
+    raw = load_scenario_file(args.scenario)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    report = validate_scenario(raw)
     if not report.ok:
         _print_report(report)
         return None
-    scenario = scenario_from_dict(raw)
-    if getattr(args, "seed", None) is not None:
-        scenario = scenario.with_seed(args.seed)
-    return scenario
+    return scenario_from_dict(raw)
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = _build_checked(args)
-    except ScenarioParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = _build_checked(args)
     if scenario is None:
         return EXIT_VALIDATION
     result = run_scenario(scenario)
@@ -93,11 +80,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        scenario = _build_checked(args)
-    except ScenarioParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = _build_checked(args)
     if scenario is None:
         return EXIT_VALIDATION
     comparison = compare_modes(scenario)
@@ -115,11 +98,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        scenario = _build_checked(args)
-    except ScenarioParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = _build_checked(args)
     if scenario is None:
         return EXIT_VALIDATION
     results = sweep(scenario, args.seeds)
@@ -194,7 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

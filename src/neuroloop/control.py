@@ -12,6 +12,13 @@ Six policy families are provided:
   * EcapSetpoint        — incremental regulation of an evoked response toward
                           a target, one update per pulse/tick.
 
+Every policy config has the same tick interface: ``setpoint`` (the level
+recorded beside the biomarker, or None), ``target`` (the level biomarker
+deviations are measured against in mode comparisons, or None), and
+``step(state, measured, quality, detected, current) -> (state, command,
+therapy_started)``, which delegates to the module-level ``*_step`` function
+of its family.
+
 Policies emit raw commands. Clamping, slew limiting, and charge limiting all
 happen downstream in the safety module so that limit enforcement is testable
 in one place. Tie-breaking at thresholds is strict: equality takes the
@@ -23,7 +30,25 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .core import ConfigurationError, Dose
+from .core import QUALITY_OK, ConfigurationError, Dose
+
+_OK_ONLY = frozenset({QUALITY_OK})
+
+
+class _Regulating:
+    """Policies that move the dose according to a measured biomarker.
+
+    On any tick without a usable measurement (none taken, or its quality
+    not OK) the policy holds its previous command. Subclasses give
+    ``setpoint`` and ``command``.
+    """
+
+    target = property(lambda self: self.setpoint)
+
+    def step(self, st, measured, quality, detected, current):
+        if measured is None or quality != _OK_ONLY:
+            return st, current, False
+        return st, self.command(measured, current), False
 
 
 @dataclass(frozen=True)
@@ -31,6 +56,11 @@ class ManualFixed:
     """Fixed-output manual loop: the configured dose, every tick."""
 
     dose: Dose
+
+    setpoint = target = None
+
+    def step(self, st, measured, quality, detected, current):
+        return st, manual_fixed_step(self), False
 
 
 @dataclass(frozen=True)
@@ -61,6 +91,12 @@ class BangBangResponsive:
         if self.inter_burst_gap_ticks < 0:
             raise ConfigurationError("inter_burst_gap_ticks must be >= 0")
 
+    setpoint = target = None
+    dose = property(lambda self: self.burst_dose)
+
+    def step(self, st, measured, quality, detected, current):
+        return bang_bang_responsive_step(detected, st, self)
+
     def therapy_plan(self) -> tuple:
         """Per-tick on/off schedule of one therapy, first tick first."""
         burst = (True,) * self.burst_duration_ticks
@@ -72,7 +108,7 @@ class BangBangResponsive:
 
 
 @dataclass(frozen=True)
-class SingleThreshold:
+class SingleThreshold(_Regulating):
     """Step the dose by ``step_mA`` against one threshold every tick.
 
     With ``on_above`` (the usual orientation for a biomarker elevated in the
@@ -88,9 +124,14 @@ class SingleThreshold:
         if self.step_mA <= 0:
             raise ConfigurationError("step_mA must be positive")
 
+    setpoint = property(lambda self: self.threshold)
+
+    def command(self, biomarker: float, current: Dose) -> Dose:
+        return single_threshold_step(biomarker, current, self)
+
 
 @dataclass(frozen=True)
-class DualThreshold:
+class DualThreshold(_Regulating):
     """Homeostatic band regulation: hold inside [lower, upper], step outside."""
 
     lower: float
@@ -104,9 +145,16 @@ class DualThreshold:
         if self.step_up_mA <= 0 or self.step_down_mA <= 0:
             raise ConfigurationError("steps must be positive")
 
+    setpoint = property(lambda self: self.upper)
+
+    target = property(lambda self: 0.5 * (self.lower + self.upper))
+
+    def command(self, biomarker: float, current: Dose) -> Dose:
+        return dual_threshold_step(biomarker, current, self)
+
 
 @dataclass(frozen=True)
-class Proportional:
+class Proportional(_Regulating):
     """Amplitude scaled to the biomarker's excess over a reference level."""
 
     reference: float
@@ -116,9 +164,14 @@ class Proportional:
         if self.gain_mA_per_unit <= 0:
             raise ConfigurationError("gain must be positive")
 
+    setpoint = property(lambda self: self.reference)
+
+    def command(self, biomarker: float, current: Dose) -> Dose:
+        return proportional_step(biomarker, current, self)
+
 
 @dataclass(frozen=True)
-class EcapSetpoint:
+class EcapSetpoint(_Regulating):
     """Incremental regulation of the evoked response to a target.
 
     Each tick (one stimulus pulse) the amplitude moves by
@@ -136,6 +189,11 @@ class EcapSetpoint:
             raise ConfigurationError("gain must be positive")
         if self.deadband_uV < 0:
             raise ConfigurationError("deadband must be nonnegative")
+
+    setpoint = property(lambda self: self.target_uV)
+
+    def command(self, biomarker: float, current: Dose) -> Dose:
+        return ecap_setpoint_step(biomarker, current, self)
 
 
 PolicyConfig = Union[

@@ -1,4 +1,4 @@
-"""Shared vocabulary for the simulator: time base, doses, windows, events.
+"""Shared vocabulary for the simulator: time base, doses, events.
 
 Everything here is a plain value type. The simulation advances on a single
 global tick; all timestamps in the package are integer tick indices, never
@@ -52,11 +52,6 @@ QUALITY_SATURATED = "Saturated"
 QUALITY_FLATLINE = "Flatline"
 QUALITY_IMPOSSIBLE = "Impossible"
 QUALITY_EXTERNAL_NOISE = "ExternalNoise"
-
-ALL_QUALITY_FLAGS = frozenset(
-    {QUALITY_OK, QUALITY_SATURATED, QUALITY_FLATLINE,
-     QUALITY_IMPOSSIBLE, QUALITY_EXTERNAL_NOISE}
-)
 
 # Biomarker taxonomy tags: three reactive classes plus feedforward signals.
 KIND_REACTIVE_1 = "Reactive1"   # surrogate of the clinical outcome itself
@@ -144,9 +139,6 @@ class Dose:
         return self.with_amplitude(0.0)
 
 
-OFF_DOSE = Dose(amplitude_mA=0.0, pulse_width_us=0.0, frequency_hz=0.0)
-
-
 def charge_per_pulse(d: Dose) -> float:
     """Charge of one rectangular pulse, in µC.
 
@@ -205,42 +197,6 @@ class BiomarkerSample:
     @property
     def ok(self) -> bool:
         return self.quality == frozenset({QUALITY_OK})
-
-
-@dataclass(frozen=True)
-class Window:
-    """Fixed-capacity FIFO of samples, newest last.
-
-    Immutable: ``push`` returns a new window. Once full, every push evicts
-    exactly the oldest sample, so replaying any push sequence leaves the
-    last ``capacity`` values in order.
-    """
-
-    capacity: int
-    samples: tuple = ()
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {self.capacity}")
-        if len(self.samples) > self.capacity:
-            raise ConfigurationError("window holds more samples than its capacity")
-
-    def push(self, x: float) -> "Window":
-        if len(self.samples) < self.capacity:
-            return Window(self.capacity, self.samples + (x,))
-        return Window(self.capacity, self.samples[1:] + (x,))
-
-    @property
-    def full(self) -> bool:
-        return len(self.samples) == self.capacity
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-def push_window(w: Window, x: float) -> Window:
-    """Functional alias for ``Window.push``."""
-    return w.push(x)
 
 
 @dataclass(frozen=True)

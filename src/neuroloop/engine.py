@@ -2,7 +2,7 @@
 
 Each tick advances the loop in a fixed order:
 
-    plant -> features -> trust checks -> supervisor -> policy
+    plant + features -> trust checks -> supervisor -> policy -> budgets
           -> clamp/slew -> actuator -> device
 
 so a run's outputs are a pure function of (scenario, seed). The plant draws
@@ -10,15 +10,15 @@ its randomness from child streams spawned from the scenario seed — one for
 the physiological process, one for signal synthesis, one for sensor noise —
 so plant realizations do not shift when the controller behaves differently.
 
-Quality gating: incremental policies (thresholds, setpoint regulation) hold
-their previous command on any tick whose measurement quality is not OK; the
-supervisor separately decides whether enough has gone wrong to leave
-Automated mode altogether.
+Plant and feature extraction together are one sensing object per plant kind
+(``EcapSensing``, ``BetaSensing``, ``IeegSensing``); the policy is the
+scenario's policy config, whose ``step`` holds the previous command on any
+tick whose measurement quality is not OK. The supervisor separately decides
+whether enough has gone wrong to leave Automated mode altogether.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -31,33 +31,17 @@ from .core import (
     QUALITY_OK,
     SEVERITY_ALERT,
     SEVERITY_FAULT,
-    Window,
+    SimulationError,
     charge_per_tick,
     teed_rate,
 )
-from .control import (
-    BangBangResponsive,
-    DualThreshold,
-    EcapSetpoint,
-    ManualFixed,
-    PolicyState,
-    Proportional,
-    SingleThreshold,
-    bang_bang_responsive_step,
-    dual_threshold_step,
-    ecap_setpoint_step,
-    manual_fixed_step,
-    proportional_step,
-    single_threshold_step,
-)
+from .control import ManualFixed, PolicyState
 from .features import (
+    Detector,
     SignalQualityLimits,
-    area_under_curve,
     band_power,
     detect,
     ecap_range_check,
-    half_wave_count,
-    line_length,
     signal_quality,
 )
 from .metrics import CLAMP_CODES, Metrics, step_response_metrics
@@ -86,6 +70,8 @@ from .safety import (
 )
 from .scenario import BetaPlantSpec, EcapPlantSpec, IeegPlantSpec, Scenario
 
+OK_ONLY = frozenset({QUALITY_OK})
+
 
 @dataclass
 class RunResult:
@@ -111,87 +97,124 @@ class RunResult:
         return self.delivered_mA.size
 
 
-def _policy_setpoint(policy) -> Optional[float]:
-    if isinstance(policy, EcapSetpoint):
-        return policy.target_uV
-    if isinstance(policy, SingleThreshold):
-        return policy.threshold
-    if isinstance(policy, DualThreshold):
-        return policy.upper
-    if isinstance(policy, Proportional):
-        return policy.reference
-    return None
+class _Sensing:
+    """Plant plus feature extraction for one plant kind, built once per run.
 
-
-def comparison_target(policy) -> Optional[float]:
-    """The value biomarker deviations are measured against in comparisons."""
-    if isinstance(policy, EcapSetpoint):
-        return policy.target_uV
-    if isinstance(policy, SingleThreshold):
-        return policy.threshold
-    if isinstance(policy, DualThreshold):
-        return 0.5 * (policy.lower + policy.upper)
-    if isinstance(policy, Proportional):
-        return policy.reference
-    return None
-
-
-class _DetectorTool:
-    """One detection feature plus its threshold state.
-
-    Streaming twin of ``features.AdaptiveThresholdState``: the baseline
-    median comes from a bisect-maintained sorted list instead of re-sorting
-    the window every tick, and produces bit-identical thresholds (checked
-    against ``adaptive_threshold`` in the test suite).
+    ``sense(t, prev_delivered, in_reset)`` advances the plant one tick and
+    returns (measured, quality, detection, threshold): the biomarker or None
+    when no measurement was taken (always None in a reset mode), its quality
+    flags, the combined detection flag, and the detection threshold or None.
     """
 
-    def __init__(self, spec) -> None:
-        self.spec = spec
-        self.fixed = spec.threshold_mode == "fixed"
-        self._long: deque = deque()
-        self._long_sorted: list = []
-        self._short: deque = deque(maxlen=spec.short_window_ticks)
+    measures_ecap = False
+    distance_mm: Optional[np.ndarray] = None   # per-tick columns, None if n/a
+    seizing: Optional[np.ndarray] = None
 
-    def feature_value(self, frame: np.ndarray) -> float:
-        if self.spec.feature == "line_length":
-            return line_length(frame)
-        if self.spec.feature == "area":
-            return area_under_curve(frame)
-        return float(half_wave_count(frame, self.spec.half_wave))
+    def seizure_counts(self, n: int) -> tuple[int, int, int]:
+        """(onsets, early terminations, seizing ticks) over the first n ticks."""
+        return 0, 0, 0
 
-    def _baseline_median(self) -> float:
-        s = self._long_sorted
-        mid = len(s) // 2
-        if len(s) % 2:
-            return s[mid]
-        return (s[mid - 1] + s[mid]) / 2.0
 
-    def step(self, frame: np.ndarray) -> tuple[float, Optional[float], bool]:
-        """Returns (smoothed value, threshold or None, flag)."""
-        value = self.feature_value(frame)
-        # Threshold from the baseline as it stood BEFORE this tick's value,
-        # so a fresh event cannot inflate its own detection threshold.
-        if self.fixed:
-            threshold: Optional[float] = self.spec.fixed_value
-        elif self._long_sorted:
-            threshold = self.spec.multiplier * self._baseline_median()
-        else:
-            threshold = None
+class EcapSensing(_Sensing):
+    """Evoked-response amplitude at the last delivered dose, range-checked."""
 
-        if len(self._long) == self.spec.long_window_ticks:
-            oldest = self._long.popleft()
-            del self._long_sorted[bisect_left(self._long_sorted, oldest)]
-        self._long.append(value)
-        insort(self._long_sorted, value)
-        self._short.append(value)
+    measures_ecap = True
 
-        smoothed = sum(self._short) / len(self._short)
-        flag = threshold is not None and smoothed > threshold
-        return smoothed, threshold, flag
+    def __init__(self, scenario: Scenario, rngs: list) -> None:
+        plant = scenario.plant
+        self.params = plant.params
+        self.noise_sd = plant.sensor_noise_sd_uV
+        self.saturation_uV = scenario.device.amplifier_saturation_uV
+        self.sensor_rng = rngs[2]
+        self.distance_mm = distance_profile(
+            plant.track, plant.base_distance_mm, scenario.timebase.n_ticks
+        )
+        self.params.validate_over_range(
+            float(self.distance_mm.min()), float(self.distance_mm.max())
+        )
+
+    def sense(self, t: int, prev_delivered: Dose, in_reset: bool):
+        if in_reset:
+            return None, OK_ONLY, False, None
+        est = ecap_true(prev_delivered.amplitude_mA, float(self.distance_mm[t]), self.params)
+        if self.noise_sd > 0:
+            est += self.sensor_rng.normal(0.0, self.noise_sd)
+        measured, qual = ecap_range_check(est, self.saturation_uV)
+        return measured, qual, False, None
+
+
+class BetaSensing(_Sensing):
+    """Beta-band power of a synthesized LFP frame, smoothed by a running mean."""
+
+    def __init__(self, scenario: Scenario, rngs: list) -> None:
+        f = scenario.features
+        self.cfg = scenario.plant.cfg
+        self.band = (f.band_lo_hz, f.band_hi_hz)
+        self.signal_rng = rngs[1]
+        self.sq_limits = SignalQualityLimits(
+            saturation_uV=scenario.device.amplifier_saturation_uV
+        )
+        self.smooth: deque = deque(
+            maxlen=max(1, round(f.smooth_s / scenario.timebase.dt_s))
+        )
+
+    def sense(self, t: int, prev_delivered: Dose, in_reset: bool):
+        if in_reset:
+            return None, OK_ONLY, False, None
+        frame = beta_lfp_frame(prev_delivered, t, self.cfg, self.signal_rng)
+        qual = signal_quality(frame, self.sq_limits)
+        self.smooth.append(band_power(frame, *self.band, self.cfg.fs_hz))
+        return float(np.mean(self.smooth)), qual, False, None
+
+
+class IeegSensing(_Sensing):
+    """Seizure process plus detection tools on a synthesized iEEG frame.
+
+    The seizure process advances even in a reset mode, where no frame is
+    recorded. The biomarker is the first tool's smoothed feature value.
+    """
+
+    def __init__(self, scenario: Scenario, rngs: list) -> None:
+        plant = scenario.plant
+        self.cfg = plant.cfg
+        self.seizures = plant.seizures
+        self.dt_s = scenario.timebase.dt_s
+        self.plant_rng, self.signal_rng = rngs[0], rngs[1]
+        self.detectors = [Detector(spec) for spec in scenario.features.tools]
+        self.combinator = scenario.features.combinator
+        self.sq_limits = SignalQualityLimits(
+            saturation_uV=scenario.device.amplifier_saturation_uV
+        )
+        self.seizing = np.zeros(scenario.timebase.n_ticks, dtype=bool)
+
+    def sense(self, t: int, prev_delivered: Dose, in_reset: bool):
+        self.seizures, seizing_now = seizure_step(
+            self.seizures, not prev_delivered.is_off, t, self.dt_s, self.plant_rng
+        )
+        self.seizing[t] = seizing_now
+        if in_reset:
+            return None, OK_ONLY, False, None
+        frame = ieeg_frame(seizing_now, self.cfg, self.signal_rng, t)
+        qual = signal_quality(frame, self.sq_limits)
+        steps = [d.step(frame) for d in self.detectors]
+        value, threshold, _ = steps[0]
+        return value, qual, detect([flag for _, _, flag in steps], self.combinator), threshold
+
+    def seizure_counts(self, n: int) -> tuple[int, int, int]:
+        s = self.seizures
+        return s.onset_count, s.early_termination_count, int(self.seizing[:n].sum())
+
+
+SENSING = {EcapPlantSpec: EcapSensing, BetaPlantSpec: BetaSensing, IeegPlantSpec: IeegSensing}
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    """Execute a validated scenario; outputs are determined by (scenario, seed)."""
+    """Execute a validated scenario; outputs are determined by (scenario, seed).
+
+    A ``SimulationError`` raised inside the tick loop aborts the run with a
+    RUN_FAULT event and truncated outputs; any other exception is a
+    programming error and propagates.
+    """
     tb = scenario.timebase
     n = tb.n_ticks
     dt = tb.dt_s
@@ -199,37 +222,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
     trust_cfg = scenario.trust
     fb_cfg = scenario.fallback
     policy = scenario.policy
-    plant = scenario.plant
     device = scenario.device
     baseline = scenario.baseline_dose
 
-    streams = np.random.SeedSequence(scenario.seed).spawn(3)
-    plant_rng = np.random.default_rng(streams[0])    # physiological process
-    signal_rng = np.random.default_rng(streams[1])   # frame synthesis
-    sensor_rng = np.random.default_rng(streams[2])   # measurement noise
-
-    # Precomputed plant trajectories that are pure functions of the tick.
-    distance: Optional[np.ndarray] = None
-    if isinstance(plant, EcapPlantSpec):
-        distance = distance_profile(plant.track, plant.base_distance_mm, n)
-        plant.params.validate_over_range(float(distance.min()), float(distance.max()))
+    # Child streams: physiological process, frame synthesis, measurement noise.
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(scenario.seed).spawn(3)]
+    sensing = SENSING[type(scenario.plant)](scenario, rngs)
 
     magnet = np.zeros(n, dtype=bool)
     for start, end in scenario.magnet_intervals:
         magnet[start:min(end, n)] = True
-
-    # Per-kind feature state.
-    tools: list[_DetectorTool] = []
-    combinator = "OR"
-    if isinstance(plant, IeegPlantSpec):
-        tools = [_DetectorTool(t) for t in scenario.features.tools]
-        combinator = scenario.features.combinator
-        seiz_state = plant.seizures
-    smooth_win: Optional[Window] = None
-    if isinstance(plant, BetaPlantSpec):
-        smooth_ticks = max(1, round(scenario.features.smooth_s / dt))
-        smooth_win = Window(smooth_ticks)
-    sq_limits = SignalQualityLimits(saturation_uV=device.amplifier_saturation_uV)
 
     sup = SupervisorState()
     pol_state = PolicyState()
@@ -247,72 +249,28 @@ def run_scenario(scenario: Scenario) -> RunResult:
     teed_cum = np.zeros(n)
     quality_col: list = [""] * n
     mode_col: list = [""] * n
-    seizing_arr = np.zeros(n, dtype=bool) if isinstance(plant, IeegPlantSpec) else None
 
     teed = 0.0
     fallback_ticks = 0
     aborted = False
-
-    ok_only = frozenset({QUALITY_OK})
 
     try:
         for t in range(n):
             in_reset = sup.in_reset
 
             # ---- plant + features -------------------------------------
-            measured: Optional[float] = None
-            qual = ok_only
-            detection = False
-            threshold_now: Optional[float] = _policy_setpoint(policy)
-
-            if isinstance(plant, EcapPlantSpec):
-                if not in_reset:
-                    est = ecap_true(
-                        prev_delivered.amplitude_mA, float(distance[t]), plant.params
-                    )
-                    if plant.sensor_noise_sd_uV > 0:
-                        est += sensor_rng.normal(0.0, plant.sensor_noise_sd_uV)
-                    measured, qual = ecap_range_check(
-                        est, device.amplifier_saturation_uV
-                    )
-            elif isinstance(plant, BetaPlantSpec):
-                if not in_reset:
-                    frame = beta_lfp_frame(prev_delivered, t, plant.cfg, signal_rng)
-                    qual = signal_quality(frame, sq_limits)
-                    raw_power = band_power(
-                        frame,
-                        scenario.features.band_lo_hz,
-                        scenario.features.band_hi_hz,
-                        plant.cfg.fs_hz,
-                    )
-                    smooth_win = smooth_win.push(raw_power)
-                    measured = float(np.mean(smooth_win.samples))
-            else:  # ieeg
-                seiz_state, seizing_now = seizure_step(
-                    seiz_state, not prev_delivered.is_off, t, dt, plant_rng
-                )
-                seizing_arr[t] = seizing_now
-                if not in_reset:
-                    frame = ieeg_frame(seizing_now, plant.cfg, signal_rng, t)
-                    qual = signal_quality(frame, sq_limits)
-                    flags = []
-                    primary_value = None
-                    primary_threshold = None
-                    for i, tool in enumerate(tools):
-                        value, thr, flag = tool.step(frame)
-                        flags.append(flag)
-                        if i == 0:
-                            primary_value, primary_threshold = value, thr
-                    detection = detect(flags, combinator)
-                    measured = primary_value
-                    threshold_now = primary_threshold
+            measured, qual, detection, threshold_now = sensing.sense(
+                t, prev_delivered, in_reset
+            )
+            if threshold_now is None:
+                threshold_now = policy.setpoint
 
             # ---- trust checks -----------------------------------------
             verdict_pass = False
             if not in_reset:
                 inputs = TrustInputs(
                     quality=qual,
-                    ecap_est_uV=measured if isinstance(plant, EcapPlantSpec) else None,
+                    ecap_est_uV=measured if sensing.measures_ecap else None,
                     battery_v=device.battery_v,
                     eos_threshold_v=device.eos_threshold_v,
                     impedance_ohm=device.impedance_of(baseline.contact_set),
@@ -342,29 +300,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
             mode = sup.mode
 
             # ---- policy -----------------------------------------------
-            # Incremental policies hold their previous command on any tick
-            # whose measurement quality is not OK.
-            gated = measured if (measured is not None and qual == ok_only) else None
             therapy_started = False
             if mode == MODE_AUTOMATED:
-                if isinstance(policy, ManualFixed):
-                    cmd = manual_fixed_step(policy)
-                elif isinstance(policy, BangBangResponsive):
-                    pol_state, cmd, therapy_started = bang_bang_responsive_step(
-                        detection, pol_state, policy
-                    )
-                elif gated is None:
-                    cmd = prev_delivered
-                elif isinstance(policy, SingleThreshold):
-                    cmd = single_threshold_step(gated, prev_delivered, policy)
-                elif isinstance(policy, DualThreshold):
-                    cmd = dual_threshold_step(gated, prev_delivered, policy)
-                elif isinstance(policy, Proportional):
-                    cmd = proportional_step(gated, prev_delivered, policy)
-                elif isinstance(policy, EcapSetpoint):
-                    cmd = ecap_setpoint_step(gated, prev_delivered, policy)
-                else:
-                    raise TypeError(f"unknown policy {type(policy).__name__}")
+                pol_state, cmd, therapy_started = policy.step(
+                    pol_state, measured, qual, detection, prev_delivered
+                )
             elif mode == MODE_FALLBACK:
                 cmd = fallback_dose(fb_cfg, sup, baseline)
                 fallback_ticks += 1
@@ -398,15 +338,15 @@ def run_scenario(scenario: Scenario) -> RunResult:
             # ---- record -----------------------------------------------
             if measured is not None:
                 biomarker[t] = measured
+                quality_col[t] = "+".join(sorted(qual))
             if threshold_now is not None:
                 setpoint_col[t] = threshold_now
-            quality_col[t] = "+".join(sorted(qual)) if measured is not None else ""
             commanded[t] = cmd.amplitude_mA
             delivered_arr[t] = delivered.amplitude_mA
             mode_col[t] = mode
             teed_cum[t] = teed
             prev_delivered = delivered
-    except Exception as e:  # invariant breach: abort loudly, never corrupt
+    except SimulationError as e:  # invariant breach: abort loudly, never corrupt
         log.append(
             EventRecord(
                 t,
@@ -417,17 +357,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
         )
         aborted = True
         n = t
-        biomarker = biomarker[:n]
-        setpoint_col = setpoint_col[:n]
-        commanded = commanded[:n]
-        delivered_arr = delivered_arr[:n]
-        teed_cum = teed_cum[:n]
-        quality_col = quality_col[:n]
-        mode_col = mode_col[:n]
-        if distance is not None:
-            distance = distance[:n]
-        if seizing_arr is not None:
-            seizing_arr = seizing_arr[:n]
+    biomarker = biomarker[:n]
+    distance = sensing.distance_mm
+    seizing = sensing.seizing
 
     # ---- metrics ---------------------------------------------------------
     mcfg = scenario.metrics_cfg
@@ -439,20 +371,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     sr = None
     if mcfg.step_response is not None and n > mcfg.step_response.step_tick:
-        target = comparison_target(policy)
+        target = policy.target
         if target is not None and target != 0:
             sr = step_response_metrics(
                 biomarker, target, mcfg.step_response.step_tick,
                 mcfg.step_response.tol_frac, dt,
             )
 
-    if isinstance(plant, IeegPlantSpec):
-        seizure_count = seiz_state.onset_count
-        early = seiz_state.early_termination_count
-        seizure_ticks = int(np.count_nonzero(seizing_arr))
-    else:
-        seizure_count = early = seizure_ticks = 0
-
+    seizure_count, early, seizure_ticks = sensing.seizure_counts(n)
     run_metrics = Metrics(
         teed_total=teed,
         time_in_range_frac=time_in_range,
@@ -467,14 +393,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
     return RunResult(
         scenario=scenario,
         biomarker=biomarker,
-        quality=quality_col,
-        setpoint=setpoint_col,
-        commanded_mA=commanded,
-        delivered_mA=delivered_arr,
-        mode=mode_col,
-        distance_mm=distance,
-        seizing=seizing_arr,
-        teed_cum=teed_cum,
+        quality=quality_col[:n],
+        setpoint=setpoint_col[:n],
+        commanded_mA=commanded[:n],
+        delivered_mA=delivered_arr[:n],
+        mode=mode_col[:n],
+        distance_mm=None if distance is None else distance[:n],
+        seizing=None if seizing is None else seizing[:n],
+        teed_cum=teed_cum[:n],
         events=log,
         metrics=run_metrics,
         initial_delivered_mA=initial_delivered,
@@ -542,7 +468,7 @@ def compare_modes(scenario: Scenario) -> ModeComparison:
         raise ValueError("compare_modes needs an automated policy to compare against")
     auto = run_scenario(scenario)
     fixed = run_scenario(fixed_arm_scenario(scenario))
-    target = comparison_target(scenario.policy)
+    target = scenario.policy.target
     va = _variance_about(auto.biomarker, target) if target is not None else None
     vf = _variance_about(fixed.biomarker, target) if target is not None else None
     return ModeComparison(

@@ -1,21 +1,22 @@
 """Biomarker extraction from signal frames.
 
 The detection features used by the responsive-epilepsy controller
-(line length, area, half-wave counting, adaptive thresholds, logical
-combination), band power for the adaptive-DBS controller, and the evoked
-potential amplitude estimator with its signal-quality checks.
+(line length, area, half-wave counting, logical combination), band power
+for the adaptive-DBS controller, and the evoked potential amplitude
+estimator with its signal-quality checks.
 
-All feature functions accept either a ``core.Window`` or any 1-D
-array-like of samples and are stateless; ``AdaptiveThresholdState`` is the
-only stateful piece and is value-updated by the caller.
+All feature functions accept any 1-D array-like of samples and are
+stateless; ``Detector`` is the only stateful piece: one detection tool with
+its smoothing window and its fixed or adaptive threshold.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,15 +29,12 @@ from .core import (
     QUALITY_IMPOSSIBLE,
     QUALITY_OK,
     QUALITY_SATURATED,
-    Window,
 )
 
-SampleSource = Union[Window, Sequence[float], np.ndarray]
+SampleSource = Union[Sequence[float], np.ndarray]
 
 
 def _as_array(w: SampleSource) -> np.ndarray:
-    if isinstance(w, Window):
-        return np.asarray(w.samples, dtype=float)
     return np.asarray(w, dtype=float)
 
 
@@ -190,68 +188,62 @@ def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float) -> float:
     return float(psd[mask].sum())
 
 
-@dataclass(frozen=True)
-class AdaptiveThresholdState:
-    """Detection threshold, fixed or tracking a long-term baseline.
+class Detector:
+    """One detection tool: a feature, its short smoothing window, its threshold.
 
-    In adaptive mode the threshold is ``multiplier * median(long_window)``
-    where the long window holds the feature's recent history; the short
-    window holds the values being compared against the threshold. The
-    median is robust to contamination of the baseline by the events being
-    detected, so values are pushed unconditionally.
+    ``spec`` is a ``scenario.ToolSpec``. A fixed threshold is the configured
+    value; an adaptive one is ``multiplier * median`` of the feature's last
+    ``long_window_ticks`` values. The median is robust to contamination of
+    the baseline by the events being detected, so values are pushed
+    unconditionally; it comes from a bisect-maintained sorted copy of the
+    baseline instead of a sort every tick.
     """
 
-    long_window: Window
-    short_window: Window
-    multiplier: float = 2.0
-    mode: str = "adaptive"        # "adaptive" | "fixed"
-    fixed_value: float = 0.0
+    def __init__(self, spec) -> None:
+        self.spec = spec
+        self.fixed = spec.threshold_mode == "fixed"
+        self._long: deque = deque()
+        self._long_sorted: list = []
+        self._short: deque = deque(maxlen=spec.short_window_ticks)
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("adaptive", "fixed"):
-            raise ConfigurationError(f"unknown threshold mode {self.mode!r}")
-        if self.multiplier <= 0:
-            raise ConfigurationError("multiplier must be positive")
-        if self.mode == "adaptive" and not (
-            self.long_window.capacity > self.short_window.capacity
-        ):
-            raise ConfigurationError(
-                "adaptive mode needs long_window.capacity > short_window.capacity"
-            )
+    def feature_value(self, frame: SampleSource) -> float:
+        if self.spec.feature == "line_length":
+            return line_length(frame)
+        if self.spec.feature == "area":
+            return area_under_curve(frame)
+        return float(half_wave_count(frame, self.spec.half_wave))
 
-    def observe(self, value: float) -> "AdaptiveThresholdState":
-        """Push a new feature value into both windows."""
-        return AdaptiveThresholdState(
-            long_window=self.long_window.push(value),
-            short_window=self.short_window.push(value),
-            multiplier=self.multiplier,
-            mode=self.mode,
-            fixed_value=self.fixed_value,
-        )
+    def threshold(self) -> Optional[float]:
+        """The current threshold; None while an adaptive baseline is empty."""
+        if self.fixed:
+            return self.spec.fixed_value
+        s = self._long_sorted
+        if not s:
+            return None
+        mid = len(s) // 2
+        median = s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
+        return self.spec.multiplier * median
 
-    def short_term_value(self) -> float:
-        """Mean of the short window: the smoothed value compared to the threshold."""
-        n = len(self.short_window)
-        if n == 0:
-            raise InsufficientDataError("short window is empty")
-        return sum(self.short_window.samples) / n
+    def observe(self, value: float) -> tuple[float, Optional[float], bool]:
+        """Push one feature value; returns (smoothed value, threshold, flag).
 
+        The threshold is taken from the baseline as it stood BEFORE this
+        value, so a fresh event cannot inflate its own detection threshold.
+        """
+        threshold = self.threshold()
+        if len(self._long) == self.spec.long_window_ticks:
+            oldest = self._long.popleft()
+            del self._long_sorted[bisect_left(self._long_sorted, oldest)]
+        self._long.append(value)
+        insort(self._long_sorted, value)
+        self._short.append(value)
 
-def adaptive_threshold(s: AdaptiveThresholdState) -> float:
-    """Current detection threshold for the state.
+        smoothed = sum(self._short) / len(self._short)
+        return smoothed, threshold, threshold is not None and smoothed > threshold
 
-    Fixed mode returns the configured value; adaptive mode returns
-    ``multiplier * median(long_window)``.
-
-    Raises:
-        InsufficientDataError: adaptive mode with an empty baseline.
-    """
-    if s.mode == "fixed":
-        return s.fixed_value
-    if len(s.long_window) == 0:
-        raise InsufficientDataError("adaptive threshold needs a nonempty baseline")
-    # statistics.median over the tuple beats np.median's overhead at this size
-    return s.multiplier * statistics.median(s.long_window.samples)
+    def step(self, frame: SampleSource) -> tuple[float, Optional[float], bool]:
+        """``observe`` the feature value of one frame."""
+        return self.observe(self.feature_value(frame))
 
 
 def detect(flags: Iterable[bool], combinator: str) -> bool:

@@ -111,7 +111,7 @@ def scan_pulse_width_us(scenario: Scenario) -> float:
     """Widest pulse any configured dose can deliver (for the charge scan)."""
     widths = [scenario.baseline_dose.pulse_width_us]
     for holder in (scenario.policy, scenario.fallback):
-        dose = getattr(holder, "dose", None) or getattr(holder, "burst_dose", None)
+        dose = getattr(holder, "dose", None)
         if dose is not None:
             widths.append(dose.pulse_width_us)
     return max(widths)
@@ -157,8 +157,9 @@ def replay_run(rundir) -> ReplayReport:
     """Re-execute the stored scenario and verify determinism plus safety.
 
     Re-runs the scenario found in ``rundir/scenario.json``, compares every
-    stored output byte for byte against the fresh serialization, and runs
-    the independent limit scan over the stored timeseries.csv.
+    output its ``outputs`` flags enable byte for byte against the fresh
+    serialization (a missing file is a mismatch), and runs the independent
+    limit scan over the stored timeseries.csv.
     """
     rundir = Path(rundir)
     scenario = scenario_from_dict(
@@ -166,17 +167,17 @@ def replay_run(rundir) -> ReplayReport:
     )
     fresh = run_scenario(scenario)
 
+    flags = scenario.outputs
     expectations = {
-        "timeseries.csv": timeseries_csv_text,
-        "events.jsonl": events_jsonl_text,
-        "summary.json": summary_json_text,
+        "timeseries.csv": (flags.timeseries, timeseries_csv_text),
+        "events.jsonl": (flags.events, events_jsonl_text),
+        "summary.json": (flags.summary, summary_json_text),
     }
     matched = {}
-    for fname, render in expectations.items():
+    for fname, (enabled, render) in expectations.items():
         path = rundir / fname
-        if not path.exists():
-            continue
-        matched[fname] = path.read_text(encoding="utf-8") == render(fresh)
+        if enabled or path.exists():
+            matched[fname] = path.exists() and path.read_text(encoding="utf-8") == render(fresh)
 
     scan = None
     ts = rundir / "timeseries.csv"

@@ -84,30 +84,16 @@ ALL_CHECKS = (
 
 
 class EventLog:
-    """Append-only run log, single writer, emission order preserved.
+    """Append-only run log, single writer, emission order preserved."""
 
-    An optional capacity turns the log into a ring for Info/Alert records;
-    Fault records are never evicted regardless of size.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ConfigurationError("capacity must be positive or None")
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._records: list[EventRecord] = []
 
     def append(self, rec: EventRecord) -> None:
         self._records.append(rec)
-        if self._capacity is not None and len(self._records) > self._capacity:
-            for i, r in enumerate(self._records):
-                if r.severity != SEVERITY_FAULT:
-                    del self._records[i]
-                    break
-            # All-Fault logs are allowed to exceed capacity.
 
     def extend(self, recs) -> None:
-        for r in recs:
-            self.append(r)
+        self._records.extend(recs)
 
     @property
     def records(self) -> tuple:
@@ -121,12 +107,6 @@ class EventLog:
 
     def count(self, code: str) -> int:
         return sum(1 for r in self._records if r.code == code)
-
-
-def log_event(log: EventLog, rec: EventRecord) -> EventLog:
-    """Append ``rec`` to ``log``; returns the same log for chaining."""
-    log.append(rec)
-    return log
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +295,6 @@ class SupervisorState:
     @property
     def in_reset(self) -> bool:
         return self.mode in RESET_MODES
-
-    @property
-    def therapy_inhibited(self) -> bool:
-        """True in every mode that forces stimulation off."""
-        return self.mode in (MODE_SUSPENDED_MAGNET, *RESET_MODES)
 
 
 def trust_check_step(

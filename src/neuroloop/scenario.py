@@ -198,14 +198,6 @@ class Scenario:
         new_raw["seed"] = seed
         return replace(self, seed=seed, raw=new_raw)
 
-    @property
-    def plant_kind(self) -> str:
-        if isinstance(self.plant, EcapPlantSpec):
-            return "ecap"
-        if isinstance(self.plant, BetaPlantSpec):
-            return "beta"
-        return "ieeg"
-
 
 # ---------------------------------------------------------------------------
 # Section builders (shared by parsing and validation)
@@ -215,6 +207,13 @@ def _require(raw: dict, key: str, where: str):
     if key not in raw:
         raise ConfigurationError(f"missing {key!r} in {where}")
     return raw[key]
+
+
+def _build_seed(raw: dict) -> int:
+    seed = _require(raw, "seed", "scenario")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _build_timebase(raw: dict) -> TimeBase:
@@ -525,7 +524,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     return Scenario(
         name=str(raw.get("name", "unnamed")),
         timebase=timebase,
-        seed=int(_require(raw, "seed", "scenario")),
+        seed=_build_seed(raw),
         baseline_dose=_build_dose(_require(raw, "baseline_dose", "scenario")),
         plant=plant,
         device=device,
@@ -619,8 +618,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
         return _build_dose(_require(raw, "baseline_dose", "scenario"))
 
     timebase = attempt(CHECKLIST_VALIDATION, lambda: _build_timebase(raw))
-    if "seed" not in raw:
-        found(CHECKLIST_VALIDATION, "a seed is required for reproducible runs")
+    attempt(CHECKLIST_VALIDATION, lambda: _build_seed(raw))
     baseline = attempt(CHECKLIST_MENTAL_MODEL, build_baseline)
     built = attempt(CHECKLIST_VARIABLES, lambda: _build_plant(raw))
     plant, device = built if built is not None else (None, None)
@@ -692,9 +690,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
     if device is not None:
         doses = {"baseline_dose": baseline}
         if policy is not None:
-            doses["policy dose"] = getattr(policy, "dose", None) or getattr(
-                policy, "burst_dose", None
-            )
+            doses["policy dose"] = getattr(policy, "dose", None)
         if fallback is not None:
             doses["fallback dose"] = getattr(fallback, "dose", None)
         for label, d in doses.items():
@@ -746,13 +742,9 @@ def validate_scenario(raw: dict) -> ValidationReport:
                 f"(< {peak_power:.3g})",
             )
 
-    if timebase is not None and plant is not None:
-        frame_dt = None
-        if isinstance(plant, BetaPlantSpec):
-            frame_dt = plant.cfg.dt_s
-        elif isinstance(plant, IeegPlantSpec):
-            frame_dt = plant.cfg.dt_s
-        if frame_dt is not None and abs(frame_dt - timebase.dt_s) > 1e-9:
+    if timebase is not None and isinstance(plant, (BetaPlantSpec, IeegPlantSpec)):
+        frame_dt = plant.cfg.dt_s
+        if abs(frame_dt - timebase.dt_s) > 1e-9:
             found(
                 CHECKLIST_VALIDATION,
                 f"timebase dt_s {timebase.dt_s} must equal the plant frame duration "

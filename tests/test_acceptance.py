@@ -18,11 +18,10 @@ import pytest
 
 from neuroloop.cli import EXIT_OK, main
 from neuroloop.control import BangBangResponsive, PolicyState, bang_bang_responsive_step
-from neuroloop.core import Dose, QUALITY_IMPOSSIBLE, QUALITY_OK, Window
+from neuroloop.core import Dose, QUALITY_IMPOSSIBLE, QUALITY_OK
 from neuroloop.engine import compare_modes, run_scenario, sweep
 from neuroloop.features import (
-    AdaptiveThresholdState,
-    adaptive_threshold,
+    Detector,
     area_under_curve,
     band_power,
     line_length,
@@ -52,7 +51,7 @@ from neuroloop.safety import (
     supervisor_step,
     trust_check_step,
 )
-from neuroloop.scenario import scenario_from_dict, validate_scenario
+from neuroloop.scenario import ToolSpec, scenario_from_dict, validate_scenario
 
 from conftest import ecap_raw, reference_raw
 
@@ -81,14 +80,13 @@ def test_c01_feature_oracle_equivalence():
             ll_terms = [abs(xs[i] - xs[i - 1]) for i in range(1, 64)]
             assert line_length(xs) == math.fsum(ll_terms)
             assert area_under_curve(xs) == math.fsum(abs(x) for x in xs)
-            st = AdaptiveThresholdState(
-                long_window=Window(64, tuple(float(x) for x in xs)),
-                short_window=Window(4),
-                multiplier=2.0,
-            )
+            det = Detector(ToolSpec(feature="line_length", threshold_mode="adaptive",
+                                    multiplier=2.0, long_window_ticks=64))
+            for x in xs:
+                det.observe(float(x))
             s = sorted(xs)
             oracle_median = (s[31] + s[32]) / 2.0
-            assert adaptive_threshold(st) == 2.0 * oracle_median
+            assert det.threshold() == 2.0 * oracle_median
 
 
 def test_c02_band_power_parseval():

@@ -108,3 +108,25 @@ class TestReplay:
         ts = out / "timeseries.csv"
         ts.write_text(ts.read_text().replace("Automated", "Autonomous", 1))
         assert main(["replay", str(out)]) == EXIT_FAULT
+
+
+class TestSeedChecks:
+    # validate must reject every seed that run cannot use, with the same rule.
+    @pytest.mark.parametrize("seed", [-1, "abc", 1.5, True, None])
+    def test_bad_seed_fails_validate_and_run(self, tmp_path, capsys, seed):
+        path = tmp_path / "bad_seed.json"
+        path.write_text(json.dumps(ecap_raw(seed=seed)))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+        assert "seed" in capsys.readouterr().out
+
+    def test_negative_seed_flag_exit_2(self, ecap_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", str(ecap_file), "--out", str(out), "--seed", "-3"]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_zero_seed_accepted(self, ecap_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", str(ecap_file), "--out", str(out), "--seed", "0"]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["seed"] == 0

@@ -1,4 +1,4 @@
-"""Core vocabulary: time base, dose arithmetic, windows, event records."""
+"""Core vocabulary: time base, dose arithmetic, event records."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from neuroloop.core import (
     DomainError,
     EventRecord,
     InvalidTimebaseError,
-    Window,
     charge_per_pulse,
     charge_per_tick,
     make_timebase,
-    push_window,
     teed_rate,
 )
 
@@ -88,35 +86,6 @@ class TestDose:
 
     def test_with_amplitude_floors_at_zero(self):
         assert Dose(2.0, 100.0, 130.0).with_amplitude(-0.5).amplitude_mA == 0.0
-
-
-class TestWindow:
-    def test_fifo_eviction(self):
-        w = Window(3, (1.0, 2.0, 3.0))
-        assert push_window(w, 4.0).samples == (2.0, 3.0, 4.0)
-
-    def test_push_into_empty(self):
-        assert push_window(Window(3), 7.0).samples == (7.0,)
-
-    def test_capacity_one(self):
-        assert push_window(Window(1, (9.0,)), 0.0).samples == (0.0,)
-
-    def test_length_preserving_once_full(self):
-        w = Window(4)
-        rng = np.random.default_rng(3)
-        for x in rng.normal(size=50):
-            w = w.push(float(x))
-            assert len(w) <= 4
-        assert len(w) == 4
-
-    def test_replay_keeps_last_capacity_values_in_order(self):
-        rng = np.random.default_rng(5)
-        for cap in (1, 2, 5, 16):
-            seq = [float(x) for x in rng.normal(size=40)]
-            w = Window(cap)
-            for x in seq:
-                w = w.push(x)
-            assert w.samples == tuple(seq[-cap:])
 
 
 class TestEventRecord:

@@ -11,16 +11,14 @@ from neuroloop.core import (
     QUALITY_IMPOSSIBLE,
     QUALITY_OK,
     QUALITY_SATURATED,
-    Window,
 )
 from neuroloop.features import (
-    AdaptiveThresholdState,
     ConfigurationError,
+    Detector,
     DomainError,
     HalfWaveConfig,
     InsufficientDataError,
     SignalQualityLimits,
-    adaptive_threshold,
     area_under_curve,
     band_power,
     detect,
@@ -30,6 +28,7 @@ from neuroloop.features import (
     line_length,
     signal_quality,
 )
+from neuroloop.scenario import ToolSpec
 
 
 def brute_force_line_length(xs):
@@ -179,40 +178,39 @@ class TestBandPower:
 
 
 class TestAdaptiveThreshold:
+    @staticmethod
+    def detector(long_ticks=8, short_ticks=2, **kw):
+        return Detector(ToolSpec(feature="line_length", long_window_ticks=long_ticks,
+                                 short_window_ticks=short_ticks, **kw))
+
     def test_fixed_mode(self):
-        st = AdaptiveThresholdState(
-            long_window=Window(8),
-            short_window=Window(2),
-            mode="fixed",
-            fixed_value=10.0,
-        )
-        assert adaptive_threshold(st) == 10.0
+        det = self.detector(threshold_mode="fixed", fixed_value=10.0)
+        assert det.threshold() == 10.0
 
     def test_median_times_multiplier(self):
-        st = AdaptiveThresholdState(
-            long_window=Window(8, (2.0, 4.0, 6.0)),
-            short_window=Window(2),
-            multiplier=2.0,
-        )
-        assert adaptive_threshold(st) == 8.0
+        det = self.detector(threshold_mode="adaptive", multiplier=2.0)
+        for v in (2.0, 4.0, 6.0):
+            det.observe(v)
+        assert det.threshold() == 8.0
 
     def test_tracks_drifting_baseline_against_sort_oracle(self):
         rng = np.random.default_rng(106)
-        st = AdaptiveThresholdState(
-            long_window=Window(32), short_window=Window(4), multiplier=2.0
-        )
+        det = self.detector(32, 4, threshold_mode="adaptive", multiplier=2.0)
+        history = []
         drift = 0.0
         for _ in range(300):
             drift += 0.1
             v = float(rng.normal(loc=drift))
-            st = st.observe(v)
-            expected = 2.0 * brute_force_median(st.long_window.samples)
-            assert adaptive_threshold(st) == expected
+            det.observe(v)
+            history.append(v)
+            assert det.threshold() == 2.0 * brute_force_median(history[-32:])
 
     def test_empty_baseline(self):
-        st = AdaptiveThresholdState(long_window=Window(8), short_window=Window(2))
-        with pytest.raises(InsufficientDataError):
-            adaptive_threshold(st)
+        # No baseline yet: no threshold, and nothing can be flagged.
+        det = self.detector(threshold_mode="adaptive")
+        assert det.threshold() is None
+        smoothed, threshold, flag = det.observe(1e9)
+        assert (smoothed, threshold, flag) == (1e9, None, False)
 
 
 class TestDetect:

@@ -5,15 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from neuroloop.engine import (
-    _DetectorTool,
-    compare_modes,
-    comparison_target,
-    run_scenario,
-    sweep,
-)
-from neuroloop.core import Window
-from neuroloop.features import AdaptiveThresholdState, adaptive_threshold
+from neuroloop.engine import compare_modes, run_scenario, sweep
+from neuroloop.core import InvalidPlantError
+from neuroloop.features import Detector, line_length
 from neuroloop.metrics import (
     scan_delivered_series,
     scan_timeseries_csv,
@@ -266,7 +260,7 @@ class TestCompareModes:
 
     def test_comparison_target_per_policy(self):
         raw = ecap_raw()
-        assert comparison_target(scenario_from_dict(raw).policy) == 1.0
+        assert scenario_from_dict(raw).policy.target == 1.0
 
 
 class TestSupervisedRuns:
@@ -382,13 +376,24 @@ class TestSupervisedRuns:
         import neuroloop.engine as engine_mod
 
         def explode(*a, **kw):
-            raise RuntimeError("synthetic plant failure")
+            raise InvalidPlantError("synthetic plant failure")
 
         monkeypatch.setattr(engine_mod, "ecap_true", explode)
         r = run_scenario(scenario_from_dict(ecap_raw()))
         assert r.aborted
         assert any(e.code == "RUN_FAULT" and e.severity == "Fault" for e in r.events)
         assert r.n_ticks == 0  # failed on the very first tick, nothing forged
+
+    def test_programming_error_escapes_the_run(self, monkeypatch):
+        # Only simulation errors become RUN_FAULT; a bug must fail loudly.
+        import neuroloop.engine as engine_mod
+
+        def broken(*a, **kw):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(engine_mod, "ecap_true", broken)
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_scenario(scenario_from_dict(ecap_raw()))
 
     def test_mode_trajectory_reconstructible_from_events(self):
         raw = ecap_raw(magnet=[{"start_tick": 100, "end_tick": 150}],
@@ -416,25 +421,27 @@ class TestSupervisedRuns:
 
 class TestDetectorToolEquivalence:
     def test_streaming_threshold_matches_window_implementation(self):
+        # The streaming detector against a plain list window and a full sort.
         from neuroloop.scenario import ToolSpec
 
         spec = ToolSpec(feature="line_length", threshold_mode="adaptive",
                         multiplier=2.0, long_window_ticks=30, short_window_ticks=3)
-        tool = _DetectorTool(spec)
-        state = AdaptiveThresholdState(
-            long_window=Window(30), short_window=Window(3), multiplier=2.0
-        )
+        det = Detector(spec)
+        values = []
         rng = np.random.default_rng(8)
         for t in range(200):
             frame = rng.normal(scale=10.0, size=32)
-            smoothed, threshold, _ = tool.step(frame)
-            expected_thr = (
-                adaptive_threshold(state) if len(state.long_window) else None
-            )
-            assert threshold == expected_thr
-            from neuroloop.features import line_length
-            state = state.observe(line_length(frame))
-            assert smoothed == state.short_term_value()
+            smoothed, threshold, flag = det.step(frame)
+            if values:
+                s = sorted(values[-30:])
+                mid = len(s) // 2
+                median = s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
+                assert threshold == 2.0 * median
+            else:
+                assert threshold is None
+            values.append(line_length(frame))
+            assert smoothed == sum(values[-3:]) / len(values[-3:])
+            assert flag == (threshold is not None and smoothed > threshold)
 
 
 class TestOutputsAndReplay:
@@ -476,6 +483,23 @@ class TestOutputsAndReplay:
         for line in text.strip().splitlines():
             json.loads(line)
         assert replay_run(write_run(r, tmp_path / "noisy")).ok
+
+    @pytest.mark.parametrize("fname", ["timeseries.csv", "events.jsonl", "summary.json"])
+    def test_replay_reports_missing_output(self, tmp_path, fname):
+        r = run_scenario(scenario_from_dict(ecap_raw()))
+        outdir = write_run(r, tmp_path / "run3")
+        (outdir / fname).unlink()
+        report = replay_run(outdir)
+        assert not report.ok
+        assert report.files_matched[fname] is False
+
+    def test_replay_skips_outputs_the_scenario_disables(self, tmp_path):
+        raw = ecap_raw(outputs={"timeseries": True, "events": False, "summary": True})
+        outdir = write_run(run_scenario(scenario_from_dict(raw)), tmp_path / "run4")
+        assert not (outdir / "events.jsonl").exists()
+        report = replay_run(outdir)
+        assert report.ok, report.to_dict()
+        assert "events.jsonl" not in report.files_matched
 
     def test_csv_schema(self, tmp_path):
         raw = ieeg_raw(timebase={"dt_s": 0.125, "duration_s": 5.0})

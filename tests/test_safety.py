@@ -41,7 +41,6 @@ from neuroloop.safety import (
     clamp_and_slew,
     clinician_reset,
     fallback_dose,
-    log_event,
     supervisor_step,
     therapy_and_episode_budget_step,
     trust_check_step,
@@ -288,7 +287,7 @@ class TestBudgets:
 class TestEventLog:
     def test_append_to_empty(self):
         log = EventLog()
-        log_event(log, EventRecord(0, SEVERITY_INFO, "DAY_ROLLOVER"))
+        log.append(EventRecord(0, SEVERITY_INFO, "DAY_ROLLOVER"))
         assert len(log) == 1
 
     def test_same_tick_order_preserved(self):
@@ -298,15 +297,6 @@ class TestEventLog:
         log.append(a)
         log.append(b)
         assert log.records == (a, b)
-
-    def test_fault_records_survive_ring_eviction(self):
-        log = EventLog(capacity=3)
-        fault = EventRecord(0, SEVERITY_FAULT, "MODE_EOS_RESET")
-        log.append(fault)
-        for i in range(1, 10):
-            log.append(EventRecord(i, SEVERITY_INFO, "DAY_ROLLOVER"))
-        assert fault in log.records
-        assert len(log) == 3
 
     def test_count(self):
         log = EventLog()
