@@ -9,6 +9,9 @@ Subcommands:
     replay   <rundir>                         re-verify stored outputs
 
 Exit codes: 0 ok, 2 validation failure, 3 runtime fault (or replay mismatch).
+``sweep --seeds`` below 1 and ``compare`` on a ManualFixed policy, which has
+nothing to compare against, are validation failures; a replay whose stored
+scenario.json is unreadable or invalid is a replay error, exit 3.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import json
 import sys
 from pathlib import Path
 
+from .control import ManualFixed
+from .core import SimulationError
 from .engine import compare_modes, run_scenario, sweep
 from .metrics import scan_delivered_series
 from .outputs import (
@@ -27,12 +32,7 @@ from .outputs import (
     scan_pulse_width_us,
     write_run,
 )
-from .scenario import (
-    ScenarioParseError,
-    scenario_from_dict,
-    load_scenario_file,
-    validate_scenario,
-)
+from .scenario import ScenarioParseError, load_scenario_file, validate_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -55,7 +55,7 @@ def cmd_validate(args) -> int:
 
 
 def _build_checked(args):
-    """Parse, apply the --seed override, validate; None if validation fails."""
+    """Parse, apply the --seed override, validate and build once; None if not ok."""
     raw = load_scenario_file(args.scenario)
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -63,7 +63,7 @@ def _build_checked(args):
     if not report.ok:
         _print_report(report)
         return None
-    return scenario_from_dict(raw)
+    return report.scenario
 
 
 def cmd_run(args) -> int:
@@ -83,6 +83,10 @@ def cmd_compare(args) -> int:
     scenario = _build_checked(args)
     if scenario is None:
         return EXIT_VALIDATION
+    if isinstance(scenario.policy, ManualFixed):
+        print("validation error: compare needs an automated policy, not ManualFixed",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     comparison = compare_modes(scenario)
     out = Path(args.out)
     write_run(comparison.automated, out / "automated")
@@ -98,6 +102,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        print(f"validation error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
+        return EXIT_VALIDATION
     scenario = _build_checked(args)
     if scenario is None:
         return EXIT_VALIDATION
@@ -127,7 +134,7 @@ def cmd_sweep(args) -> int:
 def cmd_replay(args) -> int:
     try:
         report = replay_run(args.rundir)
-    except (OSError, ScenarioParseError, json.JSONDecodeError) as e:
+    except (OSError, SimulationError) as e:
         print(f"replay error: {e}", file=sys.stderr)
         return EXIT_FAULT
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .core import QUALITY_OK, ConfigurationError, Dose
+from .core import MAX_TICKS, QUALITY_OK, ConfigurationError, Dose
 
 _OK_ONLY = frozenset({QUALITY_OK})
 
@@ -86,10 +86,10 @@ class BangBangResponsive:
             raise ConfigurationError("bursts_per_therapy must be 1 or 2")
         if self.max_therapies_per_event < 1:
             raise ConfigurationError("max_therapies_per_event must be >= 1")
-        if self.burst_duration_ticks < 1:
-            raise ConfigurationError("burst_duration_ticks must be >= 1")
-        if self.inter_burst_gap_ticks < 0:
-            raise ConfigurationError("inter_burst_gap_ticks must be >= 0")
+        if not 1 <= self.burst_duration_ticks <= MAX_TICKS:
+            raise ConfigurationError(f"burst_duration_ticks must be in [1, {MAX_TICKS}]")
+        if not 0 <= self.inter_burst_gap_ticks <= MAX_TICKS:
+            raise ConfigurationError(f"inter_burst_gap_ticks must be in [0, {MAX_TICKS}]")
 
     setpoint = target = None
     dose = property(lambda self: self.burst_dose)

@@ -86,6 +86,11 @@ class TimeBase:
         return max(1, round(86_400.0 / self.dt_s))
 
 
+# The most ticks a scenario may run or hold one therapy for: far above every
+# shipped scenario, and small enough for the per-tick columns to fit in memory.
+MAX_TICKS = 1_000_000
+
+
 def make_timebase(dt_s: float, duration_s: float) -> TimeBase:
     """Build a time base covering ``duration_s`` seconds at step ``dt_s``.
 

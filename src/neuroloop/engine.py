@@ -68,7 +68,7 @@ from .safety import (
     therapy_and_episode_budget_step,
     trust_check_step,
 )
-from .scenario import BetaPlantSpec, EcapPlantSpec, IeegPlantSpec, Scenario
+from .scenario import BetaPlantSpec, EcapPlantSpec, IeegPlantSpec, Scenario, scenario_from_dict
 
 OK_ONLY = frozenset({QUALITY_OK})
 
@@ -410,23 +410,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 def fixed_arm_scenario(scenario: Scenario) -> Scenario:
     """The manual-loop twin: same plant and seed, policy pinned to the baseline dose."""
-    b = scenario.baseline_dose
-    new_raw = dict(scenario.raw)
-    new_raw["policy"] = {
-        "kind": "ManualFixed",
-        "dose": {
-            "amplitude_mA": b.amplitude_mA,
-            "pulse_width_us": b.pulse_width_us,
-            "frequency_hz": b.frequency_hz,
-            "contact_set": b.contact_set,
-        },
-    }
-    return replace(
-        scenario,
-        policy=ManualFixed(dose=b),
-        name=scenario.name + "_fixed",
-        raw=new_raw,
-    )
+    raw = scenario.raw
+    return scenario_from_dict({
+        **raw,
+        "name": scenario.name + "_fixed",
+        "policy": {"kind": "ManualFixed", "dose": raw["baseline_dose"]},
+    })
 
 
 @dataclass

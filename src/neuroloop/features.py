@@ -156,27 +156,34 @@ def half_wave_count(w: SampleSource, cfg: HalfWaveConfig) -> int:
     return count
 
 
-def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float) -> float:
-    """Power of the signal inside [f_lo, f_hi] Hz, in µV².
-
-    Plain rectangular-window periodogram with one-sided bin summation; no
-    tapering, so Parseval holds exactly: summing over the full band
-    [0, fs/2] returns mean(x²). Band edges are inclusive.
+def check_band(f_lo: float, f_hi: float, fs: float, n: int) -> None:
+    """Raise unless ``band_power`` can measure [f_lo, f_hi] Hz in n samples at fs.
 
     Raises:
         DomainError: band outside (0, fs/2].
         InsufficientDataError: window shorter than one period of f_lo.
     """
-    x = _as_array(w)
     if not (0 < f_lo < f_hi <= fs / 2):
         raise DomainError(
             f"band [{f_lo}, {f_hi}] must satisfy 0 < f_lo < f_hi <= fs/2 = {fs / 2}"
         )
-    n = x.size
     if n < fs / f_lo:
         raise InsufficientDataError(
             f"window of {n} samples is shorter than one period of {f_lo} Hz at fs={fs}"
         )
+
+
+def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float) -> float:
+    """Power of the signal inside [f_lo, f_hi] Hz, in µV².
+
+    Plain rectangular-window periodogram with one-sided bin summation; no
+    tapering, so Parseval holds exactly: summing over the full band
+    [0, fs/2] returns mean(x²). Band edges are inclusive. Raises what
+    ``check_band`` raises.
+    """
+    x = _as_array(w)
+    n = x.size
+    check_band(f_lo, f_hi, fs, n)
     spec = np.fft.rfft(x)
     psd = (spec.real ** 2 + spec.imag ** 2) / (n * n)
     # One-sided: double everything except DC and (for even n) Nyquist.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import RunResult, run_scenario
 from .metrics import SafetyScanResult, scan_timeseries_csv
-from .scenario import Scenario, scenario_from_dict
+from .scenario import Scenario, load_scenario_file, scenario_from_dict
 
 CSV_COLUMNS = (
     "tick",
@@ -109,12 +109,7 @@ def scenario_json_text(scenario: Scenario) -> str:
 
 def scan_pulse_width_us(scenario: Scenario) -> float:
     """Widest pulse any configured dose can deliver (for the charge scan)."""
-    widths = [scenario.baseline_dose.pulse_width_us]
-    for holder in (scenario.policy, scenario.fallback):
-        dose = getattr(holder, "dose", None)
-        if dose is not None:
-            widths.append(dose.pulse_width_us)
-    return max(widths)
+    return max(d.pulse_width_us for d in scenario.doses.values())
 
 
 def write_run(result: RunResult, outdir) -> Path:
@@ -156,15 +151,14 @@ class ReplayReport:
 def replay_run(rundir) -> ReplayReport:
     """Re-execute the stored scenario and verify determinism plus safety.
 
-    Re-runs the scenario found in ``rundir/scenario.json``, compares every
-    output its ``outputs`` flags enable byte for byte against the fresh
-    serialization (a missing file is a mismatch), and runs the independent
-    limit scan over the stored timeseries.csv.
+    Re-runs the scenario found in ``rundir/scenario.json``, read and built
+    like any scenario file (a bad one raises a SimulationError), compares
+    every output its ``outputs`` flags enable byte for byte against the
+    fresh serialization (a missing file is a mismatch), and runs the
+    independent limit scan over the stored timeseries.csv.
     """
     rundir = Path(rundir)
-    scenario = scenario_from_dict(
-        json.loads((rundir / "scenario.json").read_text(encoding="utf-8"))
-    )
+    scenario = scenario_from_dict(load_scenario_file(rundir / "scenario.json"))
     fresh = run_scenario(scenario)
 
     flags = scenario.outputs

@@ -6,22 +6,25 @@ fallback behavior, budgets, and output selection. The on-disk format is
 UTF-8 JSON with a top-level ``"schema": 1`` field; see the shipped files
 under ``scenarios/`` for worked examples of each plant kind.
 
-``validate_scenario`` runs a configuration checklist before anything
-executes: every finding is tagged with the checklist item it violates
-(variables identified, limits present and ordered, fallback defined with
-entrance/exit criteria, monitoring enabled, operating region reachable).
-A scenario that validates cleanly is guaranteed to build and run without
-configuration errors.
+``validate_scenario`` is the only code that builds a ``Scenario``. It runs
+the design checklist: every finding is tagged with the checklist item it
+violates (variables identified, limits present and ordered, fallback defined
+with entrance/exit criteria, monitoring enabled, operating region reachable).
+Its report carries the scenario whenever the schema matches and every
+section builds; cross-check findings make ``ok`` false but keep the scenario.
+An ``ok`` scenario runs without configuration errors. A derived scenario
+(another seed, a comparison's fixed arm) is an edit of ``raw``, rebuilt.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 from .core import (
+    MAX_TICKS,
     ConfigurationError,
     Dose,
     DoseLimits,
@@ -38,7 +41,7 @@ from .control import (
     Proportional,
     SingleThreshold,
 )
-from .features import HalfWaveConfig
+from .features import HalfWaveConfig, check_band
 from .plant import (
     BetaPlantConfig,
     BetaSuppression,
@@ -54,6 +57,7 @@ from .plant import (
     distance_profile,
 )
 from .safety import (
+    CHECK_ECAP_NONNEGATIVE,
     Budgets,
     FallbackKind,
     FallbackOff,
@@ -160,6 +164,10 @@ class StepResponseSpec:
     step_tick: int
     tol_frac: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.step_tick < 0:
+            raise ConfigurationError(f"step_tick must be >= 0, got {self.step_tick}")
+
 
 @dataclass(frozen=True)
 class MetricsConfig:
@@ -194,19 +202,33 @@ class Scenario:
     raw: dict = field(default_factory=dict, repr=False)
 
     def with_seed(self, seed: int) -> "Scenario":
-        new_raw = dict(self.raw)
-        new_raw["seed"] = seed
-        return replace(self, seed=seed, raw=new_raw)
+        return scenario_from_dict({**self.raw, "seed": seed})
+
+    @property
+    def doses(self) -> dict:
+        """Every configured dose by role: baseline, then policy and fallback if set."""
+        doses = {"baseline": self.baseline_dose}
+        for role, holder in (("policy", self.policy), ("fallback", self.fallback)):
+            if getattr(holder, "dose", None) is not None:
+                doses[role] = holder.dose
+        return doses
 
 
 # ---------------------------------------------------------------------------
-# Section builders (shared by parsing and validation)
+# Section builders (called only by validate_scenario)
 # ---------------------------------------------------------------------------
 
 def _require(raw: dict, key: str, where: str):
     if key not in raw:
         raise ConfigurationError(f"missing {key!r} in {where}")
     return raw[key]
+
+
+def _object(value, where: str) -> dict:
+    """``value`` itself, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
+    return value
 
 
 def _build_seed(raw: dict) -> int:
@@ -217,11 +239,17 @@ def _build_seed(raw: dict) -> int:
 
 
 def _build_timebase(raw: dict) -> TimeBase:
-    tb = _require(raw, "timebase", "scenario")
-    return make_timebase(float(tb["dt_s"]), float(tb["duration_s"]))
+    tb = _object(_require(raw, "timebase", "scenario"), "timebase")
+    timebase = make_timebase(float(tb["dt_s"]), float(tb["duration_s"]))
+    if timebase.n_ticks > MAX_TICKS:
+        raise ConfigurationError(
+            f"timebase has {timebase.n_ticks} ticks, more than the {MAX_TICKS} a run may have"
+        )
+    return timebase
 
 
-def _build_dose(d: dict) -> Dose:
+def _build_dose(d, where: str) -> Dose:
+    d = _object(d, where)
     return Dose(
         amplitude_mA=float(d["amplitude_mA"]),
         pulse_width_us=float(d["pulse_width_us"]),
@@ -233,7 +261,7 @@ def _build_dose(d: dict) -> Dose:
 def _build_disturbances(segs: list) -> DisturbanceTrack:
     built = []
     for s in segs:
-        kind = s["kind"]
+        kind = _object(s, "disturbance")["kind"]
         if kind == "PostureStep":
             built.append(PostureStep(int(s["start_tick"]), float(s["delta_mm"])))
         elif kind == "CoughTransient":
@@ -268,12 +296,14 @@ def _build_disturbances(segs: list) -> DisturbanceTrack:
     return DisturbanceTrack(tuple(sorted(built, key=lambda x: x.start_tick)))
 
 
-def _build_device(d: dict) -> DeviceState:
+def _build_device(d) -> DeviceState:
+    d = _object(d, "plant.device")
     return DeviceState(
         battery_v=float(d["battery_v"]),
         eos_threshold_v=float(d["eos_threshold_v"]),
         impedance_ohm_per_contact={
-            str(k): float(v) for k, v in d["impedance_ohm"].items()
+            str(k): float(v)
+            for k, v in _object(d["impedance_ohm"], "plant.device.impedance_ohm").items()
         },
         compliance_v=float(d["compliance_v"]),
         amp_step_mA=float(d["amp_step_mA"]),
@@ -285,13 +315,13 @@ def _build_device(d: dict) -> DeviceState:
 
 
 def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
-    p = _require(raw, "plant", "scenario")
+    p = _object(_require(raw, "plant", "scenario"), "plant")
     kind = _require(p, "kind", "plant")
     device = _build_device(_require(p, "device", "plant"))
     track = _build_disturbances(p.get("disturbances", []))
 
     if kind == "ecap":
-        e = _require(p, "ecap", "plant")
+        e = _object(_require(p, "ecap", "plant"), "plant.ecap")
         params = EcapPlantParams(
             slope_uV_per_mA_at_ref=float(e["slope_uV_per_mA_at_ref"]),
             threshold_mA_at_ref=float(e["threshold_mA_at_ref"]),
@@ -310,8 +340,8 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
         )
 
     if kind == "beta":
-        b = _require(p, "beta", "plant")
-        c = _require(b, "curve", "beta plant")
+        b = _object(_require(p, "beta", "plant"), "plant.beta")
+        c = _object(_require(b, "curve", "beta plant"), "plant.beta.curve")
         curve = BetaSuppression(
             baseline=float(c["baseline_uV"]),
             max_suppression_fraction=float(c["max_suppression_fraction"]),
@@ -330,7 +360,7 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
         return BetaPlantSpec(cfg=cfg), device
 
     if kind == "ieeg":
-        i = _require(p, "ieeg", "plant")
+        i = _object(_require(p, "ieeg", "plant"), "plant.ieeg")
         cfg = IeegPlantConfig(
             fs_hz=float(i["fs_hz"]),
             frame_len=int(i["frame_len"]),
@@ -338,7 +368,7 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
             ictal_amplitude_uV=float(i["ictal_amplitude_uV"]),
             ictal_hz=float(i["ictal_hz"]),
         )
-        s = _require(p, "seizures", "plant")
+        s = _object(_require(p, "seizures", "plant"), "plant.seizures")
         seiz = SeizureGenState(
             rate_per_hour=float(s["rate_per_hour"]),
             base_duration_ticks=int(s["base_duration_ticks"]),
@@ -351,21 +381,24 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
 
 
 def _build_features(raw: dict, plant: PlantSpec) -> FeatureSpec:
-    f = raw.get("features", {})
+    f = _object(raw.get("features", {}), "features")
     if isinstance(plant, EcapPlantSpec):
         return EcapFeatures()
     if isinstance(plant, BetaPlantSpec):
-        return BetaFeatures(
+        beta = BetaFeatures(
             band_lo_hz=float(f.get("band_lo_hz", 13.0)),
             band_hi_hz=float(f.get("band_hi_hz", 30.0)),
             smooth_s=float(f.get("smooth_s", 0.5)),
         )
+        check_band(beta.band_lo_hz, beta.band_hi_hz, plant.cfg.fs_hz, plant.cfg.frame_len)
+        return beta
     tools = []
     for t in _require(f, "tools", "features"):
-        th = t.get("threshold", {})
+        t = _object(t, "detection tool")
+        th = _object(t.get("threshold", {}), "detection tool threshold")
         hw = None
         if t["feature"] == "half_wave":
-            h = _require(t, "half_wave", "half_wave tool")
+            h = _object(_require(t, "half_wave", "half_wave tool"), "half_wave")
             hw = HalfWaveConfig(
                 min_amplitude_uV=float(h["min_amplitude_uV"]),
                 min_duration_ticks=int(h["min_duration_ticks"]),
@@ -387,13 +420,13 @@ def _build_features(raw: dict, plant: PlantSpec) -> FeatureSpec:
 
 
 def _build_policy(raw: dict) -> PolicyConfig:
-    p = _require(raw, "policy", "scenario")
+    p = _object(_require(raw, "policy", "scenario"), "policy")
     kind = _require(p, "kind", "policy")
     if kind == "ManualFixed":
-        return ManualFixed(dose=_build_dose(_require(p, "dose", "policy")))
+        return ManualFixed(dose=_build_dose(_require(p, "dose", "policy"), "policy.dose"))
     if kind == "BangBangResponsive":
         return BangBangResponsive(
-            burst_dose=_build_dose(_require(p, "burst", "policy")),
+            burst_dose=_build_dose(_require(p, "burst", "policy"), "policy.burst"),
             bursts_per_therapy=int(p.get("bursts_per_therapy", 1)),
             max_therapies_per_event=int(p.get("max_therapies_per_event", 5)),
             burst_duration_ticks=int(p.get("burst_duration_ticks", 1)),
@@ -427,7 +460,7 @@ def _build_policy(raw: dict) -> PolicyConfig:
 
 
 def _build_limits(raw: dict) -> DoseLimits:
-    l = _require(raw, "limits", "scenario")
+    l = _object(_require(raw, "limits", "scenario"), "limits")
     return DoseLimits(
         amp_min_mA=float(l["amp_min_mA"]),
         amp_max_mA=float(l["amp_max_mA"]),
@@ -437,7 +470,7 @@ def _build_limits(raw: dict) -> DoseLimits:
 
 
 def _build_trust(raw: dict) -> TrustConfig:
-    t = _require(raw, "trust", "scenario")
+    t = _object(_require(raw, "trust", "scenario"), "trust")
     return TrustConfig(
         checks=tuple(t.get("checks", [])),
         exit_after_consecutive_fails=int(t["exit_after_consecutive_fails"]),
@@ -450,21 +483,21 @@ def _build_trust(raw: dict) -> TrustConfig:
 
 
 def _build_fallback(raw: dict) -> FallbackKind:
-    f = _require(raw, "fallback", "scenario")
+    f = _object(_require(raw, "fallback", "scenario"), "fallback")
     kind = _require(f, "kind", "fallback")
     if kind == "Off":
         return FallbackOff()
     if kind == "FixedSafe":
-        return FixedSafe(dose=_build_dose(_require(f, "dose", "fallback")))
+        return FixedSafe(dose=_build_dose(_require(f, "dose", "fallback"), "fallback.dose"))
     if kind == "LastKnownGood":
         return LastKnownGood()
     if kind == "ManualLoop":
-        return ManualLoop(dose=_build_dose(_require(f, "dose", "fallback")))
+        return ManualLoop(dose=_build_dose(_require(f, "dose", "fallback"), "fallback.dose"))
     raise ConfigurationError(f"unknown fallback kind {kind!r}")
 
 
 def _build_budgets(raw: dict, timebase: TimeBase) -> Budgets:
-    b = raw.get("budgets", {})
+    b = _object(raw.get("budgets", {}), "budgets")
     return Budgets(
         max_therapies_per_event=int(b.get("max_therapies_per_event", 5)),
         max_episodes_per_day=int(b.get("max_episodes_per_day", 1_000_000)),
@@ -475,6 +508,7 @@ def _build_budgets(raw: dict, timebase: TimeBase) -> Budgets:
 def _build_magnet(raw: dict) -> tuple:
     out = []
     for iv in raw.get("magnet", []):
+        iv = _object(iv, "magnet interval")
         start, end = int(iv["start_tick"]), int(iv["end_tick"])
         if not (0 <= start < end):
             raise ConfigurationError(
@@ -485,7 +519,7 @@ def _build_magnet(raw: dict) -> tuple:
 
 
 def _build_outputs(raw: dict) -> OutputFlags:
-    o = raw.get("outputs", {})
+    o = _object(raw.get("outputs", {}), "outputs")
     return OutputFlags(
         timeseries=bool(o.get("timeseries", True)),
         events=bool(o.get("events", True)),
@@ -494,51 +528,29 @@ def _build_outputs(raw: dict) -> OutputFlags:
 
 
 def _build_metrics_cfg(raw: dict) -> MetricsConfig:
-    m = raw.get("metrics", {})
+    m = _object(raw.get("metrics", {}), "metrics")
     rng = m.get("range")
     sr = m.get("step_response")
-    return MetricsConfig(
-        biomarker_range=(float(rng[0]), float(rng[1])) if rng is not None else None,
-        step_response=(
-            StepResponseSpec(
-                step_tick=int(sr["step_tick"]), tol_frac=float(sr.get("tol_frac", 0.05))
-            )
-            if sr is not None
-            else None
-        ),
-    )
+    if rng is not None:
+        lo, hi = rng
+        rng = (float(lo), float(hi))
+    if sr is not None:
+        sr = _object(sr, "metrics.step_response")
+        sr = StepResponseSpec(int(sr["step_tick"]), float(sr.get("tol_frac", 0.05)))
+    return MetricsConfig(biomarker_range=rng, step_response=sr)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a typed Scenario from a parsed JSON object.
 
-    Raises ConfigurationError on any structural or semantic problem; use
-    ``validate_scenario`` first for a findings report instead of exceptions.
+    This is ``validate_scenario``'s build: it returns the report's scenario,
+    which checklist cross-check findings do not withhold, and raises
+    ConfigurationError listing the findings when a section does not build.
     """
-    if raw.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"scenario schema must be {SCHEMA_VERSION}, got {raw.get('schema')!r}"
-        )
-    timebase = _build_timebase(raw)
-    plant, device = _build_plant(raw)
-    return Scenario(
-        name=str(raw.get("name", "unnamed")),
-        timebase=timebase,
-        seed=_build_seed(raw),
-        baseline_dose=_build_dose(_require(raw, "baseline_dose", "scenario")),
-        plant=plant,
-        device=device,
-        features=_build_features(raw, plant),
-        policy=_build_policy(raw),
-        limits=_build_limits(raw),
-        trust=_build_trust(raw),
-        fallback=_build_fallback(raw),
-        budgets=_build_budgets(raw, timebase),
-        magnet_intervals=_build_magnet(raw),
-        outputs=_build_outputs(raw),
-        metrics_cfg=_build_metrics_cfg(raw),
-        raw=raw,
-    )
+    report = validate_scenario(raw)
+    if report.scenario is None:
+        raise ConfigurationError("; ".join(f.message for f in report.findings))
+    return report.scenario
 
 
 def load_scenario_file(path) -> dict:
@@ -576,25 +588,24 @@ class Finding:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Checklist findings, plus the scenario when every section built."""
+
     ok: bool
     findings: tuple
+    scenario: Optional[Scenario] = None
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "findings": [
-                {"checklist_item": f.checklist_item, "message": f.message}
-                for f in self.findings
-            ],
-        }
+        return {"ok": self.ok, "findings": [asdict(f) for f in self.findings]}
 
 
 def validate_scenario(raw: dict) -> ValidationReport:
-    """Run the design checklist over a parsed scenario.
+    """Build a parsed scenario section by section and run the design checklist.
 
     Returns a report whose findings are each tagged with the checklist item
-    they violate. A scenario with an empty findings list builds and runs
-    without configuration errors.
+    they violate. When the schema matches and every section builds, the
+    report carries the built scenario and the checklist's cross-checks run
+    on it. A report that is ``ok`` has a scenario that runs without
+    configuration errors.
     """
     findings: list[Finding] = []
 
@@ -614,126 +625,111 @@ def validate_scenario(raw: dict) -> ValidationReport:
             f"scenario schema must be {SCHEMA_VERSION}, got {raw.get('schema')!r}",
         )
 
-    def build_baseline() -> Dose:
-        return _build_dose(_require(raw, "baseline_dose", "scenario"))
-
     timebase = attempt(CHECKLIST_VALIDATION, lambda: _build_timebase(raw))
-    attempt(CHECKLIST_VALIDATION, lambda: _build_seed(raw))
-    baseline = attempt(CHECKLIST_MENTAL_MODEL, build_baseline)
-    built = attempt(CHECKLIST_VARIABLES, lambda: _build_plant(raw))
-    plant, device = built if built is not None else (None, None)
+    seed = attempt(CHECKLIST_VALIDATION, lambda: _build_seed(raw))
+    baseline = attempt(
+        CHECKLIST_MENTAL_MODEL,
+        lambda: _build_dose(_require(raw, "baseline_dose", "scenario"), "baseline_dose"),
+    )
+    plant, device = attempt(CHECKLIST_VARIABLES, lambda: _build_plant(raw)) or (None, None)
     policy = attempt(CHECKLIST_VARIABLES, lambda: _build_policy(raw))
     limits = attempt(CHECKLIST_LIMITS, lambda: _build_limits(raw))
     trust = attempt(CHECKLIST_FALLBACK, lambda: _build_trust(raw))
     fallback = attempt(CHECKLIST_FALLBACK, lambda: _build_fallback(raw))
-    if plant is not None:
-        attempt(CHECKLIST_VARIABLES, lambda: _build_features(raw, plant))
-    if timebase is not None:
-        attempt(CHECKLIST_FALLBACK, lambda: _build_budgets(raw, timebase))
-    attempt(CHECKLIST_DEVICE_STATE, lambda: _build_magnet(raw))
+    features = attempt(CHECKLIST_VARIABLES, lambda: _build_features(raw, plant)) if plant else None
+    budgets = attempt(CHECKLIST_FALLBACK, lambda: _build_budgets(raw, timebase)) if timebase else None
+    magnet = attempt(CHECKLIST_DEVICE_STATE, lambda: _build_magnet(raw))
     outputs = attempt(CHECKLIST_DEVICE_STATE, lambda: _build_outputs(raw))
-    attempt(CHECKLIST_VALIDATION, lambda: _build_metrics_cfg(raw))
+    metrics_cfg = attempt(CHECKLIST_VALIDATION, lambda: _build_metrics_cfg(raw))
+    if findings:
+        return ValidationReport(ok=False, findings=tuple(findings))
 
-    # Cross-checks on successfully built sections.
-    if policy is not None and plant is not None:
-        needed = {
-            EcapSetpoint: EcapPlantSpec,
-            SingleThreshold: BetaPlantSpec,
-            DualThreshold: BetaPlantSpec,
-            Proportional: BetaPlantSpec,
-            BangBangResponsive: IeegPlantSpec,
-        }
-        want = needed.get(type(policy))
-        if want is not None and not isinstance(plant, want):
-            found(
-                CHECKLIST_VARIABLES,
-                f"policy {type(policy).__name__} needs a "
-                f"{want.__name__.replace('PlantSpec', '').lower()} plant to produce "
-                "its feedback variable",
-            )
+    s = Scenario(
+        name=str(raw.get("name", "unnamed")),
+        timebase=timebase,
+        seed=seed,
+        baseline_dose=baseline,
+        plant=plant,
+        device=device,
+        features=features,
+        policy=policy,
+        limits=limits,
+        trust=trust,
+        fallback=fallback,
+        budgets=budgets,
+        magnet_intervals=magnet,
+        outputs=outputs,
+        metrics_cfg=metrics_cfg,
+        raw=raw,
+    )
 
-    if trust is not None and plant is not None:
-        from .safety import CHECK_ECAP_NONNEGATIVE
+    # Cross-checks on the built scenario.
+    needed = {
+        EcapSetpoint: EcapPlantSpec,
+        SingleThreshold: BetaPlantSpec,
+        DualThreshold: BetaPlantSpec,
+        Proportional: BetaPlantSpec,
+        BangBangResponsive: IeegPlantSpec,
+    }
+    want = needed.get(type(policy))
+    if want is not None and not isinstance(plant, want):
+        found(
+            CHECKLIST_VARIABLES,
+            f"policy {type(policy).__name__} needs a "
+            f"{want.__name__.replace('PlantSpec', '').lower()} plant to produce "
+            "its feedback variable",
+        )
 
-        if CHECK_ECAP_NONNEGATIVE in trust.checks and not isinstance(plant, EcapPlantSpec):
-            found(
-                CHECKLIST_SENSOR,
-                "EcapNonNegative trust check requires an ecap plant",
-            )
+    if CHECK_ECAP_NONNEGATIVE in trust.checks and not isinstance(plant, EcapPlantSpec):
+        found(CHECKLIST_SENSOR, "EcapNonNegative trust check requires an ecap plant")
 
-    if limits is not None and baseline is not None:
-        if not (limits.amp_min_mA <= baseline.amplitude_mA <= limits.amp_max_mA):
-            found(
-                CHECKLIST_LIMITS,
-                f"baseline amplitude {baseline.amplitude_mA} mA lies outside "
-                f"[{limits.amp_min_mA}, {limits.amp_max_mA}] mA",
-            )
-
-    if limits is not None and fallback is not None:
-        dose = getattr(fallback, "dose", None)
-        if dose is not None and not (
-            limits.amp_min_mA <= dose.amplitude_mA <= limits.amp_max_mA
-        ):
-            found(
-                CHECKLIST_FALLBACK,
-                f"fallback dose {dose.amplitude_mA} mA lies outside the actuation limits",
-            )
-
-    if outputs is not None and not outputs.events:
+    if not outputs.events:
         found(
             CHECKLIST_DEVICE_STATE,
             "event logging is disabled; monitoring/alerts require outputs.events",
         )
 
-    # Every configured dose must name a contact the device actually has,
-    # or the actuator faults at runtime.
-    if device is not None:
-        doses = {"baseline_dose": baseline}
-        if policy is not None:
-            doses["policy dose"] = getattr(policy, "dose", None)
-        if fallback is not None:
-            doses["fallback dose"] = getattr(fallback, "dose", None)
-        for label, d in doses.items():
-            if d is not None and d.contact_set not in device.impedance_ohm_per_contact:
-                found(
-                    CHECKLIST_DEVICE_STATE,
-                    f"{label} uses contact set {d.contact_set!r} unknown to the "
-                    f"device ({sorted(device.impedance_ohm_per_contact)})",
-                )
+    # Baseline and fallback doses are delivered as configured, so they must
+    # lie inside the actuation limits (policy commands are clamped). Every
+    # dose must name a contact the device has, or the actuator faults.
+    for role, d in s.doses.items():
+        if role != "policy" and not limits.amp_min_mA <= d.amplitude_mA <= limits.amp_max_mA:
+            found(
+                CHECKLIST_FALLBACK if role == "fallback" else CHECKLIST_LIMITS,
+                f"{role} dose {d.amplitude_mA} mA lies outside "
+                f"[{limits.amp_min_mA}, {limits.amp_max_mA}] mA",
+            )
+        if d.contact_set not in device.impedance_ohm_per_contact:
+            found(
+                CHECKLIST_DEVICE_STATE,
+                f"{role} dose uses contact set {d.contact_set!r} unknown to the "
+                f"device ({sorted(device.impedance_ohm_per_contact)})",
+            )
 
     # Operating region. The growth law must stay physical over the whole
     # distance trajectory (for any policy), and a setpoint target must be
     # reachable inside the actuation limits.
-    plant_physical = True
-    if isinstance(plant, EcapPlantSpec) and timebase is not None:
-        d = distance_profile(plant.track, plant.base_distance_mm, timebase.n_ticks)
-        try:
-            plant.params.validate_over_range(float(d.min()), float(d.max()))
-        except SimulationError as e:
-            plant_physical = False
-            found(CHECKLIST_MENTAL_MODEL, str(e))
-
-    if (
-        isinstance(policy, EcapSetpoint)
-        and isinstance(plant, EcapPlantSpec)
-        and limits is not None
-        and timebase is not None
-        and plant_physical
-    ):
+    if isinstance(plant, EcapPlantSpec):
         d = distance_profile(plant.track, plant.base_distance_mm, timebase.n_ticks)
         worst = float(d.max())
-        need = plant.params.threshold_at(worst) + policy.target_uV / plant.params.slope_at(worst)
-        if need > limits.amp_max_mA:
-            found(
-                CHECKLIST_MENTAL_MODEL,
-                f"target {policy.target_uV} µV needs {need:.2f} mA at distance "
-                f"{worst:.2f} mm, beyond amp_max {limits.amp_max_mA} mA",
-            )
+        try:
+            plant.params.validate_over_range(float(d.min()), worst)
+        except SimulationError as e:
+            found(CHECKLIST_MENTAL_MODEL, str(e))
+        else:
+            if isinstance(policy, EcapSetpoint):
+                need = (
+                    plant.params.threshold_at(worst)
+                    + policy.target_uV / plant.params.slope_at(worst)
+                )
+                if need > limits.amp_max_mA:
+                    found(
+                        CHECKLIST_MENTAL_MODEL,
+                        f"target {policy.target_uV} µV needs {need:.2f} mA at distance "
+                        f"{worst:.2f} mm, beyond amp_max {limits.amp_max_mA} mA",
+                    )
 
-    if (
-        isinstance(policy, DualThreshold)
-        and isinstance(plant, BetaPlantSpec)
-    ):
+    if isinstance(policy, DualThreshold) and isinstance(plant, BetaPlantSpec):
         peak_power = (plant.cfg.curve.baseline * 2.0) ** 2 / 2.0
         if policy.lower >= peak_power:
             found(
@@ -742,7 +738,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
                 f"(< {peak_power:.3g})",
             )
 
-    if timebase is not None and isinstance(plant, (BetaPlantSpec, IeegPlantSpec)):
+    if isinstance(plant, (BetaPlantSpec, IeegPlantSpec)):
         frame_dt = plant.cfg.dt_s
         if abs(frame_dt - timebase.dt_s) > 1e-9:
             found(
@@ -751,4 +747,4 @@ def validate_scenario(raw: dict) -> ValidationReport:
                 f"frame_len/fs = {frame_dt}",
             )
 
-    return ValidationReport(ok=not findings, findings=tuple(findings))
+    return ValidationReport(ok=not findings, findings=tuple(findings), scenario=s)

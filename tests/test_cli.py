@@ -6,7 +6,28 @@ import pytest
 
 from neuroloop.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
 
-from conftest import SCENARIO_DIR, ecap_raw
+from conftest import SCENARIO_DIR, deep_merge, ecap_raw, reference_raw
+
+
+# Each of these once passed validate and then failed in run, or made validate
+# itself raise; validate and run must both exit 2.
+MUTATIONS = [
+    ("ecap_scs", {"trust": "x"}),
+    ("ecap_scs", {"budgets": []}),
+    ("ecap_scs", {"outputs": 1}),
+    ("ecap_scs", {"metrics": None}),
+    ("ecap_scs", {"metrics": {"range": []}}),
+    ("ecap_scs", {"metrics": {"step_response": {"step_tick": -1}}}),
+    ("ecap_scs", {"plant": {"device": {"impedance_ohm": "x"}}}),
+    ("ecap_scs", {"timebase": {"duration_s": 1e12}}),
+    ("adbs_parkinsons", {"features": []}),
+    ("adbs_parkinsons", {"features": {"band_lo_hz": 0}}),
+    ("adbs_parkinsons", {"features": {"band_hi_hz": 1e9}}),
+    ("adbs_parkinsons", {"features": {"band_lo_hz": 1}}),
+    ("adbs_parkinsons", {"timebase": {"duration_s": 1e12}}),
+    ("rns_epilepsy", {"features": {"tools": ["x"]}}),
+    ("rns_epilepsy", {"policy": {"burst_duration_ticks": 1e9}}),
+]
 
 
 @pytest.fixture
@@ -35,6 +56,16 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", str(path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("name, edit", MUTATIONS,
+                             ids=[f"{n}:{json.dumps(e)}" for n, e in MUTATIONS])
+    def test_reproduced_mutations_exit_2(self, tmp_path, capsys, name, edit):
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(deep_merge(reference_raw(name), edit)))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestRun:
@@ -84,6 +115,26 @@ class TestCompare:
         assert (out / "automated" / "timeseries.csv").exists()
         assert (out / "fixed" / "timeseries.csv").exists()
 
+    def test_both_arms_replay(self, ecap_file, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", str(ecap_file), "--out", str(out)]) == EXIT_OK
+        assert main(["replay", str(out / "automated")]) == EXIT_OK
+        assert main(["replay", str(out / "fixed")]) == EXIT_OK
+        stored = json.loads((out / "fixed" / "scenario.json").read_text())
+        assert stored["name"] == "ecap_test_fixed"
+        assert stored["policy"]["kind"] == "ManualFixed"
+
+    def test_manual_fixed_policy_exit_2(self, tmp_path, capsys):
+        raw = ecap_raw(policy={"kind": "ManualFixed",
+                               "dose": {"amplitude_mA": 4.0, "pulse_width_us": 200.0,
+                                        "frequency_hz": 50.0, "contact_set": "E1"}})
+        path = tmp_path / "manual.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == EXIT_VALIDATION
+        assert "ManualFixed" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
 
 class TestSweep:
     def test_aggregate(self, ecap_file, tmp_path):
@@ -94,6 +145,13 @@ class TestSweep:
         assert agg["safety_violations_total"] == 0
         assert len(agg["seeds"]) == 3
         assert (out / f"seed_{agg['seeds'][0]}" / "summary.json").exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_exit_2(self, ecap_file, tmp_path, capsys, seeds):
+        out = tmp_path / "sw"
+        assert main(["sweep", str(ecap_file), "--seeds", seeds, "--out", str(out)]) == EXIT_VALIDATION
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReplay:
@@ -108,6 +166,21 @@ class TestReplay:
         ts = out / "timeseries.csv"
         ts.write_text(ts.read_text().replace("Automated", "Autonomous", 1))
         assert main(["replay", str(out)]) == EXIT_FAULT
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.pop("limits"),
+        lambda raw: raw["timebase"].pop("dt_s"),
+        lambda raw: raw.update(schema=2),
+    ], ids=["no-limits", "no-dt_s", "schema-2"])
+    def test_invalid_stored_scenario_exit_3(self, ecap_file, tmp_path, capsys, edit):
+        out = tmp_path / "r"
+        assert main(["run", str(ecap_file), "--out", str(out)]) == EXIT_OK
+        stored = out / "scenario.json"
+        raw = json.loads(stored.read_text())
+        edit(raw)
+        stored.write_text(json.dumps(raw))
+        assert main(["replay", str(out)]) == EXIT_FAULT
+        assert "replay error" in capsys.readouterr().err
 
 
 class TestSeedChecks:
