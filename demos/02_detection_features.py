@@ -44,7 +44,7 @@ SEIZURE = range(140, 180)  # a 5 s event starting at t = 17.5 s
 print("tick  time_s  line_len    area  halfwaves  threshold  flag")
 for t in range(N_TICKS):
     seizing = t in SEIZURE
-    frame = ieeg_frame(seizing, cfg, rng, t)
+    frame = ieeg_frame(seizing, cfg, rng.standard_normal(FRAME), t)
     ll = line_length(frame)
     area = area_under_curve(frame)
     hw = half_wave_count(frame, hw_cfg)

@@ -5,9 +5,13 @@ The detection features used by the responsive-epilepsy controller
 for the adaptive-DBS controller, and the evoked potential amplitude
 estimator with its signal-quality checks.
 
-All feature functions accept any 1-D array-like of samples and are
-stateless; ``Detector`` is the only stateful piece: one detection tool with
-its smoothing window and its fixed or adaptive threshold.
+All feature functions are stateless and take either one frame (a 1-D
+array-like of samples) or a batch of frames (an (S, frame_len) array, one
+row per lane of a seed sweep). A frame gives one value; a batch gives one
+value per row, computed by the same operations along the last axis, so each
+row's value is bit-identical to that row's value as a frame. ``Detector`` is
+the only stateful piece: one detection tool with its smoothing window and
+its fixed or adaptive threshold.
 """
 
 from __future__ import annotations
@@ -38,7 +42,14 @@ def _as_array(w: SampleSource) -> np.ndarray:
     return np.asarray(w, dtype=float)
 
 
-def line_length(w: SampleSource) -> float:
+def _fsum_rows(a: np.ndarray):
+    """math.fsum of a 1-D array, or an array of the fsum of each row."""
+    if a.ndim == 1:
+        return math.fsum(a.tolist())
+    return np.array([math.fsum(row) for row in a.tolist()])
+
+
+def line_length(w: SampleSource):
     """Sum of absolute first differences, sum(|x[i] - x[i-1]|).
 
     Summed with math.fsum (exactly rounded), so the result is independent of
@@ -48,12 +59,12 @@ def line_length(w: SampleSource) -> float:
         InsufficientDataError: fewer than 2 samples.
     """
     x = _as_array(w)
-    if x.size < 2:
+    if x.shape[-1] < 2:
         raise InsufficientDataError("line_length needs at least 2 samples")
-    return math.fsum(np.abs(np.diff(x)))
+    return _fsum_rows(np.abs(np.diff(x, axis=-1)))
 
 
-def area_under_curve(w: SampleSource) -> float:
+def area_under_curve(w: SampleSource):
     """Sum of absolute sample values, sum(|x[i]|).
 
     Exactly rounded, as for ``line_length``.
@@ -62,9 +73,9 @@ def area_under_curve(w: SampleSource) -> float:
         InsufficientDataError: empty input.
     """
     x = _as_array(w)
-    if x.size < 1:
+    if x.shape[-1] < 1:
         raise InsufficientDataError("area_under_curve needs at least 1 sample")
-    return math.fsum(np.abs(x))
+    return _fsum_rows(np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -95,17 +106,20 @@ class HalfWaveConfig:
             raise ConfigurationError("hysteresis_uV must be nonnegative")
 
 
-def half_wave_count(w: SampleSource, cfg: HalfWaveConfig) -> int:
+def half_wave_count(w: SampleSource, cfg: HalfWaveConfig):
     """Count amplitude- and duration-qualified half-waves in the frame.
 
     Segments the signal at local extrema (direction reversals beyond the
     hysteresis) and counts segments meeting the amplitude and duration
-    criteria. Invariant under negation of the signal.
+    criteria. Invariant under negation of the signal. A batch is counted
+    row by row.
 
     Raises:
         InsufficientDataError: fewer than 3 samples.
     """
     x = _as_array(w)
+    if x.ndim > 1:
+        return np.array([half_wave_count(row, cfg) for row in x])
     if x.size < 3:
         raise InsufficientDataError("half_wave_count needs at least 3 samples")
 
@@ -173,7 +187,7 @@ def check_band(f_lo: float, f_hi: float, fs: float, n: int) -> None:
         )
 
 
-def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float) -> float:
+def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float):
     """Power of the signal inside [f_lo, f_hi] Hz, in µV².
 
     Plain rectangular-window periodogram with one-sided bin summation; no
@@ -182,17 +196,21 @@ def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float) -> float:
     ``check_band`` raises.
     """
     x = _as_array(w)
-    n = x.size
+    n = x.shape[-1]
     check_band(f_lo, f_hi, fs, n)
-    spec = np.fft.rfft(x)
+    spec = np.fft.rfft(x, axis=-1)
     psd = (spec.real ** 2 + spec.imag ** 2) / (n * n)
     # One-sided: double everything except DC and (for even n) Nyquist.
-    psd[1:] *= 2.0
+    psd[..., 1:] *= 2.0
     if n % 2 == 0:
-        psd[-1] /= 2.0
+        psd[..., -1] /= 2.0
+    # The band's bins are one contiguous run. A slice keeps each row's sum in
+    # the order of a 1-D sum; a boolean mask on the last axis would not.
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    mask = (freqs >= f_lo) & (freqs <= f_hi)
-    return float(psd[mask].sum())
+    lo = np.searchsorted(freqs, f_lo, side="left")
+    hi = np.searchsorted(freqs, f_hi, side="right")
+    power = psd[..., lo:hi].sum(axis=-1)
+    return float(power) if x.ndim == 1 else power
 
 
 class Detector:
@@ -212,13 +230,6 @@ class Detector:
         self._long: deque = deque()
         self._long_sorted: list = []
         self._short: deque = deque(maxlen=spec.short_window_ticks)
-
-    def feature_value(self, frame: SampleSource) -> float:
-        if self.spec.feature == "line_length":
-            return line_length(frame)
-        if self.spec.feature == "area":
-            return area_under_curve(frame)
-        return float(half_wave_count(frame, self.spec.half_wave))
 
     def threshold(self) -> Optional[float]:
         """The current threshold; None while an adaptive baseline is empty."""
@@ -248,9 +259,14 @@ class Detector:
         smoothed = sum(self._short) / len(self._short)
         return smoothed, threshold, threshold is not None and smoothed > threshold
 
-    def step(self, frame: SampleSource) -> tuple[float, Optional[float], bool]:
-        """``observe`` the feature value of one frame."""
-        return self.observe(self.feature_value(frame))
+
+def tool_feature(spec, frames: SampleSource):
+    """The feature a ``scenario.ToolSpec`` names, of a frame or of each row of a batch."""
+    if spec.feature == "line_length":
+        return line_length(frames)
+    if spec.feature == "area":
+        return area_under_curve(frames)
+    return half_wave_count(frames, spec.half_wave)
 
 
 def detect(flags: Iterable[bool], combinator: str) -> bool:
@@ -332,24 +348,33 @@ class SignalQualityLimits:
     max_delta_uV_per_sample: float = float("inf")
 
 
-def signal_quality(w: SampleSource, limits: SignalQualityLimits) -> frozenset:
+# Every verdict of ``signal_quality``, indexed by 4*saturated + 2*flatline + noisy.
+_QUALITY_VERDICTS = tuple(
+    frozenset(
+        flag
+        for bit, flag in ((4, QUALITY_SATURATED), (2, QUALITY_FLATLINE), (1, QUALITY_EXTERNAL_NOISE))
+        if code & bit
+    ) or frozenset({QUALITY_OK})
+    for code in range(8)
+)
+
+
+def signal_quality(w: SampleSource, limits: SignalQualityLimits):
     """Classify a window as OK / Saturated / Flatline / ExternalNoise.
 
     Saturated: any sample at or beyond the amplifier limit. Flatline:
     peak-to-peak below ``flatline_eps_uV``. ExternalNoise: any
     sample-to-sample jump above the configured rate bound. Multiple flags
-    may apply; OK is returned only when none do.
+    may apply; OK is returned only when none do. A frame gives a frozenset,
+    a batch a list of them.
     """
     x = _as_array(w)
-    if x.size == 0:
+    if x.shape[-1] == 0:
         raise InsufficientDataError("signal_quality needs a nonempty window")
-    flags = set()
-    if np.any(np.abs(x) >= limits.saturation_uV):
-        flags.add(QUALITY_SATURATED)
-    if float(x.max() - x.min()) < limits.flatline_eps_uV:
-        flags.add(QUALITY_FLATLINE)
-    if x.size >= 2 and float(np.abs(np.diff(x)).max()) > limits.max_delta_uV_per_sample:
-        flags.add(QUALITY_EXTERNAL_NOISE)
-    if not flags:
-        flags.add(QUALITY_OK)
-    return frozenset(flags)
+    code = 4 * np.any(np.abs(x) >= limits.saturation_uV, axis=-1)
+    code += 2 * (x.max(axis=-1) - x.min(axis=-1) < limits.flatline_eps_uV)
+    if x.shape[-1] >= 2:
+        code += np.abs(np.diff(x, axis=-1)).max(axis=-1) > limits.max_delta_uV_per_sample
+    if x.ndim == 1:
+        return _QUALITY_VERDICTS[int(code)]
+    return [_QUALITY_VERDICTS[c] for c in code.tolist()]

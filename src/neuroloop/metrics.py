@@ -151,14 +151,19 @@ def scan_delivered_series(
 ) -> SafetyScanResult:
     """Re-check every delivered amplitude against the hard limits.
 
-    Checks, per tick: amplitude within [amp_min, amp_max]; step from the
-    previous tick within the slew limit (the first tick is checked against
-    ``initial_mA`` when given); per-pulse charge within the charge limit.
-    A small epsilon absorbs float round-off only, never a real violation.
+    Checks, per tick: amplitude a number, within [amp_min, amp_max]; step
+    from the previous tick within the slew limit (the first tick is checked
+    against ``initial_mA`` when given); per-pulse charge within the charge
+    limit. A small epsilon absorbs float round-off only, never a real
+    violation.
     """
     a = np.asarray(delivered_mA, dtype=float)
     eps = 1e-9
     violations: list[tuple] = []
+
+    # NaN fails every comparison below, so it would pass them all.
+    for i in np.nonzero(np.isnan(a))[0]:
+        violations.append((int(i), "amp_not_a_number", float(a[i])))
 
     bad_lo = np.nonzero(a < limits.amp_min_mA - eps)[0]
     bad_hi = np.nonzero(a > limits.amp_max_mA + eps)[0]
@@ -187,13 +192,21 @@ def scan_timeseries_csv(path, limits: DoseLimits, pulse_width_us: float) -> Safe
     """Run the safety scan against a stored timeseries.csv.
 
     Parses the CSV with plain text handling (no engine code) so the scan
-    stays independent of the simulation path that produced the file.
+    stays independent of the simulation path that produced the file. A file
+    the scan cannot read (not UTF-8, no ``delivered_mA`` column, a short row
+    or a cell that is not a number) fails the scan with one ``unreadable``
+    violation, at the first row not read.
     """
-    delivered = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split(",")
-        col = header.index("delivered_mA")
-        for line in f:
-            fields = line.rstrip("\n").split(",")
-            delivered.append(float(fields[col]))
+    delivered: list = []
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            header = f.readline().rstrip("\n").split(",")
+            col = header.index("delivered_mA")
+            for line in f:
+                fields = line.rstrip("\n").split(",")
+                delivered.append(float(fields[col]))
+    except (ValueError, IndexError) as e:   # UnicodeDecodeError is a ValueError
+        return SafetyScanResult(
+            ok=False, violations=((len(delivered), "unreadable", f"{type(e).__name__}: {e}"),)
+        )
     return scan_delivered_series(delivered, limits, pulse_width_us)

@@ -171,7 +171,9 @@ def replay_run(rundir) -> ReplayReport:
     for fname, (enabled, render) in expectations.items():
         path = rundir / fname
         if enabled or path.exists():
-            matched[fname] = path.exists() and path.read_text(encoding="utf-8") == render(fresh)
+            matched[fname] = (
+                path.exists() and path.read_bytes() == render(fresh).encode("utf-8")
+            )
 
     scan = None
     ts = rundir / "timeseries.csv"

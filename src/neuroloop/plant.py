@@ -8,10 +8,12 @@ circadian modulation and artifact injection, a seizure generator with
 therapy-dependent early termination, and the stimulator hardware model
 (output quantization, voltage compliance, battery, impedance).
 
-Randomness: every stochastic operation takes a ``numpy.random.Generator``.
-The engine derives one independent child stream per plant component from
-the scenario seed, so runs are reproducible and plant noise realizations do
-not depend on what the controller happens to do.
+Randomness: every stochastic operation takes a ``numpy.random.Generator``,
+except the frame synthesizers, which take their standard-normal draws as an
+array so that one call can synthesize the frames of many lanes. The engine
+derives one independent child stream per plant component from the scenario
+seed, so runs are reproducible and plant noise realizations do not depend
+on what the controller happens to do.
 """
 
 from __future__ import annotations
@@ -419,6 +421,8 @@ def seizure_step(
     seizing = cur is not None and tick < cur.end_tick
     if cur is not None and tick >= cur.end_tick:
         cur = None
+    if cur is s.current and onsets == s.onset_count and early == s.early_termination_count:
+        return s, seizing
     return (
         replace(
             s,
@@ -481,39 +485,46 @@ def _cardiac_train(segs: tuple, t: np.ndarray, tick: int) -> np.ndarray:
 
 
 def beta_lfp_frame(
-    dose: Dose,
+    doses,
     tick: int,
     cfg: BetaPlantConfig,
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """One tick's worth of synthesized field potential, in µV.
 
+    ``noise`` holds standard-normal draws, ``frame_len`` per frame: a 1-D
+    ``noise`` with one ``Dose`` gives one frame, an (S, frame_len) ``noise``
+    with a sequence of S doses gives S frames, row i driven by dose i.
     Frames are phase-coherent across ticks (the oscillators run on absolute
-    time). Noise consumes exactly ``frame_len`` draws per call regardless of
+    time). A frame consumes exactly ``frame_len`` draws regardless of
     configuration, so paired runs with the same seed see identical noise.
     """
+    single = noise.ndim == 1
+    if single:
+        doses = (doses,)
     n = cfg.frame_len
     t = (tick * n + np.arange(n)) / cfg.fs_hz
 
-    envelope = dose_response_eval(cfg.curve, dose.amplitude_mA)
-    envelope *= circadian_factor(cfg.disturbances, tick)
-    frame = envelope * np.sin(2.0 * np.pi * cfg.beta_hz * t)
+    circadian = circadian_factor(cfg.disturbances, tick)
+    envelope = np.array(
+        [dose_response_eval(cfg.curve, d.amplitude_mA) * circadian for d in doses]
+    )
+    frame = envelope[:, None] * np.sin(2.0 * np.pi * cfg.beta_hz * t)
 
-    frame += rng.standard_normal(n) * cfg.noise_rms_uV
+    frame += noise * cfg.noise_rms_uV
 
     cardiac = cfg.disturbances.cardiac_segments()
     if cardiac:
         frame += _cardiac_train(cardiac, t, tick)
 
-    if (
-        cfg.gamma_entrainment_uV > 0
-        and dose.amplitude_mA > 0
-        and dose.frequency_hz > 0
-    ):
-        frame += cfg.gamma_entrainment_uV * np.sin(
-            2.0 * np.pi * (dose.frequency_hz / 2.0) * t
-        )
-    return frame
+    if cfg.gamma_entrainment_uV > 0:
+        rows = [i for i, d in enumerate(doses) if d.amplitude_mA > 0 and d.frequency_hz > 0]
+        if rows:
+            half_rate = np.array([doses[i].frequency_hz for i in rows]) / 2.0
+            frame[rows] += cfg.gamma_entrainment_uV * np.sin(
+                2.0 * np.pi * half_rate[:, None] * t
+            )
+    return frame[0] if single else frame
 
 
 @dataclass(frozen=True)
@@ -538,17 +549,26 @@ class IeegPlantConfig:
 
 
 def ieeg_frame(
-    seizing: bool,
+    seizing,
     cfg: IeegPlantConfig,
-    rng: np.random.Generator,
+    noise: np.ndarray,
     tick: int = 0,
 ) -> np.ndarray:
-    """One tick of intracranial signal, in µV; rhythmic component when seizing."""
-    n = cfg.frame_len
-    frame = rng.standard_normal(n) * cfg.background_sd_uV
-    if seizing:
+    """One tick of intracranial signal, in µV; rhythmic component when seizing.
+
+    ``noise`` holds ``frame_len`` standard-normal draws per frame: 1-D with a
+    bool ``seizing`` for one frame, (S, frame_len) with S flags for S frames.
+    """
+    frame = noise * cfg.background_sd_uV
+    seizing = np.asarray(seizing)
+    if seizing.any():
+        n = cfg.frame_len
         t = (tick * n + np.arange(n)) / cfg.fs_hz
-        frame = frame + cfg.ictal_amplitude_uV * np.sin(2.0 * np.pi * cfg.ictal_hz * t)
+        ictal = cfg.ictal_amplitude_uV * np.sin(2.0 * np.pi * cfg.ictal_hz * t)
+        if frame.ndim == 1:
+            frame += ictal
+        else:
+            frame[seizing] += ictal
     return frame
 
 
@@ -619,8 +639,15 @@ def actuator_apply(requested: Dose, dev: DeviceState) -> Dose:
 
 
 def device_step(dev: DeviceState, delivered_charge_uC: float) -> DeviceState:
-    """Advance the hardware model one tick after delivering the given charge."""
-    new_battery = dev.battery_v - dev.drain_v_per_uC * delivered_charge_uC
+    """Advance the hardware model one tick after delivering the given charge.
+
+    A tick that drains nothing (no drain, or no charge) and ramps no
+    impedance leaves the device as it is, and returns it unchanged.
+    """
+    drained_v = dev.drain_v_per_uC * delivered_charge_uC
+    if drained_v == 0.0 and dev.impedance_ramp_ohm_per_tick == 0.0:
+        return dev
+    new_battery = dev.battery_v - drained_v
     if dev.impedance_ramp_ohm_per_tick != 0.0:
         new_z = {
             c: z + dev.impedance_ramp_ohm_per_tick

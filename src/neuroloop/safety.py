@@ -340,6 +340,13 @@ def supervisor_step(
 
     edges = {"magnet_prev": magnet_applied, "dc_leak_prev": device.dc_leak_flag}
 
+    def stay() -> SupervisorState:
+        # Same mode: only the edge registers can change, and when they do not
+        # the state is returned as it is.
+        if st.magnet_prev == magnet_applied and st.dc_leak_prev == device.dc_leak_flag:
+            return st
+        return replace(st, **edges)
+
     if st.in_reset:
         # Latched. Report (once, on the rising edge) anything that would
         # normally transition, then stay put.
@@ -347,7 +354,7 @@ def supervisor_step(
             emit(MODE_DC_LEAK_RESET, SEVERITY_INFO, {"suppressed_by": st.mode})
         if magnet_applied and not st.magnet_prev:
             emit(MODE_SUSPENDED_MAGNET, SEVERITY_INFO, {"suppressed_by": st.mode})
-        return replace(st, **edges), events
+        return stay(), events
 
     if device.dc_leak_flag:
         emit(MODE_DC_LEAK_RESET, SEVERITY_FAULT, {"from": st.mode})
@@ -367,7 +374,7 @@ def supervisor_step(
             return replace(
                 st, mode=MODE_SUSPENDED_MAGNET, resume_mode=st.mode, **edges
             ), events
-        return replace(st, **edges), events
+        return stay(), events
 
     if st.mode == MODE_SUSPENDED_MAGNET:
         emit(st.resume_mode, SEVERITY_ALERT, {"from": MODE_SUSPENDED_MAGNET})
@@ -386,7 +393,7 @@ def supervisor_step(
             return replace(
                 st, mode=MODE_FALLBACK, last_known_good=lkg, **edges
             ), events
-        return replace(st, **edges), events
+        return stay(), events
 
     if st.mode == MODE_FALLBACK:
         if st.pass_streak >= trust.reenter_after_consecutive_passes:
@@ -400,7 +407,7 @@ def supervisor_step(
             )
             emit(MODE_AUTOMATED, SEVERITY_ALERT, {"from": MODE_FALLBACK})
             return replace(st, mode=MODE_AUTOMATED, **edges), events
-        return replace(st, **edges), events
+        return stay(), events
 
     raise ConfigurationError(f"unknown supervisor mode {st.mode!r}")
 

@@ -557,11 +557,15 @@ def load_scenario_file(path) -> dict:
     """Read and JSON-parse a scenario file.
 
     Raises:
-        ScenarioParseError: unreadable or malformed JSON, with line/column.
+        ScenarioParseError: text that is not UTF-8, or malformed JSON with
+            line/column.
+        OSError: the file cannot be read.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ScenarioParseError(f"{path}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"

@@ -57,6 +57,15 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == EXIT_VALIDATION
 
+    def test_not_utf8_exit_2(self, tmp_path, capsys):
+        # Once a UnicodeDecodeError traceback and exit 1.
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(ecap_raw()).encode("utf-16-le"))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+        assert "not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, edit", MUTATIONS,
                              ids=[f"{n}:{json.dumps(e)}" for n, e in MUTATIONS])
     def test_reproduced_mutations_exit_2(self, tmp_path, capsys, name, edit):
@@ -179,6 +188,46 @@ class TestReplay:
         raw = json.loads(stored.read_text())
         edit(raw)
         stored.write_text(json.dumps(raw))
+        assert main(["replay", str(out)]) == EXIT_FAULT
+        assert "replay error" in capsys.readouterr().err
+
+
+    # Each of these once made replay exit 1 with a traceback from the CSV scan.
+    CSV_EDITS = {
+        "non-numeric-cell": lambda rows, col: rows[1].__setitem__(col, "abc"),
+        "no-delivered-header": lambda rows, col: rows[0].__setitem__(col, "delivered"),
+        "short-row": lambda rows, col: rows.__setitem__(5, rows[5][:col]),
+    }
+
+    @pytest.mark.parametrize("edit", CSV_EDITS.values(), ids=CSV_EDITS.keys())
+    def test_unreadable_timeseries_exit_3(self, ecap_file, tmp_path, capsys, edit):
+        out = tmp_path / "r"
+        assert main(["run", str(ecap_file), "--out", str(out)]) == EXIT_OK
+        ts = out / "timeseries.csv"
+        rows = [line.split(",") for line in ts.read_text().splitlines()]
+        edit(rows, rows[0].index("delivered_mA"))
+        ts.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_FAULT
+        report = json.loads(capsys.readouterr().out)
+        assert report["files_matched"]["timeseries.csv"] is False
+        assert report["safety_scan_ok"] is False
+        assert [v[1] for v in report["violations"]] == ["unreadable"]
+
+    def test_timeseries_not_utf8_exit_3(self, ecap_file, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", str(ecap_file), "--out", str(out)]) == EXIT_OK
+        ts = out / "timeseries.csv"
+        ts.write_bytes(b"\xff\xfe" + ts.read_bytes())
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_FAULT
+        assert json.loads(capsys.readouterr().out)["safety_scan_ok"] is False
+
+    def test_stored_scenario_not_utf8_exit_3(self, ecap_file, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", str(ecap_file), "--out", str(out)]) == EXIT_OK
+        stored = out / "scenario.json"
+        stored.write_bytes(b"\xff\xfe" + stored.read_bytes())
         assert main(["replay", str(out)]) == EXIT_FAULT
         assert "replay error" in capsys.readouterr().err
 

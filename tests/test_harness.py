@@ -431,7 +431,7 @@ class TestDetectorToolEquivalence:
         rng = np.random.default_rng(8)
         for t in range(200):
             frame = rng.normal(scale=10.0, size=32)
-            smoothed, threshold, flag = det.step(frame)
+            smoothed, threshold, flag = det.observe(line_length(frame))
             if values:
                 s = sorted(values[-30:])
                 mid = len(s) // 2
@@ -530,6 +530,13 @@ class TestSafetyScan:
         assert "amp_above_max" in kinds       # 7.0 > 6.0
         assert "slew_exceeded" in kinds       # 0 -> 7 jump
         assert "charge_exceeded" in kinds     # 7 mA * 400 us = 2.8 uC > 2.0
+
+    def test_nan_amplitude_is_a_violation(self):
+        # Once passed: NaN fails every limit comparison, so none flagged it.
+        scan = scan_delivered_series([1.0, float("nan"), 1.0], self.LIMITS, 200.0,
+                                     initial_mA=1.0)
+        assert not scan.ok
+        assert [v[:2] for v in scan.violations] == [(1, "amp_not_a_number")]
 
     def test_csv_scan_matches_series_scan(self, tmp_path):
         raw = ecap_raw()

@@ -161,6 +161,11 @@ class TestDisturbances:
             DisturbanceTrack((PostureStep(10, 1.0), PostureStep(5, 1.0)))
 
 
+def draws(rng, cfg):
+    """One frame of standard-normal noise from ``rng`` (a Generator or a seed)."""
+    return np.random.default_rng(rng).standard_normal(cfg.frame_len)
+
+
 def beta_cfg(**kw):
     defaults = dict(
         fs_hz=256.0,
@@ -183,7 +188,7 @@ class TestBetaFrames:
         rng = np.random.default_rng(1)
         off = Dose(0.0, 60.0, 130.0)
         powers = [
-            band_power(beta_lfp_frame(off, t, cfg, rng), 13.0, 30.0, cfg.fs_hz)
+            band_power(beta_lfp_frame(off, t, cfg, draws(rng, cfg)), 13.0, 30.0, cfg.fs_hz)
             for t in range(200)
         ]
         envelope = dose_response_eval(cfg.curve, 0.0)
@@ -199,8 +204,8 @@ class TestBetaFrames:
         cfg = beta_cfg(gamma_entrainment_uV=1.0, noise_rms_uV=0.1)
         on = Dose(2.5, 60.0, 130.0)
         off = Dose(0.0, 60.0, 130.0)
-        frame_on = beta_lfp_frame(on, 0, cfg, np.random.default_rng(2))
-        frame_off = beta_lfp_frame(off, 0, cfg, np.random.default_rng(2))
+        frame_on = beta_lfp_frame(on, 0, cfg, draws(2, cfg))
+        frame_off = beta_lfp_frame(off, 0, cfg, draws(2, cfg))
         # Stimulating at 130 Hz entrains a component at 65 Hz.
         p_on = band_power(frame_on, 60.0, 70.0, cfg.fs_hz)
         p_off = band_power(frame_off, 60.0, 70.0, cfg.fs_hz)
@@ -214,8 +219,8 @@ class TestBetaFrames:
         dose = Dose(3.0, 60.0, 130.0)
         total_clean = total_dirty = 0.0
         for t in range(50):
-            f_clean = beta_lfp_frame(dose, t, cfg_clean, np.random.default_rng(7 + t))
-            f_dirty = beta_lfp_frame(dose, t, cfg_dirty, np.random.default_rng(7 + t))
+            f_clean = beta_lfp_frame(dose, t, cfg_clean, draws(7 + t, cfg_clean))
+            f_dirty = beta_lfp_frame(dose, t, cfg_dirty, draws(7 + t, cfg_dirty))
             total_clean += band_power(f_clean, 13.0, 30.0, cfg_clean.fs_hz)
             total_dirty += band_power(f_dirty, 13.0, 30.0, cfg_dirty.fs_hz)
         assert total_dirty > total_clean
@@ -224,15 +229,15 @@ class TestBetaFrames:
         track = DisturbanceTrack((CircadianSine(0, 100, 0.5, phase=np.pi / 2),))
         cfg = beta_cfg(noise_rms_uV=0.0, disturbances=track)
         dose = Dose(0.0, 60.0, 130.0)
-        peak = beta_lfp_frame(dose, 0, cfg, np.random.default_rng(0))
-        trough = beta_lfp_frame(dose, 50, cfg, np.random.default_rng(0))
+        peak = beta_lfp_frame(dose, 0, cfg, draws(0, cfg))
+        trough = beta_lfp_frame(dose, 50, cfg, draws(0, cfg))
         assert np.abs(peak).max() == pytest.approx(3 * np.abs(trough).max(), rel=1e-6)
 
     def test_deterministic_given_same_stream(self):
         cfg = beta_cfg()
         dose = Dose(1.0, 60.0, 130.0)
-        a = beta_lfp_frame(dose, 5, cfg, np.random.default_rng(9))
-        b = beta_lfp_frame(dose, 5, cfg, np.random.default_rng(9))
+        a = beta_lfp_frame(dose, 5, cfg, draws(9, cfg))
+        b = beta_lfp_frame(dose, 5, cfg, draws(9, cfg))
         assert np.array_equal(a, b)
 
 
@@ -246,24 +251,30 @@ class TestIeegFrames:
         # Calibrate the background distribution empirically, then check a
         # fresh frame lands within 3 sigma of it.
         rng = np.random.default_rng(11)
-        calib = [line_length(ieeg_frame(False, self.CFG, rng, t)) for t in range(500)]
+        calib = [
+            line_length(ieeg_frame(False, self.CFG, draws(rng, self.CFG), t))
+            for t in range(500)
+        ]
         mu, sd = float(np.mean(calib)), float(np.std(calib))
-        fresh = line_length(ieeg_frame(False, self.CFG, np.random.default_rng(999), 0))
+        fresh = line_length(ieeg_frame(False, self.CFG, draws(999, self.CFG), 0))
         assert abs(fresh - mu) < 3 * sd
 
     def test_ictal_frames_cross_adaptive_threshold(self):
         rng = np.random.default_rng(12)
-        calib = [line_length(ieeg_frame(False, self.CFG, rng, t)) for t in range(500)]
+        calib = [
+            line_length(ieeg_frame(False, self.CFG, draws(rng, self.CFG), t))
+            for t in range(500)
+        ]
         threshold = 2.0 * float(np.median(calib))
         hits = sum(
-            line_length(ieeg_frame(True, self.CFG, rng, t)) > threshold
+            line_length(ieeg_frame(True, self.CFG, draws(rng, self.CFG), t)) > threshold
             for t in range(500)
         )
         assert hits >= 495  # >= 99%
 
     def test_zero_noise_not_seizing_is_flat(self):
         cfg = IeegPlantConfig(256.0, 32, 0.0, 300.0, 10.0)
-        frame = ieeg_frame(False, cfg, np.random.default_rng(0), 0)
+        frame = ieeg_frame(False, cfg, draws(0, cfg), 0)
         assert line_length(frame) == 0.0
 
 
