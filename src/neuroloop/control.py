@@ -27,7 +27,7 @@ default/hold action, never the "above" action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .core import MAX_TICKS, QUALITY_OK, ConfigurationError, Dose
@@ -97,14 +97,11 @@ class BangBangResponsive:
     def step(self, st, measured, quality, detected, current):
         return bang_bang_responsive_step(detected, st, self)
 
-    def therapy_plan(self) -> tuple:
-        """Per-tick on/off schedule of one therapy, first tick first."""
-        burst = (True,) * self.burst_duration_ticks
-        gap = (False,) * self.inter_burst_gap_ticks
-        plan: tuple = burst
-        for _ in range(self.bursts_per_therapy - 1):
-            plan = plan + gap + burst
-        return plan
+    @property
+    def therapy_ticks(self) -> int:
+        """Length of one therapy: its bursts and the gap between them."""
+        n = self.bursts_per_therapy
+        return n * self.burst_duration_ticks + (n - 1) * self.inter_burst_gap_ticks
 
 
 @dataclass(frozen=True)
@@ -210,13 +207,13 @@ PolicyConfig = Union[
 class PolicyState:
     """Counters for the responsive policy (other policies are stateless).
 
-    ``plan_remaining`` is the unplayed tail of the current therapy's on/off
-    schedule; ``therapies_delivered_this_event`` resets only after the
-    detection flag has cleared.
+    ``plan_remaining`` counts the ticks of the current therapy still to
+    play; ``therapies_delivered_this_event`` resets only after the detection
+    flag has cleared.
     """
 
     therapies_delivered_this_event: int = 0
-    plan_remaining: tuple = ()
+    plan_remaining: int = 0
 
 
 def manual_fixed_step(cfg: ManualFixed) -> Dose:
@@ -235,30 +232,24 @@ def bang_bang_responsive_step(
     flight, the event is over and the therapy counter re-arms.
     """
     off = cfg.burst_dose.off()
+    left = st.plan_remaining
+    count = st.therapies_delivered_this_event
 
-    if st.plan_remaining:
-        on_now = st.plan_remaining[0]
-        return (
-            replace(st, plan_remaining=st.plan_remaining[1:]),
-            cfg.burst_dose if on_now else off,
-            False,
-        )
+    if left:
+        # The last burst is the final burst_duration_ticks of the plan; in a
+        # two-burst therapy the first burst ends a gap before that.
+        burst = cfg.burst_duration_ticks
+        on_now = left <= burst or left > burst + cfg.inter_burst_gap_ticks
+        return PolicyState(count, left - 1), cfg.burst_dose if on_now else off, False
 
     if detected:
-        if st.therapies_delivered_this_event < cfg.max_therapies_per_event:
-            plan = cfg.therapy_plan()
-            return (
-                PolicyState(
-                    therapies_delivered_this_event=st.therapies_delivered_this_event + 1,
-                    plan_remaining=plan[1:],
-                ),
-                cfg.burst_dose if plan[0] else off,
-                True,
-            )
+        if count < cfg.max_therapies_per_event:
+            # A therapy opens with a burst tick.
+            return PolicyState(count + 1, cfg.therapy_ticks - 1), cfg.burst_dose, True
         return st, off, False
 
     # Flag down, nothing in flight: event over, re-arm.
-    return PolicyState(), off, False
+    return (st if count == 0 else PolicyState()), off, False
 
 
 def single_threshold_step(biomarker: float, current: Dose, cfg: SingleThreshold) -> Dose:

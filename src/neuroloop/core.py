@@ -1,9 +1,11 @@
 """Shared vocabulary for the simulator: time base, doses, events.
 
-Everything here is a plain value type. The simulation advances on a single
-global tick; all timestamps in the package are integer tick indices, never
-wall-clock times. Dose arithmetic (charge, energy rate) lives here so that
-the plant, the controllers, and the metrics all agree on one definition.
+Everything here is a plain value type, built only when its value changes:
+``Dose.with_amplitude`` returns the dose itself for an unchanged amplitude,
+and a dose builds its ``off()`` form once. The simulation advances on a
+single global tick; all timestamps in the package are integer tick indices,
+never wall-clock times. Dose arithmetic (charge, energy rate) lives here so
+that the plant, the controllers, and the metrics all agree on one definition.
 
 Units convention, used package-wide:
     amplitude   mA      (peak current of the stimulus pulse)
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 
@@ -128,20 +131,27 @@ class Dose:
             raise DomainError(f"dose fields must be nonnegative: {self}")
 
     def with_amplitude(self, amplitude_mA: float) -> "Dose":
-        """Copy of this dose with a different amplitude; floors at zero."""
-        return Dose(
-            amplitude_mA=max(0.0, amplitude_mA),
-            pulse_width_us=self.pulse_width_us,
-            frequency_hz=self.frequency_hz,
-            contact_set=self.contact_set,
-        )
+        """This dose with a different amplitude; floors at zero.
+
+        Returns the dose itself when the floored amplitude is the same float
+        (same type, value and sign of zero); -0.0 to 0.0 or an int to a float
+        changes the repr and JSON form, so it builds a new dose.
+        """
+        amp = max(0.0, amplitude_mA)
+        old = self.amplitude_mA
+        if amp == old and type(amp) is type(old) and (amp or math.copysign(1.0, old) > 0):
+            return self
+        return Dose(amp, self.pulse_width_us, self.frequency_hz, self.contact_set)
 
     @property
     def is_off(self) -> bool:
         return self.amplitude_mA == 0.0
 
     def off(self) -> "Dose":
-        return self.with_amplitude(0.0)
+        """This dose switched off; built once per dose."""
+        return self._off
+
+    _off = cached_property(lambda self: self.with_amplitude(0.0))
 
 
 def charge_per_pulse(d: Dose) -> float:

@@ -22,7 +22,9 @@ clamp/slew, actuator and device. A lane's frame noise comes from its own
 pre-drawn standard-normal rows, whose cursor moves only when that lane
 takes a frame, so every lane's outputs are bit-identical to a run of its
 seed alone. Per-tick columns are (S, n_ticks) arrays; each lane's result
-holds row views of them.
+holds row views of them. A lane-tick builds a state or dose object only
+where a value changes: a held dose, an unchanged supervisor mode, an idle
+policy or budget and a device that drains nothing are passed on as they are.
 
 Plant and feature extraction together are one sensing object per plant kind
 (``EcapSensing``, ``BetaSensing``, ``IeegSensing``); the policy is the
@@ -41,6 +43,7 @@ propagates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -95,6 +98,12 @@ OK_ONLY = frozenset({QUALITY_OK})
 NO_READING = (None, OK_ONLY, False, None)   # what a lane in a reset mode senses
 
 NOISE_CHUNK = 32   # frames of noise drawn ahead per lane
+
+
+@lru_cache(maxsize=32)   # one entry per subset of the five quality flags
+def _quality_text(qual: frozenset) -> str:
+    """A quality flag set as its timeseries.csv cell."""
+    return "+".join(sorted(qual))
 
 
 @dataclass
@@ -153,7 +162,7 @@ class _Lane:
     the record. ``fault`` aborts the lane at a tick.
     """
 
-    def __init__(self, index: int, scenario: Scenario, columns: dict, magnet: np.ndarray,
+    def __init__(self, index: int, scenario: Scenario, columns: dict, magnet: list,
                  measures_ecap: bool) -> None:
         n = scenario.timebase.n_ticks
         self.index = index
@@ -227,7 +236,7 @@ class _Lane:
         sup, sup_events = supervisor_step(
             sup,
             verdict_pass,
-            bool(self.magnet[t]),
+            self.magnet[t],
             device,
             sc.trust,
             sc.fallback,
@@ -258,7 +267,7 @@ class _Lane:
         log.extend(budget_events)
         if therapy_started and not allowed:
             cmd = cmd.off()
-            self.pol_state = replace(self.pol_state, plan_remaining=())
+            self.pol_state = replace(self.pol_state, plan_remaining=0)
 
         # ---- safety clamps + actuator -----------------------------------
         legal, clamp_events = clamp_and_slew(cmd, sc.limits, prev_delivered, t)
@@ -277,7 +286,7 @@ class _Lane:
         # ---- record -----------------------------------------------------
         if measured is not None:
             self.biomarker[t] = measured
-            self.quality[t] = "+".join(sorted(qual))
+            self.quality[t] = _quality_text(qual)
         if threshold_now is not None:
             self.setpoint[t] = threshold_now
         self.commanded_mA[t] = cmd.amplitude_mA
@@ -545,6 +554,7 @@ def _run_lanes(scenarios: list) -> list[RunResult]:
     magnet = np.zeros(n, dtype=bool)
     for start, end in first.magnet_intervals:
         magnet[start:min(end, n)] = True
+    magnet = magnet.tolist()
 
     columns = {name: np.full((len(scenarios), n), fill) for name, fill in COLUMNS.items()}
     lanes = [

@@ -24,14 +24,14 @@ class StepResponse:
     ``attained`` is False when the series never enters the tolerance band
     after the step; the time fields are then None rather than fabricated.
     ``steady_state_dev`` is the mean absolute deviation from the setpoint
-    over the final 10% of the series.
+    over the final 10% of the series, or None when that tail holds no sample.
     """
 
     attained: bool
     response_time_s: Optional[float]
     settling_time_s: Optional[float]
     overshoot_frac: float
-    steady_state_dev: float
+    steady_state_dev: Optional[float]
 
     def to_dict(self) -> dict:
         return {
@@ -69,8 +69,9 @@ def step_response_metrics(
     inside = np.abs(seg - setpoint) <= tol
     inside &= ~np.isnan(seg)
 
+    tail_dev = np.abs(x[-max(1, x.size // 10):] - setpoint)
+    ss = None if np.isnan(tail_dev).all() else float(np.nanmean(tail_dev))
     if not inside.any():
-        ss = float(np.nanmean(np.abs(x[-max(1, x.size // 10):] - setpoint)))
         return StepResponse(False, None, None, 0.0, ss)
 
     response_ticks = int(np.argmax(inside))
@@ -93,7 +94,6 @@ def step_response_metrics(
         over = float(max(0.0, setpoint - np.nanmin(seg)))
     overshoot_frac = over / abs(setpoint)
 
-    ss = float(np.nanmean(np.abs(x[-max(1, x.size // 10):] - setpoint)))
     return StepResponse(
         True,
         response_ticks * dt_s,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -40,41 +41,44 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(x: float) -> str:
+CSV_CHUNK = 256   # rows whose cells are converted to Python values at a time
+
+
+def _floats(column):
     # repr of a Python float is the shortest round-trip decimal form.
-    return repr(float(x))
+    return map(repr, column.tolist())
 
 
-def _fmt_or_blank(x: Optional[float]) -> str:
-    if x is None or (isinstance(x, float) and np.isnan(x)):
-        return ""
-    return _fmt(x)
+def _floats_or_blank(column):
+    return (repr(x) if x == x else "" for x in column.tolist())   # NaN != NaN
 
 
 def timeseries_csv_text(result: RunResult) -> str:
-    """Render the per-tick table; header row mandatory, '.' decimal point."""
+    """Render the per-tick table; header row mandatory, '.' decimal point.
+
+    Columns are converted to Python values a chunk of rows at a time, never
+    per cell, and never whole, which would hold every column at once.
+    """
     dt = result.scenario.timebase.dt_s
+    dist, seiz = result.distance_mm, result.seizing
     lines = [",".join(CSV_COLUMNS)]
-    dist = result.distance_mm
-    seiz = result.seizing
-    for t in range(result.n_ticks):
-        lines.append(
-            ",".join(
-                (
-                    str(t),
-                    _fmt(t * dt),
-                    _fmt_or_blank(result.biomarker[t]),
-                    result.quality[t],
-                    _fmt_or_blank(result.setpoint[t]),
-                    _fmt(result.commanded_mA[t]),
-                    _fmt(result.delivered_mA[t]),
-                    result.mode[t],
-                    _fmt_or_blank(dist[t]) if dist is not None else "",
-                    ("1" if seiz[t] else "0") if seiz is not None else "",
-                    _fmt(result.teed_cum[t]),
-                )
-            )
-        )
+    for lo in range(0, result.n_ticks, CSV_CHUNK):
+        part = slice(lo, lo + CSV_CHUNK)
+        ticks = range(lo, min(lo + CSV_CHUNK, result.n_ticks))
+        lines.extend(map(",".join, zip(
+            map(str, ticks),
+            (repr(float(t * dt)) for t in ticks),
+            _floats_or_blank(result.biomarker[part]),
+            result.quality[part],
+            _floats_or_blank(result.setpoint[part]),
+            _floats(result.commanded_mA[part]),
+            _floats(result.delivered_mA[part]),
+            result.mode[part],
+            _floats_or_blank(dist[part]) if dist is not None else repeat("", len(ticks)),
+            ("1" if s else "0" for s in seiz[part].tolist()) if seiz is not None
+            else repeat("", len(ticks)),
+            _floats(result.teed_cum[part]),
+        )))
     return "\n".join(lines) + "\n"
 
 
@@ -100,7 +104,7 @@ def summary_json_text(result: RunResult) -> str:
         "fault_count": fault_count(result),
         "metrics": result.metrics.to_dict(),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def scenario_json_text(scenario: Scenario) -> str:

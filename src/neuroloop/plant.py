@@ -19,7 +19,7 @@ on what the controller happens to do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -409,12 +409,7 @@ def seizure_step(
         and (tick - cur.onset_tick) <= s.response_window_ticks
     ):
         suppressed = rng.random() < s.suppression_prob
-        cur = replace(
-            cur,
-            suppression_decided=True,
-            terminated_early=suppressed,
-            end_tick=tick if suppressed else cur.end_tick,
-        )
+        cur = ActiveSeizure(cur.onset_tick, tick if suppressed else cur.end_tick, True, suppressed)
         if suppressed:
             early += 1
 
@@ -424,12 +419,8 @@ def seizure_step(
     if cur is s.current and onsets == s.onset_count and early == s.early_termination_count:
         return s, seizing
     return (
-        replace(
-            s,
-            current=cur,
-            onset_count=onsets,
-            early_termination_count=early,
-        ),
+        SeizureGenState(s.rate_per_hour, s.base_duration_ticks, s.suppression_prob,
+                        s.response_window_ticks, cur, onsets, early),
         seizing,
     )
 
@@ -596,6 +587,8 @@ class DeviceState:
     dc_leak_flag: bool = False
     drain_v_per_uC: float = 0.0
     impedance_ramp_ohm_per_tick: float = 0.0
+    # Compliance-limited current per contact set, filled in by actuator_apply.
+    _caps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.amp_step_mA <= 0:
@@ -632,10 +625,14 @@ def actuator_apply(requested: Dose, dev: DeviceState) -> Dose:
     Raises:
         ConfigurationError: unknown contact set.
     """
-    z = dev.impedance_of(requested.contact_set)
+    cap = dev._caps.get(requested.contact_set)
+    if cap is None:
+        z = dev.impedance_of(requested.contact_set)
+        cap = dev._caps[requested.contact_set] = _floor_to_step(
+            dev.compliance_v / z * 1000.0, dev.amp_step_mA
+        )
     quantized = _floor_to_step(requested.amplitude_mA, dev.amp_step_mA)
-    compliance_cap = _floor_to_step(dev.compliance_v / z * 1000.0, dev.amp_step_mA)
-    return requested.with_amplitude(min(quantized, compliance_cap))
+    return requested.with_amplitude(min(quantized, cap))
 
 
 def device_step(dev: DeviceState, delivered_charge_uC: float) -> DeviceState:
@@ -655,4 +652,6 @@ def device_step(dev: DeviceState, delivered_charge_uC: float) -> DeviceState:
         }
     else:
         new_z = dev.impedance_ohm_per_contact
-    return replace(dev, battery_v=new_battery, impedance_ohm_per_contact=new_z)
+    return DeviceState(new_battery, dev.eos_threshold_v, new_z, dev.compliance_v, dev.amp_step_mA,
+                       dev.amplifier_saturation_uV, dev.dc_leak_flag, dev.drain_v_per_uC,
+                       dev.impedance_ramp_ohm_per_tick)

@@ -17,7 +17,7 @@ the MODE_* records reconstructs the mode trajectory exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
@@ -201,9 +201,12 @@ class TrustConfig:
                 raise ConfigurationError(f"unknown trust check {c!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class TrustInputs:
-    """Snapshot of everything the enabled checks may look at this tick."""
+    """Snapshot of everything the enabled checks may look at this tick.
+
+    Built once per tick and never changed; not frozen, which makes it cheap.
+    """
 
     quality: frozenset = frozenset({QUALITY_OK})
     ecap_est_uV: Optional[float] = None
@@ -236,9 +239,14 @@ def _check_fails(name: str, inputs: TrustInputs, cfg: TrustConfig) -> bool:
 # Fallback configuration
 # ---------------------------------------------------------------------------
 
+# Each fallback kind's ``dose_for(st, baseline)`` is the dose it delivers.
+
 @dataclass(frozen=True)
 class FallbackOff:
     """Stimulation off until re-entry."""
+
+    def dose_for(self, st: "SupervisorState", baseline: Dose) -> Dose:
+        return baseline.off()
 
 
 @dataclass(frozen=True)
@@ -247,10 +255,16 @@ class FixedSafe:
 
     dose: Dose
 
+    def dose_for(self, st: "SupervisorState", baseline: Dose) -> Dose:
+        return self.dose
+
 
 @dataclass(frozen=True)
 class LastKnownGood:
     """Hold the most recent dose delivered under a passing trust verdict."""
+
+    def dose_for(self, st: "SupervisorState", baseline: Dose) -> Dose:
+        return st.last_known_good if st.last_known_good is not None else baseline
 
 
 @dataclass(frozen=True)
@@ -259,21 +273,16 @@ class ManualLoop:
 
     dose: Dose
 
+    def dose_for(self, st: "SupervisorState", baseline: Dose) -> Dose:
+        return self.dose
+
 
 FallbackKind = Union[FallbackOff, FixedSafe, LastKnownGood, ManualLoop]
 
 
 def fallback_dose(kind: FallbackKind, st: "SupervisorState", baseline: Dose) -> Dose:
     """The dose a fallback mode delivers, constant while the mode persists."""
-    if isinstance(kind, FallbackOff):
-        return baseline.off()
-    if isinstance(kind, FixedSafe):
-        return kind.dose
-    if isinstance(kind, ManualLoop):
-        return kind.dose
-    if isinstance(kind, LastKnownGood):
-        return st.last_known_good if st.last_known_good is not None else baseline
-    raise ConfigurationError(f"unknown fallback kind {type(kind).__name__}")
+    return kind.dose_for(st, baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +305,16 @@ class SupervisorState:
     def in_reset(self) -> bool:
         return self.mode in RESET_MODES
 
+    def moved(self, mode: str, edges: tuple, resume_mode: Optional[str] = None,
+              last_known_good: Optional[Dose] = None) -> "SupervisorState":
+        """This state in ``mode`` with this tick's (magnet, DC leak) edge registers.
+
+        A ``resume_mode`` or ``last_known_good`` of None keeps this state's.
+        """
+        return SupervisorState(mode, self.fail_streak, self.pass_streak,
+                               last_known_good or self.last_known_good,
+                               resume_mode or self.resume_mode, *edges)
+
 
 def trust_check_step(
     inputs: TrustInputs, cfg: TrustConfig, st: SupervisorState
@@ -306,10 +325,9 @@ def trust_check_step(
     streak and vice versa.
     """
     failed = tuple(c for c in cfg.checks if _check_fails(c, inputs, cfg))
-    if failed:
-        st = replace(st, fail_streak=st.fail_streak + 1, pass_streak=0)
-    else:
-        st = replace(st, pass_streak=st.pass_streak + 1, fail_streak=0)
+    fails, passes = (st.fail_streak + 1, 0) if failed else (0, st.pass_streak + 1)
+    st = SupervisorState(st.mode, fails, passes, st.last_known_good, st.resume_mode,
+                         st.magnet_prev, st.dc_leak_prev)
     return st, not failed, failed
 
 
@@ -338,14 +356,11 @@ def supervisor_step(
             EventRecord(tick, severity, MODE_EVENT_CODES[target_mode], payload or {})
         )
 
-    edges = {"magnet_prev": magnet_applied, "dc_leak_prev": device.dc_leak_flag}
-
-    def stay() -> SupervisorState:
-        # Same mode: only the edge registers can change, and when they do not
-        # the state is returned as it is.
-        if st.magnet_prev == magnet_applied and st.dc_leak_prev == device.dc_leak_flag:
-            return st
-        return replace(st, **edges)
+    # Every transition records this tick's magnet and DC-leak edges. Staying
+    # in the same mode changes only those, and when they do not change the
+    # state is returned as it is.
+    edges = (magnet_applied, device.dc_leak_flag)
+    stay = st if (st.magnet_prev, st.dc_leak_prev) == edges else st.moved(st.mode, edges)
 
     if st.in_reset:
         # Latched. Report (once, on the rising edge) anything that would
@@ -354,11 +369,11 @@ def supervisor_step(
             emit(MODE_DC_LEAK_RESET, SEVERITY_INFO, {"suppressed_by": st.mode})
         if magnet_applied and not st.magnet_prev:
             emit(MODE_SUSPENDED_MAGNET, SEVERITY_INFO, {"suppressed_by": st.mode})
-        return stay(), events
+        return stay, events
 
     if device.dc_leak_flag:
         emit(MODE_DC_LEAK_RESET, SEVERITY_FAULT, {"from": st.mode})
-        return replace(st, mode=MODE_DC_LEAK_RESET, **edges), events
+        return st.moved(MODE_DC_LEAK_RESET, edges), events
 
     if device.battery_v < device.eos_threshold_v:
         emit(
@@ -366,34 +381,27 @@ def supervisor_step(
             SEVERITY_FAULT,
             {"from": st.mode, "battery_v": device.battery_v},
         )
-        return replace(st, mode=MODE_EOS_RESET, **edges), events
+        return st.moved(MODE_EOS_RESET, edges), events
 
     if magnet_applied:
         if st.mode != MODE_SUSPENDED_MAGNET:
             emit(MODE_SUSPENDED_MAGNET, SEVERITY_ALERT, {"from": st.mode})
-            return replace(
-                st, mode=MODE_SUSPENDED_MAGNET, resume_mode=st.mode, **edges
-            ), events
-        return stay(), events
+            return st.moved(MODE_SUSPENDED_MAGNET, edges, resume_mode=st.mode), events
+        return stay, events
 
     if st.mode == MODE_SUSPENDED_MAGNET:
         emit(st.resume_mode, SEVERITY_ALERT, {"from": MODE_SUSPENDED_MAGNET})
-        return replace(st, mode=st.resume_mode, **edges), events
+        return st.moved(st.resume_mode, edges), events
 
     if st.mode == MODE_AUTOMATED:
         if st.fail_streak >= trust.exit_after_consecutive_fails:
-            lkg = st.last_known_good
-            if last_good_candidate is not None:
-                lkg = last_good_candidate
             emit(
                 MODE_FALLBACK,
                 SEVERITY_ALERT,
                 {"kind": type(fallback).__name__, "fail_streak": st.fail_streak},
             )
-            return replace(
-                st, mode=MODE_FALLBACK, last_known_good=lkg, **edges
-            ), events
-        return stay(), events
+            return st.moved(MODE_FALLBACK, edges, last_known_good=last_good_candidate), events
+        return stay, events
 
     if st.mode == MODE_FALLBACK:
         if st.pass_streak >= trust.reenter_after_consecutive_passes:
@@ -406,8 +414,8 @@ def supervisor_step(
                 )
             )
             emit(MODE_AUTOMATED, SEVERITY_ALERT, {"from": MODE_FALLBACK})
-            return replace(st, mode=MODE_AUTOMATED, **edges), events
-        return stay(), events
+            return st.moved(MODE_AUTOMATED, edges), events
+        return stay, events
 
     raise ConfigurationError(f"unknown supervisor mode {st.mode!r}")
 
@@ -464,6 +472,11 @@ class Budgets:
         if self.episodes_today > self.max_episodes_per_day:
             raise ConfigurationError("episodes_today exceeds max_episodes_per_day")
 
+    def counted(self, therapies: int, episodes: int, active: bool, budgeted: bool) -> "Budgets":
+        """These caps with the given counters and event flags."""
+        return Budgets(self.max_therapies_per_event, self.max_episodes_per_day,
+                       self.ticks_per_day, therapies, episodes, active, budgeted)
+
 
 def therapy_and_episode_budget_step(
     b: Budgets, event_active: bool, therapy_requested: bool, tick: int
@@ -477,26 +490,15 @@ def therapy_and_episode_budget_step(
                 tick, SEVERITY_INFO, EVENT_DAY_ROLLOVER, {"episodes": b.episodes_today}
             )
         )
-        b = replace(b, episodes_today=0)
+        b = b.counted(b.therapies_this_event, 0, b.event_active, b.current_event_budgeted)
 
     if event_active and not b.event_active:
         if b.episodes_today < b.max_episodes_per_day:
-            b = replace(
-                b,
-                event_active=True,
-                current_event_budgeted=True,
-                episodes_today=b.episodes_today + 1,
-                therapies_this_event=0,
-            )
+            b = b.counted(0, b.episodes_today + 1, True, True)
         else:
-            b = replace(
-                b,
-                event_active=True,
-                current_event_budgeted=False,
-                therapies_this_event=0,
-            )
+            b = b.counted(0, b.episodes_today, True, False)
     elif not event_active and b.event_active:
-        b = replace(b, event_active=False, therapies_this_event=0)
+        b = b.counted(0, b.episodes_today, False, b.current_event_budgeted)
 
     allow = False
     if therapy_requested:
@@ -505,7 +507,8 @@ def therapy_and_episode_budget_step(
             and b.therapies_this_event < b.max_therapies_per_event
         )
         if allow:
-            b = replace(b, therapies_this_event=b.therapies_this_event + 1)
+            b = b.counted(b.therapies_this_event + 1, b.episodes_today, b.event_active,
+                          b.current_event_budgeted)
         else:
             events.append(
                 EventRecord(

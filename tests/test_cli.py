@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import warnings
 
 import pytest
 
@@ -113,6 +114,27 @@ class TestRun:
         path = tmp_path / "eos.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_FAULT
+
+    def test_summary_is_strict_json_when_the_tail_has_no_sample(self, tmp_path):
+        # The battery reaches end of service early, so the step-response tail
+        # lies in a reset mode where no biomarker is measured. This once wrote
+        # a bare NaN into summary.json and warned "Mean of empty slice".
+        raw = deep_merge(reference_raw("ecap_scs"), {"plant": {"device": {
+            "battery_v": 3.0004, "eos_threshold_v": 3.0, "drain_v_per_uC": 1e-5,
+        }}})
+        path = tmp_path / "eos.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(out)]) == EXIT_FAULT
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["metrics"]["step_response"]["steady_state_dev"] is None
 
 
 class TestCompare:

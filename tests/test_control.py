@@ -1,11 +1,12 @@
 """Control policies: worked examples, loop fixed points, exhaustive counters."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from neuroloop.core import ConfigurationError, Dose
+from neuroloop.core import MAX_TICKS, ConfigurationError, Dose
 from neuroloop.control import (
     BangBangResponsive,
     DualThreshold,
@@ -118,6 +119,59 @@ class TestBangBangResponsive:
         out1 = bang_bang_responsive_step(True, st, cfg)
         out2 = bang_bang_responsive_step(True, st, cfg)
         assert out1 == out2
+
+    @pytest.mark.parametrize("bursts,burst,gap", [
+        (1, 1, 0), (1, 3, 0), (1, 2, 4), (2, 1, 0), (2, 2, 0), (2, 1, 1), (2, 3, 2), (2, 2, 5),
+    ])
+    def test_cursor_matches_the_tuple_plan(self, bursts, burst, gap):
+        cfg = BangBangResponsive(
+            burst_dose=BURST, bursts_per_therapy=bursts, burst_duration_ticks=burst,
+            inter_burst_gap_ticks=gap, max_therapies_per_event=3,
+        )
+        flags = np.random.default_rng(bursts * 100 + burst * 10 + gap).random(400) < 0.3
+        st, oracle_st = PolicyState(), (0, ())
+        for detected in flags.tolist():
+            st, cmd, started = bang_bang_responsive_step(detected, st, cfg)
+            oracle_st, oracle_on, oracle_started = tuple_plan_step(detected, oracle_st, cfg)
+            assert (cmd.amplitude_mA, started) == (BURST.amplitude_mA * oracle_on, oracle_started)
+            assert st.therapies_delivered_this_event == oracle_st[0]
+            assert st.plan_remaining == len(oracle_st[1])
+
+    def test_long_therapy_steps_in_constant_time(self):
+        # Two MAX_TICKS bursts with a MAX_TICKS gap. With the plan held as a
+        # tuple of on/off flags, each step copied the rest of it: 1,000 steps
+        # took seconds. A cursor takes about a millisecond; the budget is 0.5 s.
+        cfg = BangBangResponsive(
+            burst_dose=BURST, bursts_per_therapy=2, burst_duration_ticks=MAX_TICKS,
+            inter_burst_gap_ticks=MAX_TICKS, max_therapies_per_event=1,
+        )
+        st = PolicyState()
+        start = time.perf_counter()
+        for _ in range(1000):
+            st, cmd, _ = bang_bang_responsive_step(True, st, cfg)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5
+        assert cmd.amplitude_mA == BURST.amplitude_mA
+        assert st.plan_remaining == 3 * MAX_TICKS - 1000
+
+
+def tuple_plan_step(detected, st, cfg):
+    """The responsive policy with the therapy held as a tuple of on/off flags.
+
+    ``st`` is (therapies this event, unplayed tail of the plan); returns
+    (state, burst on, therapy started). The reference for the cursor.
+    """
+    count, plan = st
+    if plan:
+        return (count, plan[1:]), plan[0], False
+    if detected:
+        if count < cfg.max_therapies_per_event:
+            burst = (True,) * cfg.burst_duration_ticks
+            gap = (False,) * cfg.inter_burst_gap_ticks
+            full = burst + (gap + burst) * (cfg.bursts_per_therapy - 1)
+            return (count + 1, full[1:]), full[0], True
+        return st, False, False
+    return (0, ()), False, False
 
 
 class TestSingleThreshold:

@@ -87,6 +87,25 @@ class TestDose:
     def test_with_amplitude_floors_at_zero(self):
         assert Dose(2.0, 100.0, 130.0).with_amplitude(-0.5).amplitude_mA == 0.0
 
+    def test_with_amplitude_unchanged_returns_the_dose_itself(self):
+        d = Dose(2.0, 100.0, 130.0, "E1")
+        assert d.with_amplitude(2.0) is d
+        off = d.off()
+        assert d.off() is off and off.off() is off and off.with_amplitude(-1.0) is off
+
+    @pytest.mark.parametrize("old,new", [
+        (-0.0, 0.0),    # sign of zero: repr "-0.0" becomes "0.0"
+        (-0.0, -3.0),   # floored to 0.0
+        (2, 2.0),       # int to float: repr and JSON "2" become "2.0"
+        (2.0, 2.5),     # a changed value
+    ])
+    def test_with_amplitude_builds_a_new_dose_when_the_float_differs(self, old, new):
+        d = Dose(old, 100.0, 130.0, "E1")
+        out = d.with_amplitude(new)
+        assert out is not d
+        assert repr(out.amplitude_mA) == repr(max(0.0, new))
+        assert (out.pulse_width_us, out.frequency_hz, out.contact_set) == (100.0, 130.0, "E1")
+
 
 class TestEventRecord:
     def test_to_dict_round_trip_fields(self):

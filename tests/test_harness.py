@@ -157,6 +157,25 @@ class TestEngineBasics:
         assert np.array_equal(r1.delivered_mA, r2.delivered_mA)
         assert np.array_equal(r1.biomarker, r2.biomarker)
 
+    def test_held_dose_builds_no_dose_objects(self, monkeypatch):
+        # The deadband covers every error the loop sees, so the policy holds
+        # the baseline dose: past set-up, a tick builds no Dose at all.
+        from neuroloop.core import Dose
+
+        built = []
+        monkeypatch.setattr(Dose, "__post_init__", lambda self: built.append(self))
+        counts = []
+        for duration_s in (2.0, 4.0):
+            raw = ecap_raw(timebase={"duration_s": duration_s},
+                           plant={"ecap": {"sensor_noise_sd_uV": 0.01}},
+                           policy={"deadband_uV": 100.0})
+            scenario = scenario_from_dict(raw)
+            built.clear()
+            r = run_scenario(scenario)
+            assert np.all(r.delivered_mA == 4.0) and r.mode == ["Automated"] * r.n_ticks
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 1
+
     def test_events_sorted_by_tick(self):
         raw = ieeg_raw()
         r = run_scenario(scenario_from_dict(raw))
