@@ -285,41 +285,6 @@ def detect(flags: Iterable[bool], combinator: str) -> bool:
     raise ConfigurationError(f"unknown combinator {combinator!r}")
 
 
-def ecap_amplitude(
-    trace: SampleSource,
-    blank_ticks: int,
-    saturation_uV: float = float("inf"),
-) -> tuple[float, frozenset]:
-    """Evoked-potential amplitude from a recorded trace, with quality flags.
-
-    Ignores the first ``blank_ticks`` samples (stimulation artifact blanking)
-    and returns the peak-to-trough amplitude of the remainder; a valid
-    response is positive by construction. Estimates at or below zero are
-    flagged Impossible; estimates at or beyond ``saturation_uV``, or traces
-    with any railed sample, are flagged Saturated.
-
-    Raises:
-        InsufficientDataError: blanking swallows the whole trace.
-    """
-    x = _as_array(trace)
-    if blank_ticks < 0:
-        raise DomainError("blank_ticks must be nonnegative")
-    if x.size <= blank_ticks:
-        raise InsufficientDataError(
-            f"trace of {x.size} samples has nothing left after blanking {blank_ticks}"
-        )
-    seg = x[blank_ticks:]
-    estimate = float(seg.max() - seg.min())
-    flags = set()
-    if np.any(np.abs(seg) >= saturation_uV) or estimate >= saturation_uV:
-        flags.add(QUALITY_SATURATED)
-    if estimate <= 0.0:
-        flags.add(QUALITY_IMPOSSIBLE)
-    if not flags:
-        flags.add(QUALITY_OK)
-    return estimate, frozenset(flags)
-
-
 def ecap_range_check(
     estimate: float, saturation_uV: float = float("inf")
 ) -> tuple[float, frozenset]:

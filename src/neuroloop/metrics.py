@@ -8,7 +8,7 @@ engine state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,15 +32,6 @@ class StepResponse:
     settling_time_s: Optional[float]
     overshoot_frac: float
     steady_state_dev: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "attained": self.attained,
-            "response_time_s": self.response_time_s,
-            "settling_time_s": self.settling_time_s,
-            "overshoot_frac": self.overshoot_frac,
-            "steady_state_dev": self.steady_state_dev,
-        }
 
 
 def step_response_metrics(
@@ -117,16 +108,7 @@ class Metrics:
     step_response: Optional[StepResponse] = None
 
     def to_dict(self) -> dict:
-        return {
-            "teed_total": self.teed_total,
-            "time_in_range_frac": self.time_in_range_frac,
-            "seizure_count": self.seizure_count,
-            "seizure_ticks_total": self.seizure_ticks_total,
-            "early_termination_count": self.early_termination_count,
-            "fallback_frac": self.fallback_frac,
-            "limit_clamp_count": self.limit_clamp_count,
-            "step_response": self.step_response.to_dict() if self.step_response else None,
-        }
+        return asdict(self)
 
 
 CLAMP_CODES = (EVENT_LIMIT_CLAMP, EVENT_SLEW_CLAMP, EVENT_CHARGE_CLAMP)

@@ -265,9 +265,6 @@ class CardiacArtifact:
             raise ConfigurationError("rate_hz must be positive")
 
 
-DisturbanceSegment = Union[PostureStep, CoughTransient, CircadianSine, CardiacArtifact]
-
-
 @dataclass(frozen=True)
 class DisturbanceTrack:
     """Scheduled disturbances, sorted by start tick."""
@@ -291,29 +288,8 @@ class DisturbanceTrack:
         return tuple(s for s in self.segments if isinstance(s, CardiacArtifact))
 
 
-def _cough_contribution(seg: CoughTransient, tick: int) -> float:
-    t = tick - seg.start_tick
-    if t < 0 or t >= seg.rise_ticks + seg.fall_ticks:
-        return 0.0
-    if t <= seg.rise_ticks:
-        return seg.delta_mm * t / seg.rise_ticks
-    return seg.delta_mm * (1.0 - (t - seg.rise_ticks) / seg.fall_ticks)
-
-
-def distance_at(track: DisturbanceTrack, base_mm: float, tick: int) -> float:
-    """Electrode-to-cord distance at ``tick``: base plus active contributions."""
-    d = base_mm
-    for seg in track.distance_segments():
-        if isinstance(seg, PostureStep):
-            if tick >= seg.start_tick:
-                d += seg.delta_mm
-        else:
-            d += _cough_contribution(seg, tick)
-    return d
-
-
 def distance_profile(track: DisturbanceTrack, base_mm: float, n_ticks: int) -> np.ndarray:
-    """Vectorized ``distance_at`` over a whole run."""
+    """Electrode-to-cord distance at each tick of a run: base plus active contributions."""
     ticks = np.arange(n_ticks)
     d = np.full(n_ticks, base_mm, dtype=float)
     for seg in track.distance_segments():

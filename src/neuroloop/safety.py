@@ -7,8 +7,8 @@ Trust checks watch the sensing and device assumptions; enough consecutive
 failures drive the supervisor from Automated into a fallback mode, and only
 enough consecutive passes let it back in. Magnet application suspends
 therapy and restores the previous mode on removal. End-of-service and
-DC-leak conditions latch the device into reset states that only an explicit
-clinician reset can leave.
+DC-leak conditions latch the device into reset states for the rest of the
+run: nothing a scenario can express leaves them.
 
 All transitions and limit interventions are recorded in an append-only
 event log whose codes are stable strings (see EVENT_* constants); replaying
@@ -72,15 +72,6 @@ CHECK_BATTERY_ABOVE_EOS = "BatteryAboveEos"
 CHECK_IMPEDANCE_IN_RANGE = "ImpedanceInRange"
 CHECK_NO_DC_LEAK = "NoDcLeak"
 CHECK_BIOMARKER_IN_PHYS_RANGE = "BiomarkerInPhysRange"
-
-ALL_CHECKS = (
-    CHECK_QUALITY_OK,
-    CHECK_ECAP_NONNEGATIVE,
-    CHECK_BATTERY_ABOVE_EOS,
-    CHECK_IMPEDANCE_IN_RANGE,
-    CHECK_NO_DC_LEAK,
-    CHECK_BIOMARKER_IN_PHYS_RANGE,
-)
 
 
 class EventLog:
@@ -183,9 +174,9 @@ class TrustConfig:
     (K_enter) passes in a row let it back in.
     """
 
+    exit_after_consecutive_fails: int
+    reenter_after_consecutive_passes: int
     checks: tuple = ()
-    exit_after_consecutive_fails: int = 1
-    reenter_after_consecutive_passes: int = 1
     impedance_min_ohm: float = 50.0
     impedance_max_ohm: float = 10_000.0
     biomarker_min: float = float("-inf")
@@ -197,7 +188,7 @@ class TrustConfig:
         if self.reenter_after_consecutive_passes < 1:
             raise ConfigurationError("K_enter must be >= 1")
         for c in self.checks:
-            if c not in ALL_CHECKS:
+            if not isinstance(c, str) or c not in CHECK_FAILS:
                 raise ConfigurationError(f"unknown trust check {c!r}")
 
 
@@ -217,22 +208,22 @@ class TrustInputs:
     biomarker: Optional[float] = None
 
 
-def _check_fails(name: str, inputs: TrustInputs, cfg: TrustConfig) -> bool:
-    if name == CHECK_QUALITY_OK:
-        return inputs.quality != frozenset({QUALITY_OK})
-    if name == CHECK_ECAP_NONNEGATIVE:
-        return inputs.ecap_est_uV is not None and inputs.ecap_est_uV < 0.0
-    if name == CHECK_BATTERY_ABOVE_EOS:
-        return inputs.battery_v < inputs.eos_threshold_v
-    if name == CHECK_IMPEDANCE_IN_RANGE:
-        return not (cfg.impedance_min_ohm <= inputs.impedance_ohm <= cfg.impedance_max_ohm)
-    if name == CHECK_NO_DC_LEAK:
-        return inputs.dc_leak
-    if name == CHECK_BIOMARKER_IN_PHYS_RANGE:
-        return inputs.biomarker is not None and not (
-            cfg.biomarker_min <= inputs.biomarker <= cfg.biomarker_max
-        )
-    raise ConfigurationError(f"unknown trust check {name!r}")
+_OK_ONLY = frozenset({QUALITY_OK})
+
+# Each trust check's failure predicate, by check name: (inputs, cfg) -> True
+# when the check fails this tick.
+CHECK_FAILS = {
+    CHECK_QUALITY_OK: lambda i, cfg: i.quality != _OK_ONLY,
+    CHECK_ECAP_NONNEGATIVE: lambda i, cfg: i.ecap_est_uV is not None and i.ecap_est_uV < 0.0,
+    CHECK_BATTERY_ABOVE_EOS: lambda i, cfg: i.battery_v < i.eos_threshold_v,
+    CHECK_IMPEDANCE_IN_RANGE: lambda i, cfg: not (
+        cfg.impedance_min_ohm <= i.impedance_ohm <= cfg.impedance_max_ohm
+    ),
+    CHECK_NO_DC_LEAK: lambda i, cfg: i.dc_leak,
+    CHECK_BIOMARKER_IN_PHYS_RANGE: lambda i, cfg: i.biomarker is not None and not (
+        cfg.biomarker_min <= i.biomarker <= cfg.biomarker_max
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +315,7 @@ def trust_check_step(
     Returns (state, passed, failed_check_names). A pass resets the fail
     streak and vice versa.
     """
-    failed = tuple(c for c in cfg.checks if _check_fails(c, inputs, cfg))
+    failed = tuple(c for c in cfg.checks if CHECK_FAILS[c](inputs, cfg))
     fails, passes = (st.fail_streak + 1, 0) if failed else (0, st.pass_streak + 1)
     st = SupervisorState(st.mode, fails, passes, st.last_known_good, st.resume_mode,
                          st.magnet_prev, st.dc_leak_prev)
@@ -344,10 +335,10 @@ def supervisor_step(
     """Advance the mode machine one tick.
 
     Precedence, highest first: DC leak, end of service, magnet, trust
-    dwell rules. Reset modes are absorbing — any transition that would
-    otherwise fire is suppressed with an Info record — and only
-    ``clinician_reset`` leaves them. Magnet suspension preserves the streak
-    counters and restores the pre-suspension mode on removal.
+    dwell rules. Reset modes latch for the rest of the run: any transition
+    that would otherwise fire is suppressed with an Info record. Magnet
+    suspension preserves the streak counters and restores the pre-suspension
+    mode on removal.
     """
     events: list[EventRecord] = []
 
@@ -418,27 +409,6 @@ def supervisor_step(
         return stay, events
 
     raise ConfigurationError(f"unknown supervisor mode {st.mode!r}")
-
-
-def clinician_reset(st: SupervisorState, tick: int = 0) -> tuple[SupervisorState, list[EventRecord]]:
-    """Explicit clinician intervention: the only exit from a reset state."""
-    if not st.in_reset:
-        return st, []
-    ev = EventRecord(
-        tick,
-        SEVERITY_ALERT,
-        EVENT_MODE_AUTOMATED,
-        {"from": st.mode, "clinician_reset": True},
-    )
-    return (
-        SupervisorState(
-            mode=MODE_AUTOMATED,
-            last_known_good=st.last_known_good,
-            magnet_prev=st.magnet_prev,
-            dc_leak_prev=st.dc_leak_prev,
-        ),
-        [ev],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ A scenario is a complete, serializable run description: time base, seed,
 plant, feature extraction, control policy, actuation limits, trust checks,
 fallback behavior, budgets, and output selection. The on-disk format is
 UTF-8 JSON with a top-level ``"schema": 1`` field; see the shipped files
-under ``scenarios/`` for worked examples of each plant kind.
+under ``scenarios/`` for worked examples of each plant kind. One reader,
+``_read``, builds each section's dataclass from its key list (the schema
+table below): a key the file omits keeps the dataclass default, and a field
+without a default is required.
 
 ``validate_scenario`` is the only code that builds a ``Scenario``. It runs
 the design checklist: every finding is tagged with the checklist item it
@@ -19,7 +22,8 @@ An ``ok`` scenario runs without configuration errors. A derived scenario
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -87,8 +91,8 @@ class ScenarioParseError(SimulationError):
 class EcapPlantSpec:
     params: EcapPlantParams
     base_distance_mm: float
-    sensor_noise_sd_uV: float
-    track: DisturbanceTrack
+    sensor_noise_sd_uV: float = 0.0
+    track: DisturbanceTrack = field(default_factory=DisturbanceTrack)
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ class ToolSpec:
     """One detection tool: a feature plus its (fixed or adaptive) threshold."""
 
     feature: str                      # "line_length" | "area" | "half_wave"
-    threshold_mode: str               # "adaptive" | "fixed"
+    threshold_mode: str = "adaptive"  # "adaptive" | "fixed"
     multiplier: float = 2.0
     long_window_ticks: int = 240
     short_window_ticks: int = 4
@@ -215,7 +219,7 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Section builders (called only by validate_scenario)
+# Section readers (called only by validate_scenario)
 # ---------------------------------------------------------------------------
 
 def _require(raw: dict, key: str, where: str):
@@ -229,6 +233,131 @@ def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
     return value
+
+
+# Converter for each field annotation a key may name (annotations are strings
+# under postponed evaluation). The one dict field is the device's impedance
+# map, and a ``Dose`` field reads a nested dose object.
+_CONVERT = {"float": float, "int": int, "bool": bool, "str": str, "tuple": tuple, "Dose": Dose,
+            "dict": lambda m: {str(k): float(v) for k, v in
+                               _object(m, "plant.device.impedance_ohm").items()}}
+
+
+def _plan(cls, keys: str) -> tuple:
+    """How ``_read`` builds ``cls``: (cls, defaults, field positions, entries).
+
+    ``keys`` lists the fields read from the file, in read order, as ``field``
+    or ``field=json_key``. A field without a dataclass default is required.
+    A default factory runs once, here, so its value must be immutable.
+    """
+    init = [f for f in dataclass_fields(cls) if f.init]
+    position = {f.name: i for i, f in enumerate(init)}
+    defaults = tuple(f.default if f.default_factory is MISSING else f.default_factory()
+                     for f in init)
+    entries = []
+    for entry in keys.split():
+        name, _, key = entry.partition("=")
+        f = init[position[name]]
+        required = f.default is MISSING and f.default_factory is MISSING
+        entries.append((position[name], key or name, _CONVERT[f.type], required))
+    return cls, defaults, position, tuple(entries)
+
+
+def _read(plan: tuple, obj, where: str, **given):
+    """Build ``plan``'s class from the JSON object ``obj`` found at ``where``.
+
+    An absent required key raises KeyError (a nested dose: ConfigurationError);
+    an absent optional key keeps the default. ``given``: fields built by the caller.
+    """
+    cls, defaults, position, entries = plan
+    if not isinstance(obj, dict):
+        _object(obj, where)  # raises
+    args = list(defaults)
+    for i, key, convert, required in entries:
+        if convert is Dose:
+            args[i] = _read(DOSE, _require(obj, key, where), f"{where}.{key}")
+        elif required or key in obj:
+            args[i] = convert(obj[key])
+    if given:
+        for name, value in given.items():
+            args[position[name]] = value
+    return cls(*args)
+
+
+# The file schema: each section's dataclass and the keys read into it.
+DOSE = _plan(Dose, "amplitude_mA pulse_width_us frequency_hz contact_set")
+DEVICE = _plan(DeviceState, "battery_v eos_threshold_v impedance_ohm_per_contact=impedance_ohm "
+                            "compliance_v amp_step_mA amplifier_saturation_uV dc_leak_flag "
+                            "drain_v_per_uC impedance_ramp_ohm_per_tick")
+ECAP_PARAMS = _plan(EcapPlantParams, "slope_uV_per_mA_at_ref threshold_mA_at_ref distance_ref_mm "
+                    "threshold_distance_coeff=threshold_distance_coeff_mA_per_mm "
+                    "slope_distance_coeff=slope_distance_coeff_per_mm")
+ECAP_PLANT = _plan(EcapPlantSpec, "base_distance_mm sensor_noise_sd_uV")
+BETA_CURVE = _plan(BetaSuppression,
+                   "baseline=baseline_uV max_suppression_fraction knee_mA softness_mA")
+BETA_PLANT = _plan(BetaPlantConfig, "fs_hz frame_len beta_hz noise_rms_uV gamma_entrainment_uV")
+IEEG_PLANT = _plan(IeegPlantConfig, "fs_hz frame_len background_sd_uV ictal_amplitude_uV ictal_hz")
+SEIZURES = _plan(SeizureGenState,
+                 "rate_per_hour base_duration_ticks suppression_prob response_window_ticks")
+BETA_FEATURES = _plan(BetaFeatures, "band_lo_hz band_hi_hz smooth_s")
+HALF_WAVE = _plan(HalfWaveConfig,
+                  "min_amplitude_uV min_duration_ticks max_duration_ticks hysteresis_uV")
+TOOL = _plan(ToolSpec, "threshold_mode=mode multiplier long_window_ticks short_window_ticks "
+                       "fixed_value=value")
+IEEG_FEATURES = _plan(IeegFeatures, "combinator")
+LIMITS = _plan(DoseLimits, "amp_min_mA amp_max_mA max_slew_mA_per_tick max_charge_per_pulse_uC")
+TRUST = _plan(TrustConfig, "checks exit_after_consecutive_fails reenter_after_consecutive_passes "
+                           "impedance_min_ohm impedance_max_ohm biomarker_min biomarker_max")
+BUDGETS = _plan(Budgets, "max_therapies_per_event max_episodes_per_day")
+OUTPUTS = _plan(OutputFlags, "timeseries events summary")
+STEP_RESPONSE = _plan(StepResponseSpec, "step_tick tol_frac")
+
+# The sections that name their kind: kind -> plan.
+DISTURBANCES = {
+    "PostureStep": _plan(PostureStep, "start_tick delta_mm"),
+    "CoughTransient": _plan(CoughTransient, "start_tick delta_mm rise_ticks fall_ticks"),
+    "CircadianSine": _plan(CircadianSine, "start_tick period_ticks amplitude phase"),
+    "CardiacArtifact": _plan(CardiacArtifact, "start_tick rate_hz amplitude_uV pulse_width_s"),
+}
+POLICIES = {
+    "ManualFixed": _plan(ManualFixed, "dose"),
+    "BangBangResponsive": _plan(BangBangResponsive, "burst_dose=burst bursts_per_therapy "
+                                "max_therapies_per_event burst_duration_ticks "
+                                "inter_burst_gap_ticks"),
+    "SingleThreshold": _plan(SingleThreshold, "threshold step_mA on_above"),
+    "DualThreshold": _plan(DualThreshold, "lower upper step_up_mA step_down_mA"),
+    "Proportional": _plan(Proportional, "reference gain_mA_per_unit"),
+    "EcapSetpoint": _plan(EcapSetpoint, "target_uV gain_mA_per_uV deadband_uV"),
+}
+FALLBACKS = {
+    "Off": _plan(FallbackOff, ""),
+    "FixedSafe": _plan(FixedSafe, "dose"),
+    "LastKnownGood": _plan(LastKnownGood, ""),
+    "ManualLoop": _plan(ManualLoop, "dose"),
+}
+
+# The plant that produces each closed-loop policy's feedback variable.
+FEEDBACK_PLANTS = {EcapSetpoint: EcapPlantSpec, BangBangResponsive: IeegPlantSpec,
+                   SingleThreshold: BetaPlantSpec, DualThreshold: BetaPlantSpec,
+                   Proportional: BetaPlantSpec}
+
+
+def _kind(registry: dict, kind, what: str) -> tuple:
+    """The plan of ``kind``, which must be one of ``registry``'s names."""
+    if not isinstance(kind, str) or kind not in registry:
+        raise ConfigurationError(f"unknown {what} kind {kind!r}")
+    return registry[kind]
+
+
+def _read_section(raw: dict, section: str, plan: tuple):
+    """The required top-level ``section``, read by ``plan``."""
+    return _read(plan, _require(raw, section, "scenario"), section)
+
+
+def _read_kind(raw: dict, section: str, registry: dict):
+    """The required top-level ``section``, read as the class its kind names."""
+    s = _object(_require(raw, section, "scenario"), section)
+    return _read(_kind(registry, _require(s, "kind", section), section), s, section)
 
 
 def _build_seed(raw: dict) -> int:
@@ -248,134 +377,31 @@ def _build_timebase(raw: dict) -> TimeBase:
     return timebase
 
 
-def _build_dose(d, where: str) -> Dose:
-    d = _object(d, where)
-    return Dose(
-        amplitude_mA=float(d["amplitude_mA"]),
-        pulse_width_us=float(d["pulse_width_us"]),
-        frequency_hz=float(d["frequency_hz"]),
-        contact_set=str(d.get("contact_set", "default")),
-    )
-
-
-def _build_disturbances(segs: list) -> DisturbanceTrack:
-    built = []
-    for s in segs:
-        kind = _object(s, "disturbance")["kind"]
-        if kind == "PostureStep":
-            built.append(PostureStep(int(s["start_tick"]), float(s["delta_mm"])))
-        elif kind == "CoughTransient":
-            built.append(
-                CoughTransient(
-                    int(s["start_tick"]),
-                    float(s["delta_mm"]),
-                    int(s["rise_ticks"]),
-                    int(s["fall_ticks"]),
-                )
-            )
-        elif kind == "CircadianSine":
-            built.append(
-                CircadianSine(
-                    int(s["start_tick"]),
-                    int(s["period_ticks"]),
-                    float(s["amplitude"]),
-                    float(s.get("phase", 0.0)),
-                )
-            )
-        elif kind == "CardiacArtifact":
-            built.append(
-                CardiacArtifact(
-                    int(s["start_tick"]),
-                    float(s["rate_hz"]),
-                    float(s["amplitude_uV"]),
-                    float(s.get("pulse_width_s", 0.05)),
-                )
-            )
-        else:
-            raise ConfigurationError(f"unknown disturbance kind {kind!r}")
-    return DisturbanceTrack(tuple(sorted(built, key=lambda x: x.start_tick)))
-
-
-def _build_device(d) -> DeviceState:
-    d = _object(d, "plant.device")
-    return DeviceState(
-        battery_v=float(d["battery_v"]),
-        eos_threshold_v=float(d["eos_threshold_v"]),
-        impedance_ohm_per_contact={
-            str(k): float(v)
-            for k, v in _object(d["impedance_ohm"], "plant.device.impedance_ohm").items()
-        },
-        compliance_v=float(d["compliance_v"]),
-        amp_step_mA=float(d["amp_step_mA"]),
-        amplifier_saturation_uV=float(d.get("amplifier_saturation_uV", float("inf"))),
-        dc_leak_flag=bool(d.get("dc_leak_flag", False)),
-        drain_v_per_uC=float(d.get("drain_v_per_uC", 0.0)),
-        impedance_ramp_ohm_per_tick=float(d.get("impedance_ramp_ohm_per_tick", 0.0)),
-    )
-
-
 def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
     p = _object(_require(raw, "plant", "scenario"), "plant")
     kind = _require(p, "kind", "plant")
-    device = _build_device(_require(p, "device", "plant"))
-    track = _build_disturbances(p.get("disturbances", []))
+    device = _read(DEVICE, _require(p, "device", "plant"), "plant.device")
+    track = DisturbanceTrack(tuple(sorted(
+        (_read(_kind(DISTURBANCES, _object(d, "disturbance")["kind"], "disturbance"),
+               d, "disturbance") for d in p.get("disturbances", [])),
+        key=lambda seg: seg.start_tick,
+    )))
 
     if kind == "ecap":
-        e = _object(_require(p, "ecap", "plant"), "plant.ecap")
-        params = EcapPlantParams(
-            slope_uV_per_mA_at_ref=float(e["slope_uV_per_mA_at_ref"]),
-            threshold_mA_at_ref=float(e["threshold_mA_at_ref"]),
-            distance_ref_mm=float(e["distance_ref_mm"]),
-            threshold_distance_coeff=float(e.get("threshold_distance_coeff_mA_per_mm", 0.0)),
-            slope_distance_coeff=float(e.get("slope_distance_coeff_per_mm", 0.0)),
-        )
-        return (
-            EcapPlantSpec(
-                params=params,
-                base_distance_mm=float(e["base_distance_mm"]),
-                sensor_noise_sd_uV=float(e.get("sensor_noise_sd_uV", 0.0)),
-                track=track,
-            ),
-            device,
-        )
+        e = _require(p, "ecap", "plant")
+        params = _read(ECAP_PARAMS, e, "plant.ecap")
+        return _read(ECAP_PLANT, e, "plant.ecap", params=params, track=track), device
 
     if kind == "beta":
         b = _object(_require(p, "beta", "plant"), "plant.beta")
-        c = _object(_require(b, "curve", "beta plant"), "plant.beta.curve")
-        curve = BetaSuppression(
-            baseline=float(c["baseline_uV"]),
-            max_suppression_fraction=float(c["max_suppression_fraction"]),
-            knee_mA=float(c["knee_mA"]),
-            softness_mA=float(c["softness_mA"]),
-        )
-        cfg = BetaPlantConfig(
-            fs_hz=float(b["fs_hz"]),
-            frame_len=int(b["frame_len"]),
-            beta_hz=float(b["beta_hz"]),
-            curve=curve,
-            noise_rms_uV=float(b.get("noise_rms_uV", 1.0)),
-            gamma_entrainment_uV=float(b.get("gamma_entrainment_uV", 0.0)),
-            disturbances=track,
-        )
+        curve = _read(BETA_CURVE, _require(b, "curve", "beta plant"), "plant.beta.curve")
+        cfg = _read(BETA_PLANT, b, "plant.beta", curve=curve, disturbances=track)
         return BetaPlantSpec(cfg=cfg), device
 
     if kind == "ieeg":
-        i = _object(_require(p, "ieeg", "plant"), "plant.ieeg")
-        cfg = IeegPlantConfig(
-            fs_hz=float(i["fs_hz"]),
-            frame_len=int(i["frame_len"]),
-            background_sd_uV=float(i["background_sd_uV"]),
-            ictal_amplitude_uV=float(i["ictal_amplitude_uV"]),
-            ictal_hz=float(i["ictal_hz"]),
-        )
-        s = _object(_require(p, "seizures", "plant"), "plant.seizures")
-        seiz = SeizureGenState(
-            rate_per_hour=float(s["rate_per_hour"]),
-            base_duration_ticks=int(s["base_duration_ticks"]),
-            suppression_prob=float(s.get("suppression_prob", 0.0)),
-            response_window_ticks=int(s.get("response_window_ticks", 1)),
-        )
-        return IeegPlantSpec(cfg=cfg, seizures=seiz), device
+        cfg = _read(IEEG_PLANT, _require(p, "ieeg", "plant"), "plant.ieeg")
+        seizures = _read(SEIZURES, _require(p, "seizures", "plant"), "plant.seizures")
+        return IeegPlantSpec(cfg=cfg, seizures=seizures), device
 
     raise ConfigurationError(f"unknown plant kind {kind!r}")
 
@@ -385,11 +411,7 @@ def _build_features(raw: dict, plant: PlantSpec) -> FeatureSpec:
     if isinstance(plant, EcapPlantSpec):
         return EcapFeatures()
     if isinstance(plant, BetaPlantSpec):
-        beta = BetaFeatures(
-            band_lo_hz=float(f.get("band_lo_hz", 13.0)),
-            band_hi_hz=float(f.get("band_hi_hz", 30.0)),
-            smooth_s=float(f.get("smooth_s", 0.5)),
-        )
+        beta = _read(BETA_FEATURES, f, "features")
         check_band(beta.band_lo_hz, beta.band_hi_hz, plant.cfg.fs_hz, plant.cfg.frame_len)
         return beta
     tools = []
@@ -398,111 +420,10 @@ def _build_features(raw: dict, plant: PlantSpec) -> FeatureSpec:
         th = _object(t.get("threshold", {}), "detection tool threshold")
         hw = None
         if t["feature"] == "half_wave":
-            h = _object(_require(t, "half_wave", "half_wave tool"), "half_wave")
-            hw = HalfWaveConfig(
-                min_amplitude_uV=float(h["min_amplitude_uV"]),
-                min_duration_ticks=int(h["min_duration_ticks"]),
-                max_duration_ticks=int(h["max_duration_ticks"]),
-                hysteresis_uV=float(h.get("hysteresis_uV", 0.0)),
-            )
-        tools.append(
-            ToolSpec(
-                feature=str(t["feature"]),
-                threshold_mode=str(th.get("mode", "adaptive")),
-                multiplier=float(th.get("multiplier", 2.0)),
-                long_window_ticks=int(th.get("long_window_ticks", 240)),
-                short_window_ticks=int(th.get("short_window_ticks", 4)),
-                fixed_value=float(th.get("value", 0.0)),
-                half_wave=hw,
-            )
-        )
-    return IeegFeatures(tools=tuple(tools), combinator=str(f.get("combinator", "OR")))
-
-
-def _build_policy(raw: dict) -> PolicyConfig:
-    p = _object(_require(raw, "policy", "scenario"), "policy")
-    kind = _require(p, "kind", "policy")
-    if kind == "ManualFixed":
-        return ManualFixed(dose=_build_dose(_require(p, "dose", "policy"), "policy.dose"))
-    if kind == "BangBangResponsive":
-        return BangBangResponsive(
-            burst_dose=_build_dose(_require(p, "burst", "policy"), "policy.burst"),
-            bursts_per_therapy=int(p.get("bursts_per_therapy", 1)),
-            max_therapies_per_event=int(p.get("max_therapies_per_event", 5)),
-            burst_duration_ticks=int(p.get("burst_duration_ticks", 1)),
-            inter_burst_gap_ticks=int(p.get("inter_burst_gap_ticks", 0)),
-        )
-    if kind == "SingleThreshold":
-        return SingleThreshold(
-            threshold=float(p["threshold"]),
-            step_mA=float(p["step_mA"]),
-            on_above=bool(p.get("on_above", True)),
-        )
-    if kind == "DualThreshold":
-        return DualThreshold(
-            lower=float(p["lower"]),
-            upper=float(p["upper"]),
-            step_up_mA=float(p["step_up_mA"]),
-            step_down_mA=float(p["step_down_mA"]),
-        )
-    if kind == "Proportional":
-        return Proportional(
-            reference=float(p["reference"]),
-            gain_mA_per_unit=float(p["gain_mA_per_unit"]),
-        )
-    if kind == "EcapSetpoint":
-        return EcapSetpoint(
-            target_uV=float(p["target_uV"]),
-            gain_mA_per_uV=float(p["gain_mA_per_uV"]),
-            deadband_uV=float(p.get("deadband_uV", 0.0)),
-        )
-    raise ConfigurationError(f"unknown policy kind {kind!r}")
-
-
-def _build_limits(raw: dict) -> DoseLimits:
-    l = _object(_require(raw, "limits", "scenario"), "limits")
-    return DoseLimits(
-        amp_min_mA=float(l["amp_min_mA"]),
-        amp_max_mA=float(l["amp_max_mA"]),
-        max_slew_mA_per_tick=float(l["max_slew_mA_per_tick"]),
-        max_charge_per_pulse_uC=float(l["max_charge_per_pulse_uC"]),
-    )
-
-
-def _build_trust(raw: dict) -> TrustConfig:
-    t = _object(_require(raw, "trust", "scenario"), "trust")
-    return TrustConfig(
-        checks=tuple(t.get("checks", [])),
-        exit_after_consecutive_fails=int(t["exit_after_consecutive_fails"]),
-        reenter_after_consecutive_passes=int(t["reenter_after_consecutive_passes"]),
-        impedance_min_ohm=float(t.get("impedance_min_ohm", 50.0)),
-        impedance_max_ohm=float(t.get("impedance_max_ohm", 10_000.0)),
-        biomarker_min=float(t.get("biomarker_min", float("-inf"))),
-        biomarker_max=float(t.get("biomarker_max", float("inf"))),
-    )
-
-
-def _build_fallback(raw: dict) -> FallbackKind:
-    f = _object(_require(raw, "fallback", "scenario"), "fallback")
-    kind = _require(f, "kind", "fallback")
-    if kind == "Off":
-        return FallbackOff()
-    if kind == "FixedSafe":
-        return FixedSafe(dose=_build_dose(_require(f, "dose", "fallback"), "fallback.dose"))
-    if kind == "LastKnownGood":
-        return LastKnownGood()
-    if kind == "ManualLoop":
-        return ManualLoop(dose=_build_dose(_require(f, "dose", "fallback"), "fallback.dose"))
-    raise ConfigurationError(f"unknown fallback kind {kind!r}")
-
-
-def _build_budgets(raw: dict, timebase: TimeBase) -> Budgets:
-    b = _object(raw.get("budgets", {}), "budgets")
-    return Budgets(
-        max_therapies_per_event=int(b.get("max_therapies_per_event", 5)),
-        max_episodes_per_day=int(b.get("max_episodes_per_day", 1_000_000)),
-        ticks_per_day=timebase.ticks_per_day(),
-    )
+            hw = _read(HALF_WAVE, _require(t, "half_wave", "half_wave tool"), "half_wave")
+        tools.append(_read(TOOL, th, "detection tool threshold",
+                           feature=str(t["feature"]), half_wave=hw))
+    return _read(IEEG_FEATURES, f, "features", tools=tuple(tools))
 
 
 def _build_magnet(raw: dict) -> tuple:
@@ -518,15 +439,6 @@ def _build_magnet(raw: dict) -> tuple:
     return tuple(out)
 
 
-def _build_outputs(raw: dict) -> OutputFlags:
-    o = _object(raw.get("outputs", {}), "outputs")
-    return OutputFlags(
-        timeseries=bool(o.get("timeseries", True)),
-        events=bool(o.get("events", True)),
-        summary=bool(o.get("summary", True)),
-    )
-
-
 def _build_metrics_cfg(raw: dict) -> MetricsConfig:
     m = _object(raw.get("metrics", {}), "metrics")
     rng = m.get("range")
@@ -535,8 +447,7 @@ def _build_metrics_cfg(raw: dict) -> MetricsConfig:
         lo, hi = rng
         rng = (float(lo), float(hi))
     if sr is not None:
-        sr = _object(sr, "metrics.step_response")
-        sr = StepResponseSpec(int(sr["step_tick"]), float(sr.get("tol_frac", 0.05)))
+        sr = _read(STEP_RESPONSE, sr, "metrics.step_response")
     return MetricsConfig(biomarker_range=rng, step_response=sr)
 
 
@@ -631,19 +542,19 @@ def validate_scenario(raw: dict) -> ValidationReport:
 
     timebase = attempt(CHECKLIST_VALIDATION, lambda: _build_timebase(raw))
     seed = attempt(CHECKLIST_VALIDATION, lambda: _build_seed(raw))
-    baseline = attempt(
-        CHECKLIST_MENTAL_MODEL,
-        lambda: _build_dose(_require(raw, "baseline_dose", "scenario"), "baseline_dose"),
-    )
+    baseline = attempt(CHECKLIST_MENTAL_MODEL, lambda: _read_section(raw, "baseline_dose", DOSE))
     plant, device = attempt(CHECKLIST_VARIABLES, lambda: _build_plant(raw)) or (None, None)
-    policy = attempt(CHECKLIST_VARIABLES, lambda: _build_policy(raw))
-    limits = attempt(CHECKLIST_LIMITS, lambda: _build_limits(raw))
-    trust = attempt(CHECKLIST_FALLBACK, lambda: _build_trust(raw))
-    fallback = attempt(CHECKLIST_FALLBACK, lambda: _build_fallback(raw))
+    policy = attempt(CHECKLIST_VARIABLES, lambda: _read_kind(raw, "policy", POLICIES))
+    limits = attempt(CHECKLIST_LIMITS, lambda: _read_section(raw, "limits", LIMITS))
+    trust = attempt(CHECKLIST_FALLBACK, lambda: _read_section(raw, "trust", TRUST))
+    fallback = attempt(CHECKLIST_FALLBACK, lambda: _read_kind(raw, "fallback", FALLBACKS))
     features = attempt(CHECKLIST_VARIABLES, lambda: _build_features(raw, plant)) if plant else None
-    budgets = attempt(CHECKLIST_FALLBACK, lambda: _build_budgets(raw, timebase)) if timebase else None
+    budgets = attempt(CHECKLIST_FALLBACK, lambda: _read(
+        BUDGETS, raw.get("budgets", {}), "budgets", ticks_per_day=timebase.ticks_per_day(),
+    )) if timebase else None
     magnet = attempt(CHECKLIST_DEVICE_STATE, lambda: _build_magnet(raw))
-    outputs = attempt(CHECKLIST_DEVICE_STATE, lambda: _build_outputs(raw))
+    outputs = attempt(CHECKLIST_DEVICE_STATE, lambda: _read(
+        OUTPUTS, raw.get("outputs", {}), "outputs"))
     metrics_cfg = attempt(CHECKLIST_VALIDATION, lambda: _build_metrics_cfg(raw))
     if findings:
         return ValidationReport(ok=False, findings=tuple(findings))
@@ -668,14 +579,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
     )
 
     # Cross-checks on the built scenario.
-    needed = {
-        EcapSetpoint: EcapPlantSpec,
-        SingleThreshold: BetaPlantSpec,
-        DualThreshold: BetaPlantSpec,
-        Proportional: BetaPlantSpec,
-        BangBangResponsive: IeegPlantSpec,
-    }
-    want = needed.get(type(policy))
+    want = FEEDBACK_PLANTS.get(type(policy))
     if want is not None and not isinstance(plant, want):
         found(
             CHECKLIST_VARIABLES,

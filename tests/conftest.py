@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from neuroloop.core import SEVERITY_ALERT, EventRecord
+from neuroloop.safety import EVENT_MODE_AUTOMATED, MODE_AUTOMATED, SupervisorState
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -137,6 +140,29 @@ def deep_merge(base: dict, overrides: dict) -> dict:
 
 def reference_raw(name: str) -> dict:
     return json.loads((SCENARIO_DIR / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def clinician_reset(st: SupervisorState, tick: int = 0):
+    """Oracle of "reset modes absorb": the explicit intervention that leaves one.
+
+    Nothing in a run does this, so a reset mode latches for the rest of the
+    run; the tests use it to show that leaving takes a new supervisor state
+    from outside the tick loop.
+    """
+    if not st.in_reset:
+        return st, []
+    ev = EventRecord(
+        tick, SEVERITY_ALERT, EVENT_MODE_AUTOMATED, {"from": st.mode, "clinician_reset": True}
+    )
+    return (
+        SupervisorState(
+            mode=MODE_AUTOMATED,
+            last_known_good=st.last_known_good,
+            magnet_prev=st.magnet_prev,
+            dc_leak_prev=st.dc_leak_prev,
+        ),
+        [ev],
+    )
 
 
 @pytest.fixture

@@ -47,13 +47,12 @@ from neuroloop.safety import (
     SupervisorState,
     TrustConfig,
     TrustInputs,
-    clinician_reset,
     supervisor_step,
     trust_check_step,
 )
 from neuroloop.scenario import ToolSpec, scenario_from_dict, validate_scenario
 
-from conftest import ecap_raw, reference_raw
+from conftest import clinician_reset, ecap_raw, reference_raw
 
 
 @contextmanager

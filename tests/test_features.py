@@ -22,7 +22,6 @@ from neuroloop.features import (
     area_under_curve,
     band_power,
     detect,
-    ecap_amplitude,
     ecap_range_check,
     half_wave_count,
     line_length,
@@ -240,40 +239,11 @@ class TestDetect:
                 assert detect(flags, "AND") <= detect(raised, "AND")
 
 
-def triphasic_template(n=120, blank=20, p1=0.3, n1=-0.55, p2=0.45):
-    """Synthetic evoked trace with known post-blanking extrema."""
-    x = np.zeros(n)
-    x[:blank] = 5.0  # stimulation artifact, must be blanked away
-    for center, amp in ((blank + 20, p1), (blank + 45, n1), (blank + 70, p2)):
-        width = 8.0
-        idx = np.arange(n)
-        x += amp * np.exp(-0.5 * ((idx - center) / width) ** 2)
-    return x
-
-
 class TestEcapAmplitude:
-    def test_template_peak_to_trough(self):
-        x = triphasic_template()
-        seg = x[20:]
-        expected = float(seg.max() - seg.min())
-        est, flags = ecap_amplitude(x, blank_ticks=20)
-        assert est == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(1.0, rel=0.02)
-        assert flags == frozenset({QUALITY_OK})
-
-    def test_saturated_trace(self):
-        x = np.full(50, 1000.0)
-        _, flags = ecap_amplitude(x, blank_ticks=5, saturation_uV=1000.0)
-        assert QUALITY_SATURATED in flags
-
     def test_negative_estimate_flags_impossible(self):
         est, flags = ecap_range_check(-0.2)
         assert est == -0.2
         assert QUALITY_IMPOSSIBLE in flags
-
-    def test_blanking_swallows_trace(self):
-        with pytest.raises(InsufficientDataError):
-            ecap_amplitude(np.zeros(10), blank_ticks=10)
 
 
 class TestSignalQuality:

@@ -25,7 +25,6 @@ from neuroloop.plant import (
     beta_lfp_frame,
     circadian_factor,
     device_step,
-    distance_at,
     distance_profile,
     dose_response_eval,
     ecap_true,
@@ -128,22 +127,46 @@ class TestEcapTrue:
             p.validate_over_range(2.0, 7.0)
 
 
+def cough_contribution(seg: CoughTransient, tick: int) -> float:
+    t = tick - seg.start_tick
+    if t < 0 or t >= seg.rise_ticks + seg.fall_ticks:
+        return 0.0
+    if t <= seg.rise_ticks:
+        return seg.delta_mm * t / seg.rise_ticks
+    return seg.delta_mm * (1.0 - (t - seg.rise_ticks) / seg.fall_ticks)
+
+
+def distance_at(track: DisturbanceTrack, base_mm: float, tick: int) -> float:
+    """Oracle of ``distance_profile``: the distance at one tick, segment by segment."""
+    d = base_mm
+    for seg in track.distance_segments():
+        if isinstance(seg, PostureStep):
+            if tick >= seg.start_tick:
+                d += seg.delta_mm
+        else:
+            d += cough_contribution(seg, tick)
+    return d
+
+
 class TestDisturbances:
     def test_no_segments(self):
         track = DisturbanceTrack()
+        prof = distance_profile(track, 4.0, 1000)
         for t in (0, 10, 999):
-            assert distance_at(track, 4.0, t) == 4.0
+            assert prof[t] == distance_at(track, 4.0, t) == 4.0
 
     def test_posture_step_boundary(self):
         track = DisturbanceTrack((PostureStep(100, 1.5),))
-        assert distance_at(track, 4.0, 99) == 4.0
-        assert distance_at(track, 4.0, 100) == 5.5
+        prof = distance_profile(track, 4.0, 101)
+        assert prof[99] == distance_at(track, 4.0, 99) == 4.0
+        assert prof[100] == distance_at(track, 4.0, 100) == 5.5
 
     def test_cough_apex_and_return(self):
         track = DisturbanceTrack((CoughTransient(0, 2.0, 10, 10),))
-        assert distance_at(track, 4.0, 10) == pytest.approx(6.0)
-        assert distance_at(track, 4.0, 20) == pytest.approx(4.0)
-        assert distance_at(track, 4.0, 0) == pytest.approx(4.0)
+        prof = distance_profile(track, 4.0, 21)
+        for t, want in ((10, 6.0), (20, 4.0), (0, 4.0)):
+            assert prof[t] == pytest.approx(want)
+            assert distance_at(track, 4.0, t) == pytest.approx(want)
 
     def test_profile_matches_pointwise(self):
         track = DisturbanceTrack(

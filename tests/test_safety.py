@@ -1,13 +1,20 @@
 """Safety layer: clamps, trust checks, supervisor, budgets, event log."""
 
+import itertools
+import math
+
 import pytest
 
 from neuroloop.core import (
+    ConfigurationError,
     Dose,
     DoseLimits,
     EventRecord,
+    QUALITY_EXTERNAL_NOISE,
+    QUALITY_FLATLINE,
     QUALITY_IMPOSSIBLE,
     QUALITY_OK,
+    QUALITY_SATURATED,
     SEVERITY_ALERT,
     SEVERITY_FAULT,
     SEVERITY_INFO,
@@ -16,7 +23,11 @@ from neuroloop.plant import DeviceState
 from neuroloop.safety import (
     Budgets,
     CHECK_BATTERY_ABOVE_EOS,
+    CHECK_BIOMARKER_IN_PHYS_RANGE,
     CHECK_ECAP_NONNEGATIVE,
+    CHECK_FAILS,
+    CHECK_IMPEDANCE_IN_RANGE,
+    CHECK_NO_DC_LEAK,
     CHECK_QUALITY_OK,
     EVENT_BUDGET_DENY,
     EVENT_CHARGE_CLAMP,
@@ -39,12 +50,13 @@ from neuroloop.safety import (
     TrustConfig,
     TrustInputs,
     clamp_and_slew,
-    clinician_reset,
     fallback_dose,
     supervisor_step,
     therapy_and_episode_budget_step,
     trust_check_step,
 )
+
+from conftest import clinician_reset
 
 LIMITS = DoseLimits(
     amp_min_mA=0.0, amp_max_mA=6.0, max_slew_mA_per_tick=5.0,
@@ -90,6 +102,80 @@ class TestClampAndSlew:
     def test_always_legal_never_raises(self):
         out, _ = clamp_and_slew(dose(1e9), LIMITS, dose(0.0))
         assert 0.0 <= out.amplitude_mA <= LIMITS.amp_max_mA
+
+
+def ladder_check_fails(name: str, inputs: TrustInputs, cfg: TrustConfig) -> bool:
+    """Oracle of ``CHECK_FAILS``: the string ladder it replaced."""
+    if name == CHECK_QUALITY_OK:
+        return inputs.quality != frozenset({QUALITY_OK})
+    if name == CHECK_ECAP_NONNEGATIVE:
+        return inputs.ecap_est_uV is not None and inputs.ecap_est_uV < 0.0
+    if name == CHECK_BATTERY_ABOVE_EOS:
+        return inputs.battery_v < inputs.eos_threshold_v
+    if name == CHECK_IMPEDANCE_IN_RANGE:
+        return not (cfg.impedance_min_ohm <= inputs.impedance_ohm <= cfg.impedance_max_ohm)
+    if name == CHECK_NO_DC_LEAK:
+        return inputs.dc_leak
+    if name == CHECK_BIOMARKER_IN_PHYS_RANGE:
+        return inputs.biomarker is not None and not (
+            cfg.biomarker_min <= inputs.biomarker <= cfg.biomarker_max
+        )
+    raise ConfigurationError(f"unknown trust check {name!r}")
+
+
+def boundary_inputs():
+    """TrustInputs at each check's boundaries, one field varied at a time."""
+    flags = (QUALITY_OK, QUALITY_SATURATED, QUALITY_FLATLINE, QUALITY_IMPOSSIBLE,
+             QUALITY_EXTERNAL_NOISE)
+    for subset in itertools.product((False, True), repeat=len(flags)):
+        yield TrustInputs(quality=frozenset(f for f, on in zip(flags, subset) if on))
+    for est in (-0.0, 0.0, -1e-9, None, 1e-9):
+        yield TrustInputs(ecap_est_uV=est)
+    for battery in (2.9999, 3.0, 3.0001):
+        yield TrustInputs(battery_v=battery, eos_threshold_v=3.0)
+    for ohm in (49.999, 50.0, 10_000.0, 10_000.001):
+        yield TrustInputs(impedance_ohm=ohm)
+    for leak in (False, True):
+        yield TrustInputs(dc_leak=leak)
+    for marker in (None, math.nan, math.inf, -math.inf, 0.0, 10.0, 10.000001):
+        yield TrustInputs(biomarker=marker)
+
+
+class TestCheckTable:
+    CFGS = (
+        TrustConfig(exit_after_consecutive_fails=1, reenter_after_consecutive_passes=1,
+                    checks=tuple(CHECK_FAILS)),
+        TrustConfig(exit_after_consecutive_fails=1, reenter_after_consecutive_passes=1,
+                    checks=tuple(CHECK_FAILS), biomarker_min=0.0, biomarker_max=10.0),
+    )
+
+    def test_table_agrees_with_the_ladder(self):
+        cases = 0
+        for cfg in self.CFGS:
+            for inputs in boundary_inputs():
+                for name in cfg.checks:
+                    assert bool(CHECK_FAILS[name](inputs, cfg)) == bool(
+                        ladder_check_fails(name, inputs, cfg)
+                    ), (name, inputs, cfg)
+                    cases += 1
+                _, passed, failed = trust_check_step(inputs, cfg, SupervisorState())
+                assert failed == tuple(
+                    c for c in cfg.checks if ladder_check_fails(c, inputs, cfg)
+                )
+                assert passed == (not failed)
+        assert cases == 2 * 6 * (32 + 5 + 3 + 4 + 2 + 7)
+
+    def test_table_names_every_check(self):
+        assert set(CHECK_FAILS) == {
+            CHECK_QUALITY_OK, CHECK_ECAP_NONNEGATIVE, CHECK_BATTERY_ABOVE_EOS,
+            CHECK_IMPEDANCE_IN_RANGE, CHECK_NO_DC_LEAK, CHECK_BIOMARKER_IN_PHYS_RANGE,
+        }
+
+    @pytest.mark.parametrize("bad", ["Nope", [], {}, None, 1, True])
+    def test_unknown_check_is_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="unknown trust check"):
+            TrustConfig(exit_after_consecutive_fails=1, reenter_after_consecutive_passes=1,
+                        checks=(bad,))
 
 
 class TestTrustChecks:
@@ -205,6 +291,11 @@ class TestSupervisor:
 
     def test_clinician_reset_is_only_exit(self):
         st = SupervisorState(mode=MODE_DC_LEAK_RESET)
+        # The supervisor never leaves a reset mode by itself, whatever it sees.
+        for verdict in (True, False):
+            for magnet in (True, False):
+                stayed, _ = self.step(st, verdict, magnet=magnet)
+                assert stayed.mode == MODE_DC_LEAK_RESET
         st, events = clinician_reset(st, tick=7)
         assert st.mode == MODE_AUTOMATED
         assert events[0].payload["clinician_reset"] is True
