@@ -25,6 +25,8 @@ seed alone. Per-tick columns are (S, n_ticks) arrays; each lane's result
 holds row views of them. A lane-tick builds a state or dose object only
 where a value changes: a held dose, an unchanged supervisor mode, an idle
 policy or budget and a device that drains nothing are passed on as they are.
+The trust dwell streaks are plain counters on the lane, and the device
+checks re-run only when the lane's (frozen) device state is a new object.
 
 Plant and feature extraction together are one sensing object per plant kind
 (``EcapSensing``, ``BetaSensing``, ``IeegSensing``); the policy is the
@@ -85,8 +87,8 @@ from .safety import (
     MODE_AUTOMATED,
     MODE_FALLBACK,
     SupervisorState,
-    TrustInputs,
     clamp_and_slew,
+    failed_device_checks,
     fallback_dose,
     supervisor_step,
     therapy_and_episode_budget_step,
@@ -170,6 +172,9 @@ class _Lane:
         self.magnet = magnet
         self.measures_ecap = measures_ecap
         self.sup = SupervisorState()
+        self.fail_streak = self.pass_streak = 0
+        self.checked_device = None   # the device whose checks device_fails holds
+        self.device_fails = 0
         self.pol_state = PolicyState()
         self.budgets = scenario.budgets
         self.device = scenario.device
@@ -215,33 +220,23 @@ class _Lane:
             threshold_now = policy.setpoint
 
         # ---- trust checks -----------------------------------------------
-        verdict_pass = False
+        trust = sc.trust
         if not in_reset:
-            inputs = TrustInputs(
-                quality=qual,
-                ecap_est_uV=measured if self.measures_ecap else None,
-                battery_v=device.battery_v,
-                eos_threshold_v=device.eos_threshold_v,
-                impedance_ohm=device.impedance_of(baseline.contact_set),
-                dc_leak=device.dc_leak_flag,
-                biomarker=measured,
+            if device is not self.checked_device:
+                self.checked_device = device
+                self.device_fails = failed_device_checks(trust, device, baseline.contact_set)
+            self.fail_streak, self.pass_streak, failed = trust_check_step(
+                trust, qual, measured if self.measures_ecap else None, measured,
+                self.device_fails, self.fail_streak, self.pass_streak,
             )
-            sup, verdict_pass, failed = trust_check_step(inputs, sc.trust, sup)
-            if not verdict_pass and sup.fail_streak == 1:
-                log.append(
-                    EventRecord(t, SEVERITY_ALERT, EVENT_TRUST_FAIL, {"checks": list(failed)})
-                )
+            if failed and self.fail_streak == 1:
+                log.append(EventRecord(t, SEVERITY_ALERT, EVENT_TRUST_FAIL,
+                                       {"checks": trust.names(failed)}))
 
         # ---- supervisor -------------------------------------------------
         sup, sup_events = supervisor_step(
-            sup,
-            verdict_pass,
-            self.magnet[t],
-            device,
-            sc.trust,
-            sc.fallback,
-            t,
-            last_good_candidate=self.last_good,
+            sup, self.fail_streak, self.pass_streak, self.magnet[t], device, trust,
+            sc.fallback, t, last_good_candidate=self.last_good,
         )
         self.sup = sup
         log.extend(sup_events)
@@ -276,7 +271,7 @@ class _Lane:
 
         # A "known good" dose is one the automated loop chose while trust
         # passed; forced-off doses (suspend/reset) never qualify.
-        if mode == MODE_AUTOMATED and verdict_pass:
+        if mode == MODE_AUTOMATED and self.fail_streak == 0:
             self.last_good = delivered
 
         # ---- device -----------------------------------------------------

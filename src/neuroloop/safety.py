@@ -5,7 +5,10 @@ command — whatever mode the loop is in — passes through ``clamp_and_slew``,
 so amplitude bounds, slew limits, and charge limits hold unconditionally.
 Trust checks watch the sensing and device assumptions; enough consecutive
 failures drive the supervisor from Automated into a fallback mode, and only
-enough consecutive passes let it back in. Magnet application suspends
+enough consecutive passes let it back in. Each check is one bit of a
+failed-check mask. The dwell streaks are the caller's counters, not
+supervisor state, and the device checks need re-running only when the
+(frozen) device state is a new object. Magnet application suspends
 therapy and restores the previous mode on removal. End-of-service and
 DC-leak conditions latch the device into reset states for the rest of the
 run: nothing a scenario can express leaves them.
@@ -17,7 +20,7 @@ the MODE_* records reconstructs the mode trajectory exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .core import (
@@ -65,13 +68,20 @@ MODE_EVENT_CODES = {
     MODE_DC_LEAK_RESET: EVENT_MODE_DC_LEAK_RESET,
 }
 
-# Trust check names.
+# Trust check names, and each check's bit in a mask of failed checks.
 CHECK_QUALITY_OK = "QualityOK"
 CHECK_ECAP_NONNEGATIVE = "EcapNonNegative"
 CHECK_BATTERY_ABOVE_EOS = "BatteryAboveEos"
 CHECK_IMPEDANCE_IN_RANGE = "ImpedanceInRange"
 CHECK_NO_DC_LEAK = "NoDcLeak"
 CHECK_BIOMARKER_IN_PHYS_RANGE = "BiomarkerInPhysRange"
+_QUALITY_BIT, _ECAP_BIT, _BATTERY_BIT, _IMPEDANCE_BIT, _DC_LEAK_BIT, _BIOMARKER_BIT = (
+    1, 2, 4, 8, 16, 32)
+CHECK_BITS = {
+    CHECK_QUALITY_OK: _QUALITY_BIT, CHECK_ECAP_NONNEGATIVE: _ECAP_BIT,
+    CHECK_BATTERY_ABOVE_EOS: _BATTERY_BIT, CHECK_IMPEDANCE_IN_RANGE: _IMPEDANCE_BIT,
+    CHECK_NO_DC_LEAK: _DC_LEAK_BIT, CHECK_BIOMARKER_IN_PHYS_RANGE: _BIOMARKER_BIT,
+}
 
 
 class EventLog:
@@ -171,7 +181,8 @@ class TrustConfig:
 
     ``exit_after_consecutive_fails`` (K_exit) failures in a row push the
     supervisor out of Automated; ``reenter_after_consecutive_passes``
-    (K_enter) passes in a row let it back in.
+    (K_enter) passes in a row let it back in. ``mask`` ORs the enabled
+    checks' bits.
     """
 
     exit_after_consecutive_fails: int
@@ -181,49 +192,42 @@ class TrustConfig:
     impedance_max_ohm: float = 10_000.0
     biomarker_min: float = float("-inf")
     biomarker_max: float = float("inf")
+    mask: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.exit_after_consecutive_fails < 1:
             raise ConfigurationError("K_exit must be >= 1")
         if self.reenter_after_consecutive_passes < 1:
             raise ConfigurationError("K_enter must be >= 1")
+        mask = 0
         for c in self.checks:
-            if not isinstance(c, str) or c not in CHECK_FAILS:
+            if not isinstance(c, str) or c not in CHECK_BITS:
                 raise ConfigurationError(f"unknown trust check {c!r}")
+            mask |= CHECK_BITS[c]
+        object.__setattr__(self, "mask", mask)
 
-
-@dataclass
-class TrustInputs:
-    """Snapshot of everything the enabled checks may look at this tick.
-
-    Built once per tick and never changed; not frozen, which makes it cheap.
-    """
-
-    quality: frozenset = frozenset({QUALITY_OK})
-    ecap_est_uV: Optional[float] = None
-    battery_v: float = float("inf")
-    eos_threshold_v: float = 0.0
-    impedance_ohm: float = 1000.0
-    dc_leak: bool = False
-    biomarker: Optional[float] = None
+    def names(self, failed: int) -> list:
+        """The enabled checks whose bits are set in ``failed``, in ``checks`` order."""
+        return [c for c in self.checks if CHECK_BITS[c] & failed]
 
 
 _OK_ONLY = frozenset({QUALITY_OK})
 
-# Each trust check's failure predicate, by check name: (inputs, cfg) -> True
-# when the check fails this tick.
-CHECK_FAILS = {
-    CHECK_QUALITY_OK: lambda i, cfg: i.quality != _OK_ONLY,
-    CHECK_ECAP_NONNEGATIVE: lambda i, cfg: i.ecap_est_uV is not None and i.ecap_est_uV < 0.0,
-    CHECK_BATTERY_ABOVE_EOS: lambda i, cfg: i.battery_v < i.eos_threshold_v,
-    CHECK_IMPEDANCE_IN_RANGE: lambda i, cfg: not (
-        cfg.impedance_min_ohm <= i.impedance_ohm <= cfg.impedance_max_ohm
-    ),
-    CHECK_NO_DC_LEAK: lambda i, cfg: i.dc_leak,
-    CHECK_BIOMARKER_IN_PHYS_RANGE: lambda i, cfg: i.biomarker is not None and not (
-        cfg.biomarker_min <= i.biomarker <= cfg.biomarker_max
-    ),
-}
+
+def failed_device_checks(cfg: TrustConfig, device: DeviceState, contact_set: str) -> int:
+    """The mask of the device checks ``device`` fails, enabled or not.
+
+    A ``DeviceState`` is frozen, so a lane runs this only when its device
+    object changes; ``trust_check_step`` keeps the enabled checks' bits.
+    """
+    failed = 0
+    if device.battery_v < device.eos_threshold_v:
+        failed |= _BATTERY_BIT
+    if not cfg.impedance_min_ohm <= device.impedance_of(contact_set) <= cfg.impedance_max_ohm:
+        failed |= _IMPEDANCE_BIT
+    if device.dc_leak_flag:
+        failed |= _DC_LEAK_BIT
+    return failed
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +286,13 @@ def fallback_dose(kind: FallbackKind, st: "SupervisorState", baseline: Dose) -> 
 
 @dataclass(frozen=True)
 class SupervisorState:
-    """Mode plus the dwell counters and capture registers that drive it."""
+    """Mode plus the capture registers that drive it.
+
+    The dwell streaks are not here: they change on every tick, so each lane
+    keeps them as plain counters and passes them to ``supervisor_step``.
+    """
 
     mode: str = MODE_AUTOMATED
-    fail_streak: int = 0
-    pass_streak: int = 0
     last_known_good: Optional[Dose] = None
     resume_mode: str = MODE_AUTOMATED  # mode to restore when the magnet lifts
     magnet_prev: bool = False
@@ -302,43 +308,45 @@ class SupervisorState:
 
         A ``resume_mode`` or ``last_known_good`` of None keeps this state's.
         """
-        return SupervisorState(mode, self.fail_streak, self.pass_streak,
-                               last_known_good or self.last_known_good,
+        return SupervisorState(mode, last_known_good or self.last_known_good,
                                resume_mode or self.resume_mode, *edges)
 
 
-def trust_check_step(
-    inputs: TrustInputs, cfg: TrustConfig, st: SupervisorState
-) -> tuple[SupervisorState, bool, tuple]:
+def trust_check_step(cfg: TrustConfig, quality: frozenset, ecap_est_uV: Optional[float],
+                     biomarker: Optional[float], device_fails: int, fail_streak: int,
+                     pass_streak: int) -> tuple[int, int, int]:
     """Evaluate the enabled checks and update the dwell streaks.
 
-    Returns (state, passed, failed_check_names). A pass resets the fail
-    streak and vice versa.
+    The signal checks (QualityOK, EcapNonNegative, BiomarkerInPhysRange) read
+    this tick's reading; ``device_fails`` is ``failed_device_checks`` of the
+    lane's device. Returns (fail_streak, pass_streak, failed_mask): the tick
+    passes when the mask is 0. A pass resets the fail streak and vice versa.
     """
-    failed = tuple(c for c in cfg.checks if CHECK_FAILS[c](inputs, cfg))
-    fails, passes = (st.fail_streak + 1, 0) if failed else (0, st.pass_streak + 1)
-    st = SupervisorState(st.mode, fails, passes, st.last_known_good, st.resume_mode,
-                         st.magnet_prev, st.dc_leak_prev)
-    return st, not failed, failed
+    failed = device_fails
+    if quality != _OK_ONLY:
+        failed |= _QUALITY_BIT
+    if ecap_est_uV is not None and ecap_est_uV < 0.0:
+        failed |= _ECAP_BIT
+    if biomarker is not None and not cfg.biomarker_min <= biomarker <= cfg.biomarker_max:
+        failed |= _BIOMARKER_BIT
+    failed &= cfg.mask
+    if failed:
+        return fail_streak + 1, 0, failed
+    return 0, pass_streak + 1, 0
 
 
-def supervisor_step(
-    st: SupervisorState,
-    verdict_pass: bool,
-    magnet_applied: bool,
-    device: DeviceState,
-    trust: TrustConfig,
-    fallback: FallbackKind,
-    tick: int = 0,
-    last_good_candidate: Optional[Dose] = None,
-) -> tuple[SupervisorState, list[EventRecord]]:
-    """Advance the mode machine one tick.
+def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
+                    magnet_applied: bool, device: DeviceState, trust: TrustConfig,
+                    fallback: FallbackKind, tick: int = 0,
+                    last_good_candidate: Optional[Dose] = None,
+                    ) -> tuple[SupervisorState, list[EventRecord]]:
+    """Advance the mode machine one tick, given the lane's dwell streaks.
 
     Precedence, highest first: DC leak, end of service, magnet, trust
     dwell rules. Reset modes latch for the rest of the run: any transition
-    that would otherwise fire is suppressed with an Info record. Magnet
-    suspension preserves the streak counters and restores the pre-suspension
-    mode on removal.
+    that would otherwise fire is suppressed with an Info record. The
+    streaks are read, never changed, so magnet suspension preserves them;
+    removal restores the pre-suspension mode.
     """
     events: list[EventRecord] = []
 
@@ -385,25 +393,16 @@ def supervisor_step(
         return st.moved(st.resume_mode, edges), events
 
     if st.mode == MODE_AUTOMATED:
-        if st.fail_streak >= trust.exit_after_consecutive_fails:
-            emit(
-                MODE_FALLBACK,
-                SEVERITY_ALERT,
-                {"kind": type(fallback).__name__, "fail_streak": st.fail_streak},
-            )
+        if fail_streak >= trust.exit_after_consecutive_fails:
+            emit(MODE_FALLBACK, SEVERITY_ALERT,
+                 {"kind": type(fallback).__name__, "fail_streak": fail_streak})
             return st.moved(MODE_FALLBACK, edges, last_known_good=last_good_candidate), events
         return stay, events
 
     if st.mode == MODE_FALLBACK:
-        if st.pass_streak >= trust.reenter_after_consecutive_passes:
-            events.append(
-                EventRecord(
-                    tick,
-                    SEVERITY_INFO,
-                    EVENT_TRUST_REENTER,
-                    {"pass_streak": st.pass_streak},
-                )
-            )
+        if pass_streak >= trust.reenter_after_consecutive_passes:
+            events.append(EventRecord(tick, SEVERITY_INFO, EVENT_TRUST_REENTER,
+                                      {"pass_streak": pass_streak}))
             emit(MODE_AUTOMATED, SEVERITY_ALERT, {"from": MODE_FALLBACK})
             return st.moved(MODE_AUTOMATED, edges), events
         return stay, events

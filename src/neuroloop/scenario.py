@@ -6,8 +6,9 @@ fallback behavior, budgets, and output selection. The on-disk format is
 UTF-8 JSON with a top-level ``"schema": 1`` field; see the shipped files
 under ``scenarios/`` for worked examples of each plant kind. One reader,
 ``_read``, builds each section's dataclass from its key list (the schema
-table below): a key the file omits keeps the dataclass default, and a field
-without a default is required.
+table below): a key the file omits keeps the dataclass default, a field
+without a default is required, and each value must have the field's JSON
+type; numbers must be finite.
 
 ``validate_scenario`` is the only code that builds a ``Scenario``. It runs
 the design checklist: every finding is tagged with the checklist item it
@@ -22,6 +23,7 @@ An ``ok`` scenario runs without configuration errors. A derived scenario
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -228,18 +230,36 @@ def _require(raw: dict, key: str, where: str):
     return raw[key]
 
 
-def _object(value, where: str) -> dict:
-    """``value`` itself, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", bool: "true or false"}
+
+
+def _object(value, where: str, kind: type = dict):
+    """``value`` itself, which must be a JSON object (or of JSON type ``kind``)."""
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
+def _finite(value) -> float:
+    """``float(value)``, which must be finite: JSON parsing lets NaN, Infinity and 1e999 in."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
+def _int(value) -> int:
+    """``int(value)``; a float must be finite."""
+    return int(_finite(value) if isinstance(value, float) else value)
+
+
 # Converter for each field annotation a key may name (annotations are strings
-# under postponed evaluation). The one dict field is the device's impedance
-# map, and a ``Dose`` field reads a nested dose object.
-_CONVERT = {"float": float, "int": int, "bool": bool, "str": str, "tuple": tuple, "Dose": Dose,
-            "dict": lambda m: {str(k): float(v) for k, v in
+# under postponed evaluation). A bool must be a JSON boolean and a tuple a
+# JSON array. The one dict field is the device's impedance map, and a
+# ``Dose`` field reads a nested dose object.
+_CONVERT = {"float": _finite, "int": _int, "bool": lambda v: _object(v, "value", bool),
+            "str": str, "tuple": lambda v: tuple(_object(v, "value", list)), "Dose": Dose,
+            "dict": lambda m: {str(k): _finite(v) for k, v in
                                _object(m, "plant.device.impedance_ohm").items()}}
 
 
@@ -369,7 +389,7 @@ def _build_seed(raw: dict) -> int:
 
 def _build_timebase(raw: dict) -> TimeBase:
     tb = _object(_require(raw, "timebase", "scenario"), "timebase")
-    timebase = make_timebase(float(tb["dt_s"]), float(tb["duration_s"]))
+    timebase = make_timebase(_finite(tb["dt_s"]), _finite(tb["duration_s"]))
     if timebase.n_ticks > MAX_TICKS:
         raise ConfigurationError(
             f"timebase has {timebase.n_ticks} ticks, more than the {MAX_TICKS} a run may have"
@@ -383,7 +403,8 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
     device = _read(DEVICE, _require(p, "device", "plant"), "plant.device")
     track = DisturbanceTrack(tuple(sorted(
         (_read(_kind(DISTURBANCES, _object(d, "disturbance")["kind"], "disturbance"),
-               d, "disturbance") for d in p.get("disturbances", [])),
+               d, "disturbance") for d in _object(p.get("disturbances", []),
+                                                  "plant.disturbances", list)),
         key=lambda seg: seg.start_tick,
     )))
 
@@ -428,9 +449,9 @@ def _build_features(raw: dict, plant: PlantSpec) -> FeatureSpec:
 
 def _build_magnet(raw: dict) -> tuple:
     out = []
-    for iv in raw.get("magnet", []):
+    for iv in _object(raw.get("magnet", []), "magnet", list):
         iv = _object(iv, "magnet interval")
-        start, end = int(iv["start_tick"]), int(iv["end_tick"])
+        start, end = _int(iv["start_tick"]), _int(iv["end_tick"])
         if not (0 <= start < end):
             raise ConfigurationError(
                 f"magnet interval needs 0 <= start_tick < end_tick, got [{start}, {end})"
@@ -445,7 +466,7 @@ def _build_metrics_cfg(raw: dict) -> MetricsConfig:
     sr = m.get("step_response")
     if rng is not None:
         lo, hi = rng
-        rng = (float(lo), float(hi))
+        rng = (_finite(lo), _finite(hi))
     if sr is not None:
         sr = _read(STEP_RESPONSE, sr, "metrics.step_response")
     return MetricsConfig(biomarker_range=rng, step_response=sr)
@@ -530,7 +551,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
     def attempt(item: str, builder):
         try:
             return builder()
-        except (SimulationError, KeyError, TypeError, ValueError) as e:
+        except (SimulationError, KeyError, TypeError, ValueError, OverflowError) as e:
             found(item, f"{type(e).__name__}: {e}")
             return None
 

@@ -46,7 +46,7 @@ from neuroloop.safety import (
     FixedSafe,
     SupervisorState,
     TrustConfig,
-    TrustInputs,
+    failed_device_checks,
     supervisor_step,
     trust_check_step,
 )
@@ -175,25 +175,29 @@ def _supervisor_transition_table(k_exit: int, k_enter: int):
         impedance_ohm_per_contact={"E1": 500.0},
         compliance_v=10.0, amp_step_mA=0.1,
     )
-    ok = TrustInputs(quality=frozenset({QUALITY_OK}))
-    bad = TrustInputs(quality=frozenset({QUALITY_IMPOSSIBLE}))
+    ok = frozenset({QUALITY_OK})
+    bad = frozenset({QUALITY_IMPOSSIBLE})
+    device_fails = failed_device_checks(trust, device, "E1")
 
     table = {}
     for mode in (MODE_AUTOMATED, MODE_FALLBACK):
         for f in range(k_exit + 1):
             for p in range(k_enter + 1):
                 for verdict_pass in (False, True):
-                    st = SupervisorState(mode=mode, fail_streak=f, pass_streak=p)
-                    st, passed, _ = trust_check_step(bad if not verdict_pass else ok, trust, st)
-                    assert passed == verdict_pass
-                    fail_after_trust = st.fail_streak
-                    st, _ = supervisor_step(st, passed, False, device, trust, fb)
+                    quality = ok if verdict_pass else bad
+                    f2, p2, failed = trust_check_step(
+                        trust, quality, None, None, device_fails, f, p
+                    )
+                    assert (failed == 0) == verdict_pass
+                    st, _ = supervisor_step(
+                        SupervisorState(mode=mode), f2, p2, False, device, trust, fb
+                    )
                     key = (mode, f, p, verdict_pass)
                     table[key] = (
                         st.mode,
-                        min(st.fail_streak, k_exit),
-                        min(st.pass_streak, k_enter),
-                        fail_after_trust >= k_exit,
+                        min(f2, k_exit),
+                        min(p2, k_enter),
+                        f2 >= k_exit,
                     )
     return table
 
@@ -233,12 +237,12 @@ def test_c06_supervisor_model_check():
         healthy = DeviceState(battery_v=3.6, eos_threshold_v=3.0,
                               impedance_ohm_per_contact={"E1": 500.0},
                               compliance_v=10.0, amp_step_mA=0.1)
-        st, _ = supervisor_step(SupervisorState(), True, False, dead, trust, fb)
+        st, _ = supervisor_step(SupervisorState(), 0, 1, False, dead, trust, fb)
         assert st.mode == MODE_EOS_RESET
-        for verdict, magnet in itertools.product((False, True), repeat=2):
+        for streaks, magnet in itertools.product(((0, 1), (1, 0)), (False, True)):
             st2 = st
             for _ in range(5):
-                st2, _ = supervisor_step(st2, verdict, magnet, healthy, trust, fb)
+                st2, _ = supervisor_step(st2, *streaks, magnet, healthy, trust, fb)
                 assert st2.mode == MODE_EOS_RESET
         st3, _ = clinician_reset(st)
         assert st3.mode == MODE_AUTOMATED

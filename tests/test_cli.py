@@ -67,6 +67,26 @@ class TestValidate:
         assert not (tmp_path / "o").exists()
         assert "not UTF-8" in capsys.readouterr().err
 
+    # JSON parsing reads the literals NaN, Infinity and 1e999 as floats. The
+    # first made validate raise OverflowError; the second validated and then
+    # crashed run; the third ran with every seizure undetected; the fourth
+    # made validate raise OverflowError.
+    @pytest.mark.parametrize("name, old, new", [
+        ("ecap_scs", '"duration_s": 30.0', '"duration_s": Infinity'),
+        ("ecap_scs", '"compliance_v": 12.0', '"compliance_v": NaN'),
+        ("rns_epilepsy", '"background_sd_uV": 10.0', '"background_sd_uV": NaN'),
+        ("rns_epilepsy", '"frame_len": 32', '"frame_len": -1e999'),
+    ])
+    def test_non_finite_literal_exit_2(self, tmp_path, capsys, name, old, new):
+        text = (SCENARIO_DIR / f"{name}.json").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path = tmp_path / "non_finite.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+        assert "is not a finite number" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name, edit", MUTATIONS,
                              ids=[f"{n}:{json.dumps(e)}" for n, e in MUTATIONS])
     def test_reproduced_mutations_exit_2(self, tmp_path, capsys, name, edit):

@@ -176,6 +176,29 @@ class TestEngineBasics:
             counts.append(len(built))
         assert counts[0] == counts[1] <= 1
 
+    def test_quiet_run_builds_no_supervisor_states(self, monkeypatch):
+        # No mode change and no magnet or DC-leak edge: the dwell streaks
+        # are lane counters, so a tick builds no SupervisorState and a run
+        # twice as long builds as many.
+        from neuroloop.safety import SupervisorState
+
+        built = []
+        init = SupervisorState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisorState, "__init__", counting_init)
+        counts = []
+        for duration_s in (4.0, 8.0):   # 200 and 400 ticks
+            scenario = scenario_from_dict(ecap_raw(timebase={"duration_s": duration_s}))
+            built.clear()
+            r = run_scenario(scenario)
+            assert r.mode == ["Automated"] * r.n_ticks and not r.events.records
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 1
+
     def test_events_sorted_by_tick(self):
         raw = ieeg_raw()
         r = run_scenario(scenario_from_dict(raw))

@@ -5,7 +5,8 @@ included) is set, one at a time, to each value in ``VALUES``, and is also
 deleted. Validation must return a report for every one of them, and whatever
 it passes must build and run: a 40-tick copy of each passing mutation runs
 without raising and without aborting. The deletions pin which keys are
-optional. Runtime budget (2-core host): under 15 s for the whole file.
+optional. Wrongly typed values and non-finite numbers are findings.
+Runtime budget (2-core host): under 15 s for the whole file.
 """
 
 import copy
@@ -17,7 +18,7 @@ from neuroloop.scenario import validate_scenario
 
 from conftest import reference_raw
 
-VALUES = ([], "x", None, {}, 1, -1, True, 0, 1e9)
+VALUES = ([], "x", None, {}, 1, -1, True, 0, 1e9, float("nan"), float("inf"), float("-inf"))
 DELETE = object()  # the mutation that removes the path
 SHORT_TICKS = 40
 # How many of each file's deletions still validate: the optional keys and
@@ -116,3 +117,53 @@ def test_threshold_mode_defaults_to_adaptive(mode, built):
     assert report.ok, report.findings
     assert report.scenario.features.tools[0].threshold_mode == built
 
+
+
+# A JSON type the field does not take once converted silently: ``{}`` read
+# as no trust checks or no magnet intervals, ``"x"`` as an enabled output,
+# and a string of checks as its characters.
+WRONG_TYPES = [
+    (("trust", "checks"), {}, "value must be a JSON array, got {}"),
+    (("trust", "checks"), "QualityOK", "value must be a JSON array, got 'QualityOK'"),
+    (("outputs", "timeseries"), {}, "value must be true or false, got {}"),
+    (("outputs", "timeseries"), "x", "value must be true or false, got 'x'"),
+    (("outputs", "summary"), {}, "value must be true or false, got {}"),
+    (("magnet",), {}, "magnet must be a JSON array, got {}"),
+    (("plant", "disturbances"), {}, "plant.disturbances must be a JSON array, got {}"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", WRONG_TYPES,
+                         ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in WRONG_TYPES])
+def test_wrong_json_type_is_a_finding(path, value, message):
+    report = validate_scenario(mutated(reference_raw("ecap_scs"), path, value))
+    assert [f.message for f in report.findings] == [f"ConfigurationError: {message}"]
+
+
+NUMBER_PATHS = [
+    ("timebase", "duration_s"),
+    ("plant", "device", "compliance_v"),
+    ("plant", "device", "impedance_ohm", "E1"),
+    ("trust", "exit_after_consecutive_fails"),
+    ("magnet",),
+    ("metrics", "range", 0),
+]
+
+
+@pytest.mark.parametrize("path", NUMBER_PATHS, ids=[".".join(map(str, p)) for p in NUMBER_PATHS])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+def test_non_finite_number_is_a_finding(path, value):
+    raw = reference_raw("ecap_scs")
+    if path == ("magnet",):
+        value = [{"start_tick": value, "end_tick": 10}]
+    report = validate_scenario(mutated(raw, path, value))
+    assert not report.ok
+    assert any("is not a finite number" in f.message for f in report.findings), report.findings
+
+
+def test_tick_count_overflow_is_a_finding():
+    # A finite duration whose tick count overflows once made validate raise.
+    report = validate_scenario(mutated(reference_raw("ecap_scs"), ("timebase", "duration_s"), 1e308))
+    assert [f.message for f in report.findings] == [
+        "OverflowError: cannot convert float infinity to integer"
+    ]

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -24,8 +26,8 @@ from neuroloop.safety import (
     Budgets,
     CHECK_BATTERY_ABOVE_EOS,
     CHECK_BIOMARKER_IN_PHYS_RANGE,
+    CHECK_BITS,
     CHECK_ECAP_NONNEGATIVE,
-    CHECK_FAILS,
     CHECK_IMPEDANCE_IN_RANGE,
     CHECK_NO_DC_LEAK,
     CHECK_QUALITY_OK,
@@ -48,8 +50,8 @@ from neuroloop.safety import (
     MODE_SUSPENDED_MAGNET,
     SupervisorState,
     TrustConfig,
-    TrustInputs,
     clamp_and_slew,
+    failed_device_checks,
     fallback_dose,
     supervisor_step,
     therapy_and_episode_budget_step,
@@ -104,6 +106,37 @@ class TestClampAndSlew:
         assert 0.0 <= out.amplitude_mA <= LIMITS.amp_max_mA
 
 
+@dataclass
+class TrustInputs:
+    """Oracle: everything the enabled checks may look at on one tick."""
+
+    quality: frozenset = frozenset({QUALITY_OK})
+    ecap_est_uV: Optional[float] = None
+    battery_v: float = float("inf")
+    eos_threshold_v: float = 0.0
+    impedance_ohm: float = 1000.0
+    dc_leak: bool = False
+    biomarker: Optional[float] = None
+
+
+_OK_ONLY = frozenset({QUALITY_OK})
+
+# Oracle: each trust check's failure predicate, by check name: (inputs, cfg)
+# -> True when the check fails this tick.
+CHECK_FAILS = {
+    CHECK_QUALITY_OK: lambda i, cfg: i.quality != _OK_ONLY,
+    CHECK_ECAP_NONNEGATIVE: lambda i, cfg: i.ecap_est_uV is not None and i.ecap_est_uV < 0.0,
+    CHECK_BATTERY_ABOVE_EOS: lambda i, cfg: i.battery_v < i.eos_threshold_v,
+    CHECK_IMPEDANCE_IN_RANGE: lambda i, cfg: not (
+        cfg.impedance_min_ohm <= i.impedance_ohm <= cfg.impedance_max_ohm
+    ),
+    CHECK_NO_DC_LEAK: lambda i, cfg: i.dc_leak,
+    CHECK_BIOMARKER_IN_PHYS_RANGE: lambda i, cfg: i.biomarker is not None and not (
+        cfg.biomarker_min <= i.biomarker <= cfg.biomarker_max
+    ),
+}
+
+
 def ladder_check_fails(name: str, inputs: TrustInputs, cfg: TrustConfig) -> bool:
     """Oracle of ``CHECK_FAILS``: the string ladder it replaced."""
     if name == CHECK_QUALITY_OK:
@@ -121,6 +154,23 @@ def ladder_check_fails(name: str, inputs: TrustInputs, cfg: TrustConfig) -> bool
             cfg.biomarker_min <= inputs.biomarker <= cfg.biomarker_max
         )
     raise ConfigurationError(f"unknown trust check {name!r}")
+
+
+def check(inputs: TrustInputs, cfg: TrustConfig, fail_streak: int = 0, pass_streak: int = 0):
+    """``trust_check_step`` as the engine calls it, on the oracle's inputs.
+
+    Returns (fail_streak, pass_streak, passed, failed check names).
+    """
+    device = DeviceState(
+        battery_v=inputs.battery_v, eos_threshold_v=inputs.eos_threshold_v,
+        impedance_ohm_per_contact={"E1": inputs.impedance_ohm},
+        compliance_v=10.0, amp_step_mA=0.1, dc_leak_flag=inputs.dc_leak,
+    )
+    fails, passes, mask = trust_check_step(
+        cfg, inputs.quality, inputs.ecap_est_uV, inputs.biomarker,
+        failed_device_checks(cfg, device, "E1"), fail_streak, pass_streak,
+    )
+    return fails, passes, mask == 0, tuple(cfg.names(mask))
 
 
 def boundary_inputs():
@@ -153,23 +203,43 @@ class TestCheckTable:
         cases = 0
         for cfg in self.CFGS:
             for inputs in boundary_inputs():
+                _, _, passed, failed = check(inputs, cfg)
                 for name in cfg.checks:
-                    assert bool(CHECK_FAILS[name](inputs, cfg)) == bool(
-                        ladder_check_fails(name, inputs, cfg)
-                    ), (name, inputs, cfg)
+                    expected = bool(ladder_check_fails(name, inputs, cfg))
+                    assert bool(CHECK_FAILS[name](inputs, cfg)) == expected, (name, inputs)
+                    assert (name in failed) == expected, (name, inputs)
                     cases += 1
-                _, passed, failed = trust_check_step(inputs, cfg, SupervisorState())
                 assert failed == tuple(
                     c for c in cfg.checks if ladder_check_fails(c, inputs, cfg)
                 )
                 assert passed == (not failed)
         assert cases == 2 * 6 * (32 + 5 + 3 + 4 + 2 + 7)
 
+    def test_each_check_alone_masks_the_others(self):
+        # With one check enabled, only its own failure counts.
+        for name in CHECK_BITS:
+            cfg = TrustConfig(exit_after_consecutive_fails=1, reenter_after_consecutive_passes=1,
+                              checks=(name,), biomarker_min=0.0, biomarker_max=10.0)
+            for inputs in boundary_inputs():
+                _, _, passed, failed = check(inputs, cfg)
+                assert passed == (not CHECK_FAILS[name](inputs, cfg)), (name, inputs)
+                assert failed == (() if passed else (name,))
+
     def test_table_names_every_check(self):
-        assert set(CHECK_FAILS) == {
+        assert set(CHECK_BITS) == set(CHECK_FAILS) == {
             CHECK_QUALITY_OK, CHECK_ECAP_NONNEGATIVE, CHECK_BATTERY_ABOVE_EOS,
             CHECK_IMPEDANCE_IN_RANGE, CHECK_NO_DC_LEAK, CHECK_BIOMARKER_IN_PHYS_RANGE,
         }
+        bits = sorted(CHECK_BITS.values())
+        assert bits == [1 << i for i in range(len(bits))]
+
+    def test_failed_names_follow_the_configured_order(self):
+        cfg = TrustConfig(exit_after_consecutive_fails=1, reenter_after_consecutive_passes=1,
+                          checks=(CHECK_NO_DC_LEAK, CHECK_QUALITY_OK, CHECK_BATTERY_ABOVE_EOS))
+        inputs = TrustInputs(quality=frozenset({QUALITY_SATURATED}), dc_leak=True,
+                             battery_v=2.0, eos_threshold_v=3.0)
+        assert check(inputs, cfg)[3] == (
+            CHECK_NO_DC_LEAK, CHECK_QUALITY_OK, CHECK_BATTERY_ABOVE_EOS)
 
     @pytest.mark.parametrize("bad", ["Nope", [], {}, None, 1, True])
     def test_unknown_check_is_rejected(self, bad):
@@ -186,29 +256,22 @@ class TestTrustChecks:
     )
 
     def test_all_pass_updates_streaks(self):
-        st = SupervisorState(fail_streak=2)
-        st, passed, failed = trust_check_step(TrustInputs(), self.CFG, st)
+        fails, passes, passed, failed = check(TrustInputs(), self.CFG, fail_streak=2)
         assert passed and failed == ()
-        assert st.pass_streak == 1 and st.fail_streak == 0
+        assert passes == 1 and fails == 0
 
     def test_negative_ecap_estimate_fails(self):
-        st, passed, failed = trust_check_step(
-            TrustInputs(ecap_est_uV=-0.2), self.CFG, SupervisorState()
-        )
+        fails, passes, passed, failed = check(TrustInputs(ecap_est_uV=-0.2), self.CFG)
         assert not passed and failed == (CHECK_ECAP_NONNEGATIVE,)
-        assert st.fail_streak == 1 and st.pass_streak == 0
+        assert fails == 1 and passes == 0
 
     def test_battery_below_eos_fails(self):
-        st, passed, failed = trust_check_step(
-            TrustInputs(battery_v=2.9, eos_threshold_v=3.0), self.CFG, SupervisorState()
-        )
+        _, _, passed, failed = check(TrustInputs(battery_v=2.9, eos_threshold_v=3.0), self.CFG)
         assert not passed and CHECK_BATTERY_ABOVE_EOS in failed
 
     def test_bad_quality_fails(self):
-        _, passed, failed = trust_check_step(
-            TrustInputs(quality=frozenset({QUALITY_IMPOSSIBLE})),
-            self.CFG,
-            SupervisorState(),
+        _, _, passed, failed = check(
+            TrustInputs(quality=frozenset({QUALITY_IMPOSSIBLE})), self.CFG
         )
         assert not passed and CHECK_QUALITY_OK in failed
 
@@ -221,45 +284,46 @@ class TestSupervisor:
     )
     FB = FixedSafe(dose=dose(2.0))
 
-    def step(self, st, verdict, magnet=False, device=DEVICE, tick=0, candidate=None):
+    def step(self, st, streaks=(0, 1), magnet=False, device=DEVICE, tick=0, candidate=None):
+        """One supervisor tick; ``streaks`` is the lane's (fail, pass) streaks."""
         return supervisor_step(
-            st, verdict, magnet, device, self.TRUST, self.FB, tick, candidate
+            st, *streaks, magnet, device, self.TRUST, self.FB, tick, candidate
         )
 
     def test_exit_dwell_rule(self):
-        st = SupervisorState(fail_streak=3)
-        st, events = self.step(st, False)
+        st, events = self.step(SupervisorState(), (3, 0))
         assert st.mode == MODE_FALLBACK
         assert [e.code for e in events] == [EVENT_MODE_FALLBACK]
+        assert events[0].payload["fail_streak"] == 3
 
     def test_no_exit_below_dwell(self):
-        st = SupervisorState(fail_streak=2)
-        st, events = self.step(st, False)
+        st, events = self.step(SupervisorState(), (2, 0))
         assert st.mode == MODE_AUTOMATED and events == []
 
     def test_reentry_dwell_rule(self):
-        st = SupervisorState(mode=MODE_FALLBACK, pass_streak=5)
-        st, events = self.step(st, True)
+        st, events = self.step(SupervisorState(mode=MODE_FALLBACK), (0, 5))
         assert st.mode == MODE_AUTOMATED
         assert EVENT_MODE_AUTOMATED in [e.code for e in events]
 
     def test_magnet_suspends_and_resumes_preserving_streaks(self):
-        st = SupervisorState(fail_streak=2, pass_streak=0)
-        st, _ = self.step(st, True, magnet=True)
+        # The lane's streaks stand at 2 fails throughout the suspension; the
+        # supervisor only reads them, so the third fail after removal exits.
+        st, _ = self.step(SupervisorState(), (2, 0), magnet=True)
         assert st.mode == MODE_SUSPENDED_MAGNET
         for _ in range(99):
-            st, events = self.step(st, True, magnet=True)
+            st, events = self.step(st, (2, 0), magnet=True)
             assert st.mode == MODE_SUSPENDED_MAGNET and events == []
-        assert st.fail_streak == 2  # untouched by this layer
-        st, events = self.step(st, True, magnet=False)
+        assert not hasattr(st, "fail_streak")  # untouched by this layer
+        st, events = self.step(st, (2, 0), magnet=False)
         assert st.mode == MODE_AUTOMATED
-        assert st.fail_streak == 2
+        st, events = self.step(st, (3, 0))
+        assert st.mode == MODE_FALLBACK
 
     def test_magnet_resumes_fallback_not_automated(self):
         st = SupervisorState(mode=MODE_FALLBACK)
-        st, _ = self.step(st, True, magnet=True)
+        st, _ = self.step(st, magnet=True)
         assert st.mode == MODE_SUSPENDED_MAGNET and st.resume_mode == MODE_FALLBACK
-        st, _ = self.step(st, True, magnet=False)
+        st, _ = self.step(st, magnet=False)
         assert st.mode == MODE_FALLBACK
 
     def test_eos_reset_fault_and_absorbing(self):
@@ -268,15 +332,15 @@ class TestSupervisor:
             impedance_ohm_per_contact={"E1": 500.0},
             compliance_v=10.0, amp_step_mA=0.1,
         )
-        st, events = self.step(SupervisorState(), True, device=dead)
+        st, events = self.step(SupervisorState(), device=dead)
         assert st.mode == MODE_EOS_RESET
         assert events[0].code == EVENT_MODE_EOS_RESET
         assert events[0].severity == SEVERITY_FAULT
         # Absorbing: magnet and passing verdicts cannot leave the reset.
-        st, events = self.step(st, True, magnet=True, device=dead)
+        st, events = self.step(st, magnet=True, device=dead)
         assert st.mode == MODE_EOS_RESET
         assert all(e.severity == SEVERITY_INFO for e in events)
-        st, _ = self.step(st, True, device=DEVICE)
+        st, _ = self.step(st, device=DEVICE)
         assert st.mode == MODE_EOS_RESET
 
     def test_dc_leak_takes_precedence_over_eos_and_magnet(self):
@@ -285,16 +349,16 @@ class TestSupervisor:
             impedance_ohm_per_contact={"E1": 500.0},
             compliance_v=10.0, amp_step_mA=0.1, dc_leak_flag=True,
         )
-        st, events = self.step(SupervisorState(), True, magnet=True, device=broken)
+        st, events = self.step(SupervisorState(), magnet=True, device=broken)
         assert st.mode == MODE_DC_LEAK_RESET
         assert events[0].severity == SEVERITY_FAULT
 
     def test_clinician_reset_is_only_exit(self):
         st = SupervisorState(mode=MODE_DC_LEAK_RESET)
         # The supervisor never leaves a reset mode by itself, whatever it sees.
-        for verdict in (True, False):
+        for streaks in ((0, 5), (5, 0)):
             for magnet in (True, False):
-                stayed, _ = self.step(st, verdict, magnet=magnet)
+                stayed, _ = self.step(st, streaks, magnet=magnet)
                 assert stayed.mode == MODE_DC_LEAK_RESET
         st, events = clinician_reset(st, tick=7)
         assert st.mode == MODE_AUTOMATED
@@ -304,9 +368,8 @@ class TestSupervisor:
         assert st2.mode == MODE_AUTOMATED and events2 == []
 
     def test_fallback_captures_last_known_good(self):
-        st = SupervisorState(fail_streak=3)
         good = dose(4.2)
-        st, _ = self.step(st, False, candidate=good)
+        st, _ = self.step(SupervisorState(), (3, 0), candidate=good)
         assert st.last_known_good == good
         assert fallback_dose(LastKnownGood(), st, dose(1.0)) == good
 
