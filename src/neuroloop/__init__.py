@@ -19,7 +19,6 @@ Layout:
 """
 
 from .core import (
-    BiomarkerSample,
     Dose,
     DoseLimits,
     EventRecord,
@@ -35,7 +34,6 @@ from .scenario import Scenario, load_scenario, scenario_from_dict, validate_scen
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiomarkerSample",
     "Dose",
     "DoseLimits",
     "EventRecord",

@@ -57,6 +57,7 @@ QUALITY_IMPOSSIBLE = "Impossible"
 QUALITY_EXTERNAL_NOISE = "ExternalNoise"
 
 # Biomarker taxonomy tags: three reactive classes plus feedforward signals.
+# The loop does not read them; they name each biomarker's class for reports.
 KIND_REACTIVE_1 = "Reactive1"   # surrogate of the clinical outcome itself
 KIND_REACTIVE_2 = "Reactive2"   # mechanism-of-action proxy
 KIND_REACTIVE_3 = "Reactive3"   # delivered-energy measurement
@@ -198,20 +199,6 @@ class DoseLimits:
             raise ConfigurationError("max_slew_mA_per_tick must be positive")
         if self.max_charge_per_pulse_uC <= 0:
             raise ConfigurationError("max_charge_per_pulse_uC must be positive")
-
-
-@dataclass(frozen=True)
-class BiomarkerSample:
-    """A timestamped feature value with taxonomy tag and quality flags."""
-
-    tick: int
-    value: float
-    kind: str = KIND_REACTIVE_1
-    quality: frozenset = frozenset({QUALITY_OK})
-
-    @property
-    def ok(self) -> bool:
-        return self.quality == frozenset({QUALITY_OK})
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ One loop runs S lanes in lockstep: the same scenario under S seeds.
 Each tick, frame synthesis (``beta_lfp_frame``/``ieeg_frame``) and the frame
 features (``signal_quality``, ``band_power``, the detection tools' features)
 run once on an (S, frame_len) array holding the frames of every lane that is
-not in a reset mode. The other stages are per lane and scalar: the seizure
-process, the detectors' windows and thresholds, evoked-response sensing
-(which has no frames), trust checks, supervisor, policy, budgets,
-clamp/slew, actuator and device. A lane's frame noise comes from its own
+not in a reset mode. The beta frames' tick-only terms come from the sensing
+object's ``BetaTickTable``, built once per 64-tick block for all lanes, so
+their cost does not grow with the lane count. The other stages are per lane
+and scalar: the seizure process, the detectors' windows and thresholds,
+evoked-response sensing (which has no frames), trust checks, supervisor,
+policy, budgets, clamp/slew, actuator and device. A lane's frame noise comes from its own
 pre-drawn standard-normal rows, whose cursor moves only when that lane
 takes a frame, so every lane's outputs are bit-identical to a run of its
 seed alone. Per-tick columns are (S, n_ticks) arrays; each lane's result
@@ -72,6 +74,7 @@ from .features import (
 )
 from .metrics import CLAMP_CODES, Metrics, step_response_metrics
 from .plant import (
+    BetaTickTable,
     actuator_apply,
     beta_lfp_frame,
     device_step,
@@ -413,6 +416,7 @@ class BetaSensing(_Sensing):
     def __init__(self, scenario: Scenario, rngs: list) -> None:
         f = scenario.features
         self.cfg = scenario.plant.cfg
+        self.table = BetaTickTable(self.cfg)
         self.band = (f.band_lo_hz, f.band_hi_hz)
         self.noise = _NoiseRows([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
         self.sq_limits = SignalQualityLimits(
@@ -424,6 +428,7 @@ class BetaSensing(_Sensing):
         self.smooth = max(1, min(round(f.smooth_s / tb.dt_s), tb.n_ticks))
         self.window = np.zeros((len(rngs), self.smooth))
         self.filled = np.zeros(len(rngs), dtype=int)
+        self.full = False   # every lane's window is full
 
     def sense(self, t: int, lanes: list) -> list:
         readings = [NO_READING] * len(lanes)
@@ -431,7 +436,7 @@ class BetaSensing(_Sensing):
         if framed:
             idx = np.array([lanes[j].index for j in framed])
             frames = beta_lfp_frame(
-                [lanes[j].prev_delivered for j in framed], t, self.cfg, self.noise.take(idx)
+                [lanes[j].prev_delivered for j in framed], t, self.table, self.noise.take(idx)
             )
             quals = signal_quality(frames, self.sq_limits)
             power = band_power(frames, *self.band, self.cfg.fs_hz)
@@ -444,13 +449,19 @@ class BetaSensing(_Sensing):
 
         A window is right-aligned, so its filled part is a slice of the
         row, and a row mean along the last axis sums in the order ``np.mean``
-        sums a 1-D window.
+        sums a 1-D window. Once every window is full, a tick that frames
+        every lane shifts and averages the whole window array.
         """
         w, m = self.window, self.smooth
+        if self.full and len(idx) == len(w):
+            w[:, :-1] = w[:, 1:]
+            w[:, -1] = power
+            return w.mean(axis=-1)
         w[idx, :-1] = w[idx, 1:]
         w[idx, -1] = power
         filled = np.minimum(self.filled[idx] + 1, m)
         self.filled[idx] = filled
+        self.full = bool(self.filled.min() == m)
         means = np.empty(len(idx))
         for k in set(filled.tolist()):
             same = filled == k

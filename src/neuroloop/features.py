@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -187,6 +188,21 @@ def check_band(f_lo: float, f_hi: float, fs: float, n: int) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def _band_bins(f_lo: float, f_hi: float, fs: float, n: int) -> tuple[int, int, bool]:
+    """The band's rfft bins [lo, hi) of an n-sample frame, and whether they
+    end at the Nyquist bin of an even n. Raises what ``check_band`` raises.
+
+    Band edges are inclusive. check_band keeps f_lo above 0, so lo >= 1:
+    the band never holds the DC bin.
+    """
+    check_band(f_lo, f_hi, fs, n)
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    lo = int(np.searchsorted(freqs, f_lo, side="left"))
+    hi = int(np.searchsorted(freqs, f_hi, side="right"))
+    return lo, hi, n % 2 == 0 and hi == freqs.size
+
+
 def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float):
     """Power of the signal inside [f_lo, f_hi] Hz, in µV².
 
@@ -197,19 +213,17 @@ def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float):
     """
     x = _as_array(w)
     n = x.shape[-1]
-    check_band(f_lo, f_hi, fs, n)
-    spec = np.fft.rfft(x, axis=-1)
-    psd = (spec.real ** 2 + spec.imag ** 2) / (n * n)
-    # One-sided: double everything except DC and (for even n) Nyquist.
-    psd[..., 1:] *= 2.0
-    if n % 2 == 0:
-        psd[..., -1] /= 2.0
+    lo, hi, nyquist = _band_bins(f_lo, f_hi, fs, n)
     # The band's bins are one contiguous run. A slice keeps each row's sum in
     # the order of a 1-D sum; a boolean mask on the last axis would not.
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    lo = np.searchsorted(freqs, f_lo, side="left")
-    hi = np.searchsorted(freqs, f_hi, side="right")
-    power = psd[..., lo:hi].sum(axis=-1)
+    spec = np.fft.rfft(x, axis=-1)[..., lo:hi]
+    psd = (spec.real ** 2 + spec.imag ** 2) / (n * n)
+    # One-sided: double everything except DC (never in the band) and (for
+    # even n) Nyquist.
+    psd *= 2.0
+    if nyquist:
+        psd[..., -1] /= 2.0
+    power = psd.sum(axis=-1)
     return float(power) if x.ndim == 1 else power
 
 
@@ -338,7 +352,8 @@ def signal_quality(w: SampleSource, limits: SignalQualityLimits):
         raise InsufficientDataError("signal_quality needs a nonempty window")
     code = 4 * np.any(np.abs(x) >= limits.saturation_uV, axis=-1)
     code += 2 * (x.max(axis=-1) - x.min(axis=-1) < limits.flatline_eps_uV)
-    if x.shape[-1] >= 2:
+    # No jump exceeds an infinite bound, so that pass is skipped.
+    if x.shape[-1] >= 2 and limits.max_delta_uV_per_sample < math.inf:
         code += np.abs(np.diff(x, axis=-1)).max(axis=-1) > limits.max_delta_uV_per_sample
     if x.ndim == 1:
         return _QUALITY_VERDICTS[int(code)]

@@ -14,6 +14,12 @@ array so that one call can synthesize the frames of many lanes. The engine
 derives one independent child stream per plant component from the scenario
 seed, so runs are reproducible and plant noise realizations do not depend
 on what the controller happens to do.
+
+The beta synthesizer reads the terms of a frame that depend only on the
+tick (sample times, carrier, circadian factor, cardiac train, entrained
+gamma) from a ``BetaTickTable``, which builds them for 64 ticks at a time
+and for every lane at once; each term is bit-identical to its per-tick
+computation.
 """
 
 from __future__ import annotations
@@ -436,61 +442,112 @@ class BetaPlantConfig:
         return self.frame_len / self.fs_hz
 
 
-def _cardiac_train(segs: tuple, t: np.ndarray, tick: int) -> np.ndarray:
-    out = np.zeros_like(t)
-    for seg in segs:
-        if tick < seg.start_tick:
-            continue
-        period = 1.0 / seg.rate_hz
-        phase = np.mod(t, period)
-        out += np.where(
-            phase < seg.pulse_width_s,
-            seg.amplitude_uV,
-            np.where(phase < 2 * seg.pulse_width_s, -seg.amplitude_uV, 0.0),
-        )
-    return out
+BLOCK_TICKS = 64   # ticks per block of a BetaTickTable
+
+
+class BetaTickTable:
+    """The terms of ``beta_lfp_frame`` that depend only on the tick, built
+    for a block of BLOCK_TICKS ticks at a time.
+
+    For each tick of the block (row k): the sample times ``t[k]``, the beta
+    carrier, the circadian factor and the summed cardiac pulse train (zero
+    before a segment's start tick; None without cardiac segments); and, for
+    each stimulation rate asked for in the block, the entrained gamma
+    component (``gamma``). Every term is computed by the expression, in the
+    operation order, that a per-tick computation would use, so frames built
+    from the table are bit-identical to frames computed tick by tick.
+    ``row(tick)`` builds the tick's block when the tick lies outside the
+    current one. Memory: about 4 x BLOCK_TICKS x ``frame_len`` floats.
+    """
+
+    def __init__(self, cfg: BetaPlantConfig) -> None:
+        self.cfg = cfg
+        self.cardiac_segments = cfg.disturbances.cardiac_segments()
+        self.start = -BLOCK_TICKS   # first tick of the current block; none built yet
+
+    def row(self, tick: int) -> int:
+        """The table row of ``tick``, building its block if need be."""
+        k = tick - self.start
+        if not 0 <= k < BLOCK_TICKS:
+            self._build(tick - tick % BLOCK_TICKS)
+            k = tick - self.start
+        return k
+
+    def _build(self, start: int) -> None:
+        cfg = self.cfg
+        n = cfg.frame_len
+        ticks = np.arange(start, start + BLOCK_TICKS)
+        self.start = start
+        self.t = t = (ticks[:, None] * n + np.arange(n)) / cfg.fs_hz
+        self.carrier = np.sin(2.0 * np.pi * cfg.beta_hz * t)
+        self.circadian = [circadian_factor(cfg.disturbances, tick) for tick in ticks.tolist()]
+        self.cardiac = None
+        if self.cardiac_segments:
+            self.cardiac = np.zeros_like(t)
+            for seg in self.cardiac_segments:
+                on = slice(max(0, seg.start_tick - start), BLOCK_TICKS)
+                period = 1.0 / seg.rate_hz
+                phase = np.mod(t[on], period)
+                self.cardiac[on] += np.where(
+                    phase < seg.pulse_width_s,
+                    seg.amplitude_uV,
+                    np.where(phase < 2 * seg.pulse_width_s, -seg.amplitude_uV, 0.0),
+                )
+        self._gamma = {}
+
+    def gamma(self, rate_hz) -> np.ndarray:
+        """The block's (BLOCK_TICKS, frame_len) gamma rows entrained by ``rate_hz``."""
+        rows = self._gamma.get(rate_hz)
+        if rows is None:
+            rows = self._gamma[rate_hz] = self.cfg.gamma_entrainment_uV * np.sin(
+                2.0 * np.pi * (rate_hz / 2.0) * self.t
+            )
+        return rows
 
 
 def beta_lfp_frame(
     doses,
     tick: int,
-    cfg: BetaPlantConfig,
+    table: BetaTickTable,
     noise: np.ndarray,
 ) -> np.ndarray:
     """One tick's worth of synthesized field potential, in µV.
 
-    ``noise`` holds standard-normal draws, ``frame_len`` per frame: a 1-D
-    ``noise`` with one ``Dose`` gives one frame, an (S, frame_len) ``noise``
-    with a sequence of S doses gives S frames, row i driven by dose i.
-    Frames are phase-coherent across ticks (the oscillators run on absolute
-    time). A frame consumes exactly ``frame_len`` draws regardless of
-    configuration, so paired runs with the same seed see identical noise.
+    ``table`` holds the tick-only terms of ``table.cfg``. ``noise`` holds
+    standard-normal draws, ``frame_len`` per frame: a 1-D ``noise`` with one
+    ``Dose`` gives one frame, an (S, frame_len) ``noise`` with a sequence of
+    S doses gives S frames, row i driven by dose i. Frames are phase-coherent
+    across ticks (the oscillators run on absolute time). A frame consumes
+    exactly ``frame_len`` draws regardless of configuration, so paired runs
+    with the same seed see identical noise.
     """
     single = noise.ndim == 1
     if single:
         doses = (doses,)
-    n = cfg.frame_len
-    t = (tick * n + np.arange(n)) / cfg.fs_hz
+    cfg = table.cfg
+    k = table.row(tick)
 
-    circadian = circadian_factor(cfg.disturbances, tick)
+    circadian = table.circadian[k]
     envelope = np.array(
         [dose_response_eval(cfg.curve, d.amplitude_mA) * circadian for d in doses]
     )
-    frame = envelope[:, None] * np.sin(2.0 * np.pi * cfg.beta_hz * t)
+    frame = envelope[:, None] * table.carrier[k]
 
     frame += noise * cfg.noise_rms_uV
 
-    cardiac = cfg.disturbances.cardiac_segments()
-    if cardiac:
-        frame += _cardiac_train(cardiac, t, tick)
+    if table.cardiac is not None:
+        frame += table.cardiac[k]
 
     if cfg.gamma_entrainment_uV > 0:
-        rows = [i for i, d in enumerate(doses) if d.amplitude_mA > 0 and d.frequency_hz > 0]
-        if rows:
-            half_rate = np.array([doses[i].frequency_hz for i in rows]) / 2.0
-            frame[rows] += cfg.gamma_entrainment_uV * np.sin(
-                2.0 * np.pi * half_rate[:, None] * t
-            )
+        entrained: dict = {}   # stimulation rate -> the rows stimulated at it
+        for i, d in enumerate(doses):
+            if d.amplitude_mA > 0 and d.frequency_hz > 0:
+                entrained.setdefault(d.frequency_hz, []).append(i)
+        for rate, rows in entrained.items():
+            if len(rows) == len(doses):
+                frame += table.gamma(rate)[k]
+            else:
+                frame[rows] += table.gamma(rate)[k]
     return frame[0] if single else frame
 
 

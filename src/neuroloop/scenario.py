@@ -8,7 +8,8 @@ under ``scenarios/`` for worked examples of each plant kind. One reader,
 ``_read``, builds each section's dataclass from its key list (the schema
 table below): a key the file omits keeps the dataclass default, a field
 without a default is required, and each value must have the field's JSON
-type; numbers must be finite.
+type: a number field takes a finite JSON number (an integer field a JSON
+integer), never ``true``, ``false`` or a string.
 
 ``validate_scenario`` is the only code that builds a ``Scenario``. It runs
 the design checklist: every finding is tagged with the checklist item it
@@ -241,7 +242,10 @@ def _object(value, where: str, kind: type = dict):
 
 
 def _finite(value) -> float:
-    """``float(value)``, which must be finite: JSON parsing lets NaN, Infinity and 1e999 in."""
+    """``float(value)``: ``value`` must be a finite JSON number. A bool or a
+    string is not a number, and JSON parsing lets NaN, Infinity and 1e999 in."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"value must be a JSON number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{value!r} is not a finite number")
@@ -249,14 +253,20 @@ def _finite(value) -> float:
 
 
 def _int(value) -> int:
-    """``int(value)``; a float must be finite."""
-    return int(_finite(value) if isinstance(value, float) else value)
+    """``value`` itself, which must be a JSON integer: a float (even 2.0), a
+    bool or a string is not one."""
+    if isinstance(value, float):
+        _finite(value)   # a non-finite float is reported as such
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"value must be a JSON integer, got {value!r}")
+    return value
 
 
 # Converter for each field annotation a key may name (annotations are strings
-# under postponed evaluation). A bool must be a JSON boolean and a tuple a
-# JSON array. The one dict field is the device's impedance map, and a
-# ``Dose`` field reads a nested dose object.
+# under postponed evaluation). A number must be a JSON number (an int a JSON
+# integer), a bool a JSON boolean and a tuple a JSON array. The one dict
+# field is the device's impedance map, and a ``Dose`` field reads a nested
+# dose object.
 _CONVERT = {"float": _finite, "int": _int, "bool": lambda v: _object(v, "value", bool),
             "str": str, "tuple": lambda v: tuple(_object(v, "value", list)), "Dose": Dose,
             "dict": lambda m: {str(k): _finite(v) for k, v in

@@ -28,7 +28,7 @@ from neuroloop.features import (
     signal_quality,
 )
 from neuroloop.outputs import events_jsonl_text, summary_json_text, timeseries_csv_text
-from neuroloop.plant import IeegPlantConfig, beta_lfp_frame, ieeg_frame
+from neuroloop.plant import BetaTickTable, IeegPlantConfig, beta_lfp_frame, ieeg_frame
 from neuroloop.scenario import scenario_from_dict
 
 from conftest import deep_merge, ecap_raw, ieeg_raw, reference_raw
@@ -190,14 +190,14 @@ def test_batched_features_equal_row_by_row():
 
 def test_batched_frames_equal_single_frames():
     # Budget: 0.5 s. The adbs plant has circadian, cardiac and gamma terms.
-    cfg = scenario_from_dict(reference_raw("adbs_parkinsons")).plant.cfg
+    table = BetaTickTable(scenario_from_dict(reference_raw("adbs_parkinsons")).plant.cfg)
     rng = np.random.default_rng(4)
     doses = [Dose(a, 60.0, f) for a, f in ((0.0, 130.0), (2.5, 130.0), (3.1, 0.0), (1.2, 90.0))]
-    noise = rng.standard_normal((len(doses), cfg.frame_len))
+    noise = rng.standard_normal((len(doses), table.cfg.frame_len))
     for tick in (0, 37, 500):
-        batch = beta_lfp_frame(doses, tick, cfg, noise)
+        batch = beta_lfp_frame(doses, tick, table, noise)
         for i, dose in enumerate(doses):
-            assert np.array_equal(batch[i], beta_lfp_frame(dose, tick, cfg, noise[i]))
+            assert np.array_equal(batch[i], beta_lfp_frame(dose, tick, table, noise[i]))
 
     icfg = IeegPlantConfig(256.0, 32, 10.0, 300.0, 10.0)
     seizing = np.array([True, False, True, False])

@@ -10,9 +10,13 @@ from neuroloop.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
 from conftest import SCENARIO_DIR, deep_merge, ecap_raw, reference_raw
 
 
-# Each of these once passed validate and then failed in run, or made validate
-# itself raise; validate and run must both exit 2.
+# Each of these once passed validate and then failed in run, made validate
+# itself raise, or ran with a number the file does not hold (2.7 read as 2,
+# true as 1, "1.0" as 1.0); validate and run must both exit 2.
 MUTATIONS = [
+    ("ecap_scs", {"trust": {"exit_after_consecutive_fails": 2.7}}),
+    ("ecap_scs", {"trust": {"exit_after_consecutive_fails": True}}),
+    ("ecap_scs", {"policy": {"target_uV": "1.0"}}),
     ("ecap_scs", {"trust": "x"}),
     ("ecap_scs", {"budgets": []}),
     ("ecap_scs", {"outputs": 1}),

@@ -118,21 +118,3 @@ class TestEventRecord:
             "payload": {"requested_mA": 9.0},
         }
 
-
-class TestBiomarkerSample:
-    def test_ok_requires_clean_flag_set(self):
-        from neuroloop.core import (
-            BiomarkerSample,
-            KIND_PREDICTIVE,
-            KIND_REACTIVE_2,
-            QUALITY_OK,
-            QUALITY_SATURATED,
-        )
-
-        clean = BiomarkerSample(tick=3, value=1.2, kind=KIND_REACTIVE_2)
-        assert clean.ok
-        dirty = BiomarkerSample(
-            tick=3, value=1.2, kind=KIND_PREDICTIVE,
-            quality=frozenset({QUALITY_OK, QUALITY_SATURATED}),
-        )
-        assert not dirty.ok

@@ -176,6 +176,43 @@ class TestBandPower:
             band_power(np.zeros(10), 13.0, 30.0, 256.0)
 
 
+def band_power_oracle(x, f_lo, f_hi, fs):
+    """Oracle of ``band_power``: the whole one-sided periodogram, then the band's bins."""
+    n = x.shape[-1]
+    spec = np.fft.rfft(x, axis=-1)
+    psd = (spec.real ** 2 + spec.imag ** 2) / (n * n)
+    psd[..., 1:] *= 2.0
+    if n % 2 == 0:
+        psd[..., -1] /= 2.0
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    lo = np.searchsorted(freqs, f_lo, side="left")
+    hi = np.searchsorted(freqs, f_hi, side="right")
+    power = psd[..., lo:hi].sum(axis=-1)
+    return float(power) if x.ndim == 1 else power
+
+
+# (f_lo, f_hi) at fs 256 Hz on 64 samples (4 Hz bins): the Nyquist bin,
+# a low edge on bin 1, a band between bins, a one-bin band, the adbs band.
+BANDS = [(100.0, 128.0), (4.0, 30.0), (4.0, 128.0), (21.0, 23.0), (20.0, 20.5), (13.0, 30.0)]
+
+
+@pytest.mark.parametrize("band", BANDS, ids=str)
+@pytest.mark.parametrize("n", [64, 65])
+def test_band_power_equals_whole_spectrum_oracle(band, n):
+    frames = np.random.default_rng(n).standard_normal((5, n)) * 3.0
+    assert np.array_equal(band_power(frames, *band, 256.0), band_power_oracle(frames, *band, 256.0))
+    for x in frames:
+        assert band_power(x, *band, 256.0) == band_power_oracle(x, *band, 256.0)
+
+
+def test_band_errors_repeat_on_every_call():
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"band \[13.0, 200.0\] must satisfy"):
+            band_power(np.zeros(64), 13.0, 200.0, 256.0)
+        with pytest.raises(InsufficientDataError, match="window of 10 samples"):
+            band_power(np.zeros(10), 13.0, 30.0, 256.0)
+
+
 class TestAdaptiveThreshold:
     @staticmethod
     def detector(long_ticks=8, short_ticks=2, **kw):
@@ -266,3 +303,29 @@ class TestSignalQuality:
         limits = SignalQualityLimits(saturation_uV=1e6, max_delta_uV_per_sample=1.0)
         x = np.array([0.0, 5.0, 0.0, 5.0])
         assert QUALITY_EXTERNAL_NOISE in signal_quality(x, limits)
+
+
+def signal_quality_oracle(x, limits):
+    """Oracle of ``signal_quality`` for one frame: every check, flag by flag."""
+    flags = set()
+    if np.any(np.abs(x) >= limits.saturation_uV):
+        flags.add(QUALITY_SATURATED)
+    if x.max() - x.min() < limits.flatline_eps_uV:
+        flags.add(QUALITY_FLATLINE)
+    if np.abs(np.diff(x)).max() > limits.max_delta_uV_per_sample:
+        flags.add(QUALITY_EXTERNAL_NOISE)
+    return frozenset(flags) or frozenset({QUALITY_OK})
+
+
+@pytest.mark.parametrize("max_delta", [150.0, math.inf])
+def test_signal_quality_equals_oracle(max_delta):
+    frames = np.random.default_rng(6).standard_normal((6, 64)) * 20.0
+    frames[1] = 5.0                 # flatline
+    frames[2, 10] = 2500.0          # saturated and a jump
+    frames[3, 30] = 400.0           # a jump only
+    frames[4, 7] = np.nan
+    limits = SignalQualityLimits(saturation_uV=2000.0, max_delta_uV_per_sample=max_delta)
+    want = [signal_quality_oracle(x, limits) for x in frames]
+    assert signal_quality(frames, limits) == want
+    assert [signal_quality(x, limits) for x in frames] == want
+    assert (QUALITY_EXTERNAL_NOISE in want[3]) == (max_delta < math.inf)

@@ -176,6 +176,31 @@ class TestEngineBasics:
             counts.append(len(built))
         assert counts[0] == counts[1] <= 1
 
+    def test_beta_tick_blocks_built_once_per_64_ticks_for_all_lanes(self, monkeypatch):
+        # Budget: 1.5 s. The tick-only frame terms are built per block of 64
+        # ticks, shared by every lane: 1,000 ticks are 16 blocks at any width.
+        from neuroloop.plant import BetaTickTable
+
+        built = []
+        build = BetaTickTable._build
+
+        def counting_build(self, start):
+            built.append(start)
+            build(self, start)
+
+        monkeypatch.setattr(BetaTickTable, "_build", counting_build)
+        raw = reference_raw("adbs_parkinsons")
+        raw["timebase"]["duration_s"] = 250.0   # 1,000 ticks
+        scenario = scenario_from_dict(raw)
+        counts = []
+        for lanes in (1, 16):
+            built.clear()
+            results = sweep(scenario, lanes)
+            assert all(r.n_ticks == 1000 and not np.isnan(r.biomarker).any() for r in results)
+            counts.append(len(built))
+        assert counts == [16, 16]
+        assert built == list(range(0, 1000, 64))
+
     def test_quiet_run_builds_no_supervisor_states(self, monkeypatch):
         # No mode change and no magnet or DC-leak edge: the dwell streaks
         # are lane counters, so a tick builds no SupervisorState and a run

@@ -121,8 +121,18 @@ def test_threshold_mode_defaults_to_adaptive(mode, built):
 
 # A JSON type the field does not take once converted silently: ``{}`` read
 # as no trust checks or no magnet intervals, ``"x"`` as an enabled output,
-# and a string of checks as its characters.
+# a string of checks as its characters, a float as the integer it truncates
+# to, ``true`` as 1 and a numeric string as its number.
 WRONG_TYPES = [
+    (("trust", "exit_after_consecutive_fails"), 2.7, "value must be a JSON integer, got 2.7"),
+    (("trust", "exit_after_consecutive_fails"), 2.0, "value must be a JSON integer, got 2.0"),
+    (("trust", "exit_after_consecutive_fails"), True, "value must be a JSON integer, got True"),
+    (("magnet",), [{"start_tick": "1", "end_tick": 10}], "value must be a JSON integer, got '1'"),
+    (("policy", "target_uV"), "1.0", "value must be a JSON number, got '1.0'"),
+    (("policy", "target_uV"), True, "value must be a JSON number, got True"),
+    (("plant", "device", "impedance_ohm", "E1"), True, "value must be a JSON number, got True"),
+    (("timebase", "duration_s"), "10", "value must be a JSON number, got '10'"),
+    (("metrics", "range", 0), False, "value must be a JSON number, got False"),
     (("trust", "checks"), {}, "value must be a JSON array, got {}"),
     (("trust", "checks"), "QualityOK", "value must be a JSON array, got 'QualityOK'"),
     (("outputs", "timeseries"), {}, "value must be true or false, got {}"),
@@ -134,7 +144,7 @@ WRONG_TYPES = [
 
 
 @pytest.mark.parametrize("path, value, message", WRONG_TYPES,
-                         ids=[f"{'.'.join(p)}={v!r}" for p, v, _ in WRONG_TYPES])
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _ in WRONG_TYPES])
 def test_wrong_json_type_is_a_finding(path, value, message):
     report = validate_scenario(mutated(reference_raw("ecap_scs"), path, value))
     assert [f.message for f in report.findings] == [f"ConfigurationError: {message}"]

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import neuroloop.engine as engine
 from neuroloop.core import ConfigurationError, DomainError, Dose
 from neuroloop.features import band_power, line_length
 from neuroloop.plant import (
+    BLOCK_TICKS,
     BetaPlantConfig,
     BetaSuppression,
+    BetaTickTable,
     CardiacArtifact,
     CircadianSine,
     CoughTransient,
@@ -31,6 +34,9 @@ from neuroloop.plant import (
     ieeg_frame,
     seizure_step,
 )
+from neuroloop.scenario import scenario_from_dict
+
+from conftest import deep_merge, reference_raw
 
 
 class TestDoseResponseCurves:
@@ -203,15 +209,61 @@ def beta_cfg(**kw):
     return BetaPlantConfig(**defaults)
 
 
+def cardiac_train(segs: tuple, t: np.ndarray, tick: int) -> np.ndarray:
+    out = np.zeros_like(t)
+    for seg in segs:
+        if tick < seg.start_tick:
+            continue
+        period = 1.0 / seg.rate_hz
+        phase = np.mod(t, period)
+        out += np.where(
+            phase < seg.pulse_width_s,
+            seg.amplitude_uV,
+            np.where(phase < 2 * seg.pulse_width_s, -seg.amplitude_uV, 0.0),
+        )
+    return out
+
+
+def beta_frame_oracle(doses, tick: int, cfg: BetaPlantConfig, noise: np.ndarray) -> np.ndarray:
+    """Oracle of ``beta_lfp_frame``: every tick-only term computed for this tick alone."""
+    single = noise.ndim == 1
+    if single:
+        doses = (doses,)
+    n = cfg.frame_len
+    t = (tick * n + np.arange(n)) / cfg.fs_hz
+
+    circadian = circadian_factor(cfg.disturbances, tick)
+    envelope = np.array(
+        [dose_response_eval(cfg.curve, d.amplitude_mA) * circadian for d in doses]
+    )
+    frame = envelope[:, None] * np.sin(2.0 * np.pi * cfg.beta_hz * t)
+
+    frame += noise * cfg.noise_rms_uV
+
+    cardiac = cfg.disturbances.cardiac_segments()
+    if cardiac:
+        frame += cardiac_train(cardiac, t, tick)
+
+    if cfg.gamma_entrainment_uV > 0:
+        rows = [i for i, d in enumerate(doses) if d.amplitude_mA > 0 and d.frequency_hz > 0]
+        if rows:
+            half_rate = np.array([doses[i].frequency_hz for i in rows]) / 2.0
+            frame[rows] += cfg.gamma_entrainment_uV * np.sin(
+                2.0 * np.pi * half_rate[:, None] * t
+            )
+    return frame[0] if single else frame
+
+
 class TestBetaFrames:
     def test_baseline_band_power_matches_envelope_oracle(self):
         # Monte Carlo estimate over >= 100 frames against envelope^2 / 2 plus
         # the broadband noise contribution inside the band.
         cfg = beta_cfg()
+        table = BetaTickTable(cfg)
         rng = np.random.default_rng(1)
         off = Dose(0.0, 60.0, 130.0)
         powers = [
-            band_power(beta_lfp_frame(off, t, cfg, draws(rng, cfg)), 13.0, 30.0, cfg.fs_hz)
+            band_power(beta_lfp_frame(off, t, table, draws(rng, cfg)), 13.0, 30.0, cfg.fs_hz)
             for t in range(200)
         ]
         envelope = dose_response_eval(cfg.curve, 0.0)
@@ -227,8 +279,8 @@ class TestBetaFrames:
         cfg = beta_cfg(gamma_entrainment_uV=1.0, noise_rms_uV=0.1)
         on = Dose(2.5, 60.0, 130.0)
         off = Dose(0.0, 60.0, 130.0)
-        frame_on = beta_lfp_frame(on, 0, cfg, draws(2, cfg))
-        frame_off = beta_lfp_frame(off, 0, cfg, draws(2, cfg))
+        frame_on = beta_lfp_frame(on, 0, BetaTickTable(cfg), draws(2, cfg))
+        frame_off = beta_lfp_frame(off, 0, BetaTickTable(cfg), draws(2, cfg))
         # Stimulating at 130 Hz entrains a component at 65 Hz.
         p_on = band_power(frame_on, 60.0, 70.0, cfg.fs_hz)
         p_off = band_power(frame_off, 60.0, 70.0, cfg.fs_hz)
@@ -240,10 +292,11 @@ class TestBetaFrames:
         cfg_clean = beta_cfg()
         cfg_dirty = beta_cfg(disturbances=track)
         dose = Dose(3.0, 60.0, 130.0)
+        clean, dirty = BetaTickTable(cfg_clean), BetaTickTable(cfg_dirty)
         total_clean = total_dirty = 0.0
         for t in range(50):
-            f_clean = beta_lfp_frame(dose, t, cfg_clean, draws(7 + t, cfg_clean))
-            f_dirty = beta_lfp_frame(dose, t, cfg_dirty, draws(7 + t, cfg_dirty))
+            f_clean = beta_lfp_frame(dose, t, clean, draws(7 + t, cfg_clean))
+            f_dirty = beta_lfp_frame(dose, t, dirty, draws(7 + t, cfg_dirty))
             total_clean += band_power(f_clean, 13.0, 30.0, cfg_clean.fs_hz)
             total_dirty += band_power(f_dirty, 13.0, 30.0, cfg_dirty.fs_hz)
         assert total_dirty > total_clean
@@ -252,16 +305,84 @@ class TestBetaFrames:
         track = DisturbanceTrack((CircadianSine(0, 100, 0.5, phase=np.pi / 2),))
         cfg = beta_cfg(noise_rms_uV=0.0, disturbances=track)
         dose = Dose(0.0, 60.0, 130.0)
-        peak = beta_lfp_frame(dose, 0, cfg, draws(0, cfg))
-        trough = beta_lfp_frame(dose, 50, cfg, draws(0, cfg))
+        peak = beta_lfp_frame(dose, 0, BetaTickTable(cfg), draws(0, cfg))
+        trough = beta_lfp_frame(dose, 50, BetaTickTable(cfg), draws(0, cfg))
         assert np.abs(peak).max() == pytest.approx(3 * np.abs(trough).max(), rel=1e-6)
 
     def test_deterministic_given_same_stream(self):
         cfg = beta_cfg()
         dose = Dose(1.0, 60.0, 130.0)
-        a = beta_lfp_frame(dose, 5, cfg, draws(9, cfg))
-        b = beta_lfp_frame(dose, 5, cfg, draws(9, cfg))
+        a = beta_lfp_frame(dose, 5, BetaTickTable(cfg), draws(9, cfg))
+        b = beta_lfp_frame(dose, 5, BetaTickTable(cfg), draws(9, cfg))
         assert np.array_equal(a, b)
+
+
+# A cardiac and a circadian segment that each start mid-block, gamma on.
+MID_BLOCK = DisturbanceTrack((CardiacArtifact(40, 1.2, 2.0), CircadianSine(100, 300, 0.3, 0.5)))
+EDGE_TICKS = (0, 39, 40, 63, 64, 99, 100, 127, 149)
+
+
+class TestBetaTickTable:
+    """Frames built from the tick table equal the per-tick oracle bit for bit."""
+
+    CFG = beta_cfg(frame_len=64, gamma_entrainment_uV=0.5, disturbances=MID_BLOCK)
+    # Amplitude 0, two stimulation rates and frequency 0 in one batch.
+    DOSES = [Dose(0.0, 60.0, 130.0), Dose(2.5, 60.0, 130.0), Dose(3.1, 60.0, 0.0),
+             Dose(1.2, 60.0, 90.0)]
+
+    def assert_frames_equal_oracle(self, table, doses, tick, seed):
+        noise = np.random.default_rng(seed).standard_normal((len(doses), table.cfg.frame_len))
+        batch = beta_lfp_frame(doses, tick, table, noise)
+        assert np.array_equal(batch, beta_frame_oracle(doses, tick, table.cfg, noise))
+        for i, dose in enumerate(doses):
+            single = beta_lfp_frame(dose, tick, table, noise[i])
+            assert np.array_equal(single, beta_frame_oracle(dose, tick, table.cfg, noise[i]))
+
+    def test_block_edges(self):
+        # Ticks at block edges, at the segments' starts and in the partial
+        # block after a 150-tick run's last full one, in order and back.
+        table = BetaTickTable(self.CFG)
+        for tick in EDGE_TICKS + (64, 0, 127):
+            self.assert_frames_equal_oracle(table, self.DOSES, tick, seed=tick)
+            assert table.start == tick - tick % BLOCK_TICKS
+
+    def test_one_rate_for_every_row_and_a_rate_switch_mid_block(self):
+        table = BetaTickTable(self.CFG)
+        for tick in range(64, 128):
+            rate = 130.0 if tick < 80 else 90
+            doses = [Dose(a, 60.0, rate) for a in (2.5, 1.0, 4.0)]
+            self.assert_frames_equal_oracle(table, doses, tick, seed=tick)
+            self.assert_frames_equal_oracle(table, doses[:1] + self.DOSES, tick, seed=tick)
+
+    def test_without_cardiac_gamma_or_circadian_terms(self):
+        table = BetaTickTable(beta_cfg(frame_len=64))
+        assert table.row(5) == 5 and table.cardiac is None
+        for tick in (0, 63, 64):
+            self.assert_frames_equal_oracle(table, self.DOSES, tick, seed=tick)
+
+    def test_run_frames_equal_oracle_through_partial_last_block(self, monkeypatch):
+        # Budget: 0.5 s. 150 ticks: two full blocks and a partial one.
+        raw = deep_merge(reference_raw("adbs_parkinsons"), {
+            "timebase": {"duration_s": 37.5},
+            "plant": {"disturbances": [
+                {"kind": "CardiacArtifact", "start_tick": 40, "rate_hz": 1.2,
+                 "amplitude_uV": 1.0},
+                {"kind": "CircadianSine", "start_tick": 100, "period_ticks": 960,
+                 "amplitude": 0.3, "phase": 0.0},
+            ]},
+        })
+        scenario = scenario_from_dict(raw)
+        seen = []
+
+        def checked(doses, tick, table, noise):
+            frames = beta_lfp_frame(doses, tick, table, noise)
+            assert np.array_equal(frames, beta_frame_oracle(doses, tick, table.cfg, noise))
+            seen.append(tick)
+            return frames
+
+        monkeypatch.setattr(engine, "beta_lfp_frame", checked)
+        engine.sweep(scenario, 2)
+        assert seen == list(range(150))
 
 
 class TestIeegFrames:
