@@ -15,9 +15,10 @@ Six policy families are provided:
 Every policy config has the same tick interface: ``setpoint`` (the level
 recorded beside the biomarker, or None), ``target`` (the level biomarker
 deviations are measured against in mode comparisons, or None), and
-``step(state, measured, quality, detected, current) -> (state, command,
-therapy_started)``, which delegates to the module-level ``*_step`` function
-of its family.
+``step(state, measured, quality, detected, amplitude, template) -> (state,
+amplitude, template, therapy_started)``: the delivered amplitude (a float)
+and the dose it is delivered with, in and out. It delegates to the
+module-level ``*_step`` function of its family, which works on amplitudes.
 
 Policies emit raw commands. Clamping, slew limiting, and charge limiting all
 happen downstream in the safety module so that limit enforcement is testable
@@ -45,10 +46,10 @@ class _Regulating:
 
     target = property(lambda self: self.setpoint)
 
-    def step(self, st, measured, quality, detected, current):
+    def step(self, st, measured, quality, detected, amplitude, template):
         if measured is None or quality != _OK_ONLY:
-            return st, current, False
-        return st, self.command(measured, current), False
+            return st, amplitude, template, False
+        return st, self.command(measured, amplitude), template, False
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,9 @@ class ManualFixed:
 
     setpoint = target = None
 
-    def step(self, st, measured, quality, detected, current):
-        return st, manual_fixed_step(self), False
+    def step(self, st, measured, quality, detected, amplitude, template):
+        dose = manual_fixed_step(self)
+        return st, dose.amplitude_mA, dose, False
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,9 @@ class BangBangResponsive:
     setpoint = target = None
     dose = property(lambda self: self.burst_dose)
 
-    def step(self, st, measured, quality, detected, current):
-        return bang_bang_responsive_step(detected, st, self)
+    def step(self, st, measured, quality, detected, amplitude, template):
+        st, amplitude, started = bang_bang_responsive_step(detected, st, self)
+        return st, amplitude, self.burst_dose, started
 
     @property
     def therapy_ticks(self) -> int:
@@ -123,7 +126,7 @@ class SingleThreshold(_Regulating):
 
     setpoint = property(lambda self: self.threshold)
 
-    def command(self, biomarker: float, current: Dose) -> Dose:
+    def command(self, biomarker: float, current: float) -> float:
         return single_threshold_step(biomarker, current, self)
 
 
@@ -146,7 +149,7 @@ class DualThreshold(_Regulating):
 
     target = property(lambda self: 0.5 * (self.lower + self.upper))
 
-    def command(self, biomarker: float, current: Dose) -> Dose:
+    def command(self, biomarker: float, current: float) -> float:
         return dual_threshold_step(biomarker, current, self)
 
 
@@ -163,8 +166,8 @@ class Proportional(_Regulating):
 
     setpoint = property(lambda self: self.reference)
 
-    def command(self, biomarker: float, current: Dose) -> Dose:
-        return proportional_step(biomarker, current, self)
+    def command(self, biomarker: float, current: float) -> float:
+        return proportional_step(biomarker, self)
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,7 @@ class EcapSetpoint(_Regulating):
 
     setpoint = property(lambda self: self.target_uV)
 
-    def command(self, biomarker: float, current: Dose) -> Dose:
+    def command(self, biomarker: float, current: float) -> float:
         return ecap_setpoint_step(biomarker, current, self)
 
 
@@ -223,15 +226,16 @@ def manual_fixed_step(cfg: ManualFixed) -> Dose:
 
 def bang_bang_responsive_step(
     detected: bool, st: PolicyState, cfg: BangBangResponsive
-) -> tuple[PolicyState, Dose, bool]:
+) -> tuple[PolicyState, float, bool]:
     """One tick of responsive burst delivery.
 
-    Returns (state, command, therapy_started). A therapy in flight plays to
+    Returns (state, command amplitude, therapy_started); the command is the
+    burst dose at its amplitude or at 0.0. A therapy in flight plays to
     completion; a new therapy starts only while the flag is active and the
     per-event budget has room. When the flag is down and nothing is in
     flight, the event is over and the therapy counter re-arms.
     """
-    off = cfg.burst_dose.off()
+    on = cfg.burst_dose.amplitude_mA
     left = st.plan_remaining
     count = st.therapies_delivered_this_event
 
@@ -240,45 +244,43 @@ def bang_bang_responsive_step(
         # two-burst therapy the first burst ends a gap before that.
         burst = cfg.burst_duration_ticks
         on_now = left <= burst or left > burst + cfg.inter_burst_gap_ticks
-        return PolicyState(count, left - 1), cfg.burst_dose if on_now else off, False
+        return PolicyState(count, left - 1), on if on_now else 0.0, False
 
     if detected:
         if count < cfg.max_therapies_per_event:
             # A therapy opens with a burst tick.
-            return PolicyState(count + 1, cfg.therapy_ticks - 1), cfg.burst_dose, True
-        return st, off, False
+            return PolicyState(count + 1, cfg.therapy_ticks - 1), on, True
+        return st, 0.0, False
 
     # Flag down, nothing in flight: event over, re-arm.
-    return (st if count == 0 else PolicyState()), off, False
+    return (st if count == 0 else PolicyState()), 0.0, False
 
 
-def single_threshold_step(biomarker: float, current: Dose, cfg: SingleThreshold) -> Dose:
+def single_threshold_step(biomarker: float, current: float, cfg: SingleThreshold) -> float:
     """Step the amplitude against a single threshold (strictly-above triggers)."""
     above = biomarker > cfg.threshold
     increase = above if cfg.on_above else not above
     delta = cfg.step_mA if increase else -cfg.step_mA
-    return current.with_amplitude(current.amplitude_mA + delta)
+    return max(0.0, current + delta)
 
 
-def dual_threshold_step(biomarker: float, current: Dose, cfg: DualThreshold) -> Dose:
+def dual_threshold_step(biomarker: float, current: float, cfg: DualThreshold) -> float:
     """Hold inside the band; step up above it, step down below it."""
     if biomarker > cfg.upper:
-        return current.with_amplitude(current.amplitude_mA + cfg.step_up_mA)
+        return max(0.0, current + cfg.step_up_mA)
     if biomarker < cfg.lower:
-        return current.with_amplitude(current.amplitude_mA - cfg.step_down_mA)
+        return max(0.0, current - cfg.step_down_mA)
     return current
 
 
-def proportional_step(biomarker: float, template: Dose, cfg: Proportional) -> Dose:
-    """Amplitude = gain * max(0, biomarker - reference); other fields from template."""
-    return template.with_amplitude(
-        cfg.gain_mA_per_unit * max(0.0, biomarker - cfg.reference)
-    )
+def proportional_step(biomarker: float, cfg: Proportional) -> float:
+    """Amplitude = gain * max(0, biomarker - reference)."""
+    return max(0.0, cfg.gain_mA_per_unit * max(0.0, biomarker - cfg.reference))
 
 
-def ecap_setpoint_step(ecap_est: float, current: Dose, cfg: EcapSetpoint) -> Dose:
+def ecap_setpoint_step(ecap_est: float, current: float, cfg: EcapSetpoint) -> float:
     """Move the amplitude one increment toward the evoked-response target."""
     error = cfg.target_uV - ecap_est
     if abs(error) <= cfg.deadband_uV:
         return current
-    return current.with_amplitude(current.amplitude_mA + cfg.gain_mA_per_uV * error)
+    return max(0.0, current + cfg.gain_mA_per_uV * error)

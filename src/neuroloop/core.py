@@ -2,10 +2,13 @@
 
 Everything here is a plain value type, built only when its value changes:
 ``Dose.with_amplitude`` returns the dose itself for an unchanged amplitude,
-and a dose builds its ``off()`` form once. The simulation advances on a
+and a dose builds its ``off()`` form once. The run loop carries a delivered
+amplitude as a float beside a template ``Dose`` for the pulse width, rate and
+contact set, so the dose arithmetic takes both; ``max(0.0, a)`` is the
+amplitude ``template.with_amplitude(a)`` holds. The simulation advances on a
 single global tick; all timestamps in the package are integer tick indices,
-never wall-clock times. Dose arithmetic (charge, energy rate) lives here so
-that the plant, the controllers, and the metrics all agree on one definition.
+never wall-clock times. Dose arithmetic lives here so that the plant, the
+controllers, and the metrics all agree on one definition.
 
 Units convention, used package-wide:
     amplitude   mA      (peak current of the stimulus pulse)
@@ -144,10 +147,6 @@ class Dose:
             return self
         return Dose(amp, self.pulse_width_us, self.frequency_hz, self.contact_set)
 
-    @property
-    def is_off(self) -> bool:
-        return self.amplitude_mA == 0.0
-
     def off(self) -> "Dose":
         """This dose switched off; built once per dose."""
         return self._off
@@ -155,16 +154,16 @@ class Dose:
     _off = cached_property(lambda self: self.with_amplitude(0.0))
 
 
-def charge_per_pulse(d: Dose) -> float:
-    """Charge of one rectangular pulse, in µC.
+def charge_per_pulse(amplitude_mA: float, d: Dose) -> float:
+    """Charge of one rectangular pulse at ``amplitude_mA`` with ``d``'s pulse width, in µC.
 
     charge [µC] = amplitude [mA] * pulse width [µs] * 1e-3
     """
-    return d.amplitude_mA * d.pulse_width_us * 1e-3
+    return amplitude_mA * d.pulse_width_us * 1e-3
 
 
-def teed_rate(d: Dose) -> float:
-    """Energy-delivery proxy per second of stimulation.
+def teed_rate(amplitude_mA: float, d: Dose) -> float:
+    """Energy-delivery proxy per second of stimulation at ``amplitude_mA`` with ``d``'s timing.
 
     rate = amplitude^2 * pulse_width_us * frequency_hz
 
@@ -173,12 +172,12 @@ def teed_rate(d: Dose) -> float:
     electrode impedance is deliberately not folded in here; the device model
     owns impedance.
     """
-    return d.amplitude_mA ** 2 * d.pulse_width_us * d.frequency_hz
+    return amplitude_mA ** 2 * d.pulse_width_us * d.frequency_hz
 
 
-def charge_per_tick(d: Dose, dt_s: float) -> float:
+def charge_per_tick(amplitude_mA: float, d: Dose, dt_s: float) -> float:
     """Total charge delivered during one tick, in µC (pulses/tick * µC/pulse)."""
-    return charge_per_pulse(d) * d.frequency_hz * dt_s
+    return charge_per_pulse(amplitude_mA, d) * d.frequency_hz * dt_s
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,20 @@ Each tick, frame synthesis (``beta_lfp_frame``/``ieeg_frame``) and the frame
 features (``signal_quality``, ``band_power``, the detection tools' features)
 run once on an (S, frame_len) array holding the frames of every lane that is
 not in a reset mode. The beta frames' tick-only terms come from the sensing
-object's ``BetaTickTable``, built once per 64-tick block for all lanes, so
-their cost does not grow with the lane count. The other stages are per lane
-and scalar: the seizure process, the detectors' windows and thresholds,
+object's ``BetaTickTable``, built once per 64-tick block for all lanes. The
+other stages are per lane and scalar: the seizure process, the detectors,
 evoked-response sensing (which has no frames), trust checks, supervisor,
-policy, budgets, clamp/slew, actuator and device. A lane's frame noise comes from its own
-pre-drawn standard-normal rows, whose cursor moves only when that lane
-takes a frame, so every lane's outputs are bit-identical to a run of its
-seed alone. Per-tick columns are (S, n_ticks) arrays; each lane's result
-holds row views of them. A lane-tick builds a state or dose object only
-where a value changes: a held dose, an unchanged supervisor mode, an idle
-policy or budget and a device that drains nothing are passed on as they are.
-The trust dwell streaks are plain counters on the lane, and the device
-checks re-run only when the lane's (frozen) device state is a new object.
+policy, budgets, clamp/slew, actuator and device. A lane's noise (frame
+rows, or evoked-response sensor draws) is drawn NOISE_CHUNK frames ahead
+from its own stream and read only when that lane takes a frame, so every
+lane's outputs are bit-identical to a run of its seed alone. Per-tick
+columns are (S, n_ticks) arrays; each lane's result holds row views of them.
+A lane carries its delivered dose as a float amplitude beside a template
+``Dose`` (a policy, fallback or baseline dose) for the pulse width, rate and
+contact set; the stages pass the amplitude, so a tick builds no ``Dose``.
+Unchanged supervisor, policy, budget and device states are passed on as
+they are, the dwell streaks are lane counters, and the device checks re-run
+only when the lane's (frozen) device state is a new object.
 
 Plant and feature extraction together are one sensing object per plant kind
 (``EcapSensing``, ``BetaSensing``, ``IeegSensing``); the policy is the
@@ -53,7 +54,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    Dose,
     EventRecord,
     QUALITY_OK,
     SEVERITY_ALERT,
@@ -102,7 +102,7 @@ from .scenario import BetaPlantSpec, EcapPlantSpec, IeegPlantSpec, Scenario, sce
 OK_ONLY = frozenset({QUALITY_OK})
 NO_READING = (None, OK_ONLY, False, None)   # what a lane in a reset mode senses
 
-NOISE_CHUNK = 32   # frames of noise drawn ahead per lane
+NOISE_CHUNK = 32   # frames (ecap: sensor draws) of noise drawn ahead per lane
 
 
 @lru_cache(maxsize=32)   # one entry per subset of the five quality flags
@@ -182,9 +182,11 @@ class _Lane:
         self.budgets = scenario.budgets
         self.device = scenario.device
         self.log = EventLog()
-        self.prev_delivered = actuator_apply(scenario.baseline_dose, scenario.device)
-        self.initial_delivered = self.prev_delivered.amplitude_mA
-        self.last_good: Optional[Dose] = None
+        # The delivered amplitude, and the dose whose timing and contacts it has.
+        self.template = baseline = scenario.baseline_dose
+        self.amplitude_mA = actuator_apply(baseline.amplitude_mA, baseline, scenario.device)
+        self.initial_delivered = self.amplitude_mA
+        self.last_good: Optional[tuple] = None   # (amplitude, template)
         self.teed = 0.0
         self.fallback_ticks = 0
         self.n = n               # ticks completed; the abort tick once aborted
@@ -201,11 +203,12 @@ class _Lane:
     def in_reset(self) -> bool:
         return self.sup.in_reset
 
+    frequency_hz = property(lambda self: self.template.frequency_hz)   # the delivered rate
+
     def fault(self, t: int, e: SimulationError) -> None:
         """Abort at tick t: an invariant breached, so stop, never corrupt."""
-        self.log.append(
-            EventRecord(t, SEVERITY_FAULT, EVENT_RUN_FAULT, {"error": f"{type(e).__name__}: {e}"})
-        )
+        self.log.append(EventRecord(t, SEVERITY_FAULT, EVENT_RUN_FAULT,
+                                    {"error": f"{type(e).__name__}: {e}"}))
         self.aborted = True
         self.n = t
         del self.quality[t:], self.mode[t:]
@@ -215,7 +218,8 @@ class _Lane:
         policy = sc.policy
         device = self.device
         baseline = sc.baseline_dose
-        prev_delivered = self.prev_delivered
+        prev = self.amplitude_mA
+        template = self.template
         log = self.log
         sup = self.sup
         in_reset = sup.in_reset
@@ -248,15 +252,15 @@ class _Lane:
         # ---- policy -----------------------------------------------------
         therapy_started = False
         if mode == MODE_AUTOMATED:
-            self.pol_state, cmd, therapy_started = policy.step(
-                self.pol_state, measured, qual, detection, prev_delivered
+            self.pol_state, cmd, template, therapy_started = policy.step(
+                self.pol_state, measured, qual, detection, prev, template
             )
         elif mode == MODE_FALLBACK:
-            cmd = fallback_dose(sc.fallback, sup, baseline)
+            cmd, template = fallback_dose(sc.fallback, sup, baseline)
             self.fallback_ticks += 1
         else:
             # Magnet suspension or a latched reset: stimulation off.
-            cmd = prev_delivered.with_amplitude(0.0)
+            cmd = 0.0
 
         # ---- budgets ----------------------------------------------------
         self.budgets, allowed, budget_events = therapy_and_episode_budget_step(
@@ -264,22 +268,22 @@ class _Lane:
         )
         log.extend(budget_events)
         if therapy_started and not allowed:
-            cmd = cmd.off()
+            cmd = 0.0
             self.pol_state = replace(self.pol_state, plan_remaining=0)
 
         # ---- safety clamps + actuator -----------------------------------
-        legal, clamp_events = clamp_and_slew(cmd, sc.limits, prev_delivered, t)
+        legal, clamp_events = clamp_and_slew(cmd, template, sc.limits, prev, t)
         log.extend(clamp_events)
-        delivered = actuator_apply(legal, device)
+        delivered = actuator_apply(legal, template, device)
 
         # A "known good" dose is one the automated loop chose while trust
         # passed; forced-off doses (suspend/reset) never qualify.
         if mode == MODE_AUTOMATED and self.fail_streak == 0:
-            self.last_good = delivered
+            self.last_good = (delivered, template)
 
         # ---- device -----------------------------------------------------
-        self.device = device_step(device, charge_per_tick(delivered, sc.timebase.dt_s))
-        self.teed += teed_rate(delivered) * sc.timebase.dt_s
+        self.device = device_step(device, charge_per_tick(delivered, template, sc.timebase.dt_s))
+        self.teed += teed_rate(delivered, template) * sc.timebase.dt_s
 
         # ---- record -----------------------------------------------------
         if measured is not None:
@@ -287,11 +291,12 @@ class _Lane:
             self.quality[t] = _quality_text(qual)
         if threshold_now is not None:
             self.setpoint[t] = threshold_now
-        self.commanded_mA[t] = cmd.amplitude_mA
-        self.delivered_mA[t] = delivered.amplitude_mA
+        self.commanded_mA[t] = cmd
+        self.delivered_mA[t] = delivered
         self.mode[t] = mode
         self.teed_cum[t] = self.teed
-        self.prev_delivered = delivered
+        self.amplitude_mA = delivered
+        self.template = template
 
     def result(self, sensing: "_Sensing") -> RunResult:
         n = self.n
@@ -382,7 +387,8 @@ class EcapSensing(_Sensing):
         self.params = plant.params
         self.noise_sd = plant.sensor_noise_sd_uV
         self.saturation_uV = scenario.device.amplifier_saturation_uV
-        self.sensor_rngs = [lane_rngs[2] for lane_rngs in rngs]
+        self.rngs = [lane_rngs[2] for lane_rngs in rngs]   # sensor noise streams
+        self.noise = [[] for _ in rngs]   # each lane's draws ahead, next one last
         self.distance_mm = distance_profile(
             plant.track, plant.base_distance_mm, scenario.timebase.n_ticks
         )
@@ -398,9 +404,14 @@ class EcapSensing(_Sensing):
                 readings.append(NO_READING)
                 continue
             try:
-                est = ecap_true(lane.prev_delivered.amplitude_mA, distance, self.params)
+                est = ecap_true(lane.amplitude_mA, distance, self.params)
                 if self.noise_sd > 0:
-                    est += self.sensor_rngs[lane.index].normal(0.0, self.noise_sd)
+                    # A bulk normal draw equals the same draws made one at a time.
+                    noise = self.noise[lane.index]
+                    if not noise:
+                        draws = self.rngs[lane.index].normal(0.0, self.noise_sd, NOISE_CHUNK)
+                        noise.extend(draws[::-1].tolist())
+                    est += noise.pop()
                 measured, qual = ecap_range_check(est, self.saturation_uV)
             except SimulationError as e:
                 lane.fault(t, e)
@@ -436,7 +447,7 @@ class BetaSensing(_Sensing):
         if framed:
             idx = np.array([lanes[j].index for j in framed])
             frames = beta_lfp_frame(
-                [lanes[j].prev_delivered for j in framed], t, self.table, self.noise.take(idx)
+                [lanes[j] for j in framed], t, self.table, self.noise.take(idx)
             )
             quals = signal_quality(frames, self.sq_limits)
             power = band_power(frames, *self.band, self.cfg.fs_hz)
@@ -499,7 +510,7 @@ class IeegSensing(_Sensing):
             i = lane.index
             try:
                 self.seizures[i], self.seizing[i, t] = seizure_step(
-                    self.seizures[i], not lane.prev_delivered.is_off, t, self.dt_s,
+                    self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s,
                     self.plant_rngs[i],
                 )
             except SimulationError as e:

@@ -443,6 +443,7 @@ class BetaPlantConfig:
 
 
 BLOCK_TICKS = 64   # ticks per block of a BetaTickTable
+ENVELOPES = 4096   # distinct amplitudes whose curve value a BetaTickTable keeps
 
 
 class BetaTickTable:
@@ -458,12 +459,24 @@ class BetaTickTable:
     from the table are bit-identical to frames computed tick by tick.
     ``row(tick)`` builds the tick's block when the tick lies outside the
     current one. Memory: about 4 x BLOCK_TICKS x ``frame_len`` floats.
+    ``envelope(a)`` is the curve's value at a, kept for ENVELOPES exact amplitudes.
     """
 
     def __init__(self, cfg: BetaPlantConfig) -> None:
         self.cfg = cfg
         self.cardiac_segments = cfg.disturbances.cardiac_segments()
         self.start = -BLOCK_TICKS   # first tick of the current block; none built yet
+        self._envelopes: dict = {}
+
+    def envelope(self, amplitude_mA: float) -> float:
+        """``dose_response_eval(cfg.curve, amplitude_mA)``, evaluated once per amplitude."""
+        value = self._envelopes.get(amplitude_mA)
+        if value is None:
+            if len(self._envelopes) == ENVELOPES:
+                self._envelopes.clear()
+            value = dose_response_eval(self.cfg.curve, amplitude_mA)
+            self._envelopes[amplitude_mA] = value
+        return value
 
     def row(self, tick: int) -> int:
         """The table row of ``tick``, building its block if need be."""
@@ -515,8 +528,10 @@ def beta_lfp_frame(
 
     ``table`` holds the tick-only terms of ``table.cfg``. ``noise`` holds
     standard-normal draws, ``frame_len`` per frame: a 1-D ``noise`` with one
-    ``Dose`` gives one frame, an (S, frame_len) ``noise`` with a sequence of
-    S doses gives S frames, row i driven by dose i. Frames are phase-coherent
+    dose gives one frame, an (S, frame_len) ``noise`` with a sequence of S
+    doses gives S frames, row i driven by dose i: anything with an
+    ``amplitude_mA`` and a ``frequency_hz``, such as a ``Dose`` or an engine
+    lane (its delivered amplitude and template). Frames are phase-coherent
     across ticks (the oscillators run on absolute time). A frame consumes
     exactly ``frame_len`` draws regardless of configuration, so paired runs
     with the same seed see identical noise.
@@ -528,9 +543,7 @@ def beta_lfp_frame(
     k = table.row(tick)
 
     circadian = table.circadian[k]
-    envelope = np.array(
-        [dose_response_eval(cfg.curve, d.amplitude_mA) * circadian for d in doses]
-    )
+    envelope = np.array([table.envelope(d.amplitude_mA) * circadian for d in doses])
     frame = envelope[:, None] * table.carrier[k]
 
     frame += noise * cfg.noise_rms_uV
@@ -647,25 +660,23 @@ def _floor_to_step(x: float, step: float) -> float:
     return math.floor(round(x / step, 9)) * step
 
 
-def actuator_apply(requested: Dose, dev: DeviceState) -> Dose:
-    """Dose the output stage can actually deliver.
+def actuator_apply(amplitude_mA: float, template: Dose, dev: DeviceState) -> float:
+    """Amplitude the output stage can actually deliver on ``template``'s contact set.
 
     Amplitude is quantized down to the output resolution, then capped at the
     compliance-limited current for the active contact (the cap itself is a
-    whole number of steps, which makes the operation idempotent). Other dose
-    fields pass through.
+    whole number of steps, which makes the operation idempotent).
 
     Raises:
         ConfigurationError: unknown contact set.
     """
-    cap = dev._caps.get(requested.contact_set)
+    cap = dev._caps.get(template.contact_set)
     if cap is None:
-        z = dev.impedance_of(requested.contact_set)
-        cap = dev._caps[requested.contact_set] = _floor_to_step(
+        z = dev.impedance_of(template.contact_set)
+        cap = dev._caps[template.contact_set] = _floor_to_step(
             dev.compliance_v / z * 1000.0, dev.amp_step_mA
         )
-    quantized = _floor_to_step(requested.amplitude_mA, dev.amp_step_mA)
-    return requested.with_amplitude(min(quantized, cap))
+    return max(0.0, min(_floor_to_step(amplitude_mA, dev.amp_step_mA), cap))
 
 
 def device_step(dev: DeviceState, delivered_charge_uC: float) -> DeviceState:

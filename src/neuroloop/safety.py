@@ -115,59 +115,40 @@ class EventLog:
 # ---------------------------------------------------------------------------
 
 def clamp_and_slew(
-    command: Dose,
+    command_mA: float,
+    template: Dose,
     limits: DoseLimits,
-    prev_delivered: Dose,
+    prev_delivered_mA: float,
     tick: int = 0,
-) -> tuple[Dose, list[EventRecord]]:
-    """Legalize a dose command; never raises, always yields a compliant dose.
+) -> tuple[float, list[EventRecord]]:
+    """Legalize a commanded amplitude; never raises, always yields a compliant one.
 
-    Order is fixed: slew-limit the amplitude relative to the previously
-    delivered dose, then clamp into [amp_min, amp_max] (clamping last so the
-    result is always in range even when the slew alone would not reach it),
-    then reduce the amplitude if the per-pulse charge limit is exceeded.
-    Each intervention emits an Alert event.
+    ``template`` is the commanded dose, whose pulse width the charge limit
+    reads. Order is fixed: slew-limit the amplitude relative to the
+    previously delivered one, then clamp into [amp_min, amp_max] (clamping
+    last so the result is always in range even when the slew alone would not
+    reach it), then reduce the amplitude if the per-pulse charge limit is
+    exceeded. Each intervention emits an Alert event.
     """
     events: list[EventRecord] = []
-    amp = command.amplitude_mA
-
-    lo = prev_delivered.amplitude_mA - limits.max_slew_mA_per_tick
-    hi = prev_delivered.amplitude_mA + limits.max_slew_mA_per_tick
-    slewed = min(max(amp, lo), hi)
-    if slewed != amp:
-        events.append(
-            EventRecord(
-                tick,
-                SEVERITY_ALERT,
-                EVENT_SLEW_CLAMP,
-                {"requested_mA": amp, "slewed_mA": slewed},
-            )
-        )
+    slew = limits.max_slew_mA_per_tick
+    slewed = min(max(command_mA, prev_delivered_mA - slew), prev_delivered_mA + slew)
+    if slewed != command_mA:
+        events.append(EventRecord(tick, SEVERITY_ALERT, EVENT_SLEW_CLAMP,
+                                  {"requested_mA": command_mA, "slewed_mA": slewed}))
 
     clamped = min(max(slewed, limits.amp_min_mA), limits.amp_max_mA)
     if clamped != slewed:
-        events.append(
-            EventRecord(
-                tick,
-                SEVERITY_ALERT,
-                EVENT_LIMIT_CLAMP,
-                {"requested_mA": slewed, "clamped_mA": clamped},
-            )
-        )
+        events.append(EventRecord(tick, SEVERITY_ALERT, EVENT_LIMIT_CLAMP,
+                                  {"requested_mA": slewed, "clamped_mA": clamped}))
 
-    result = command.with_amplitude(clamped)
-    q = charge_per_pulse(result)
-    if q > limits.max_charge_per_pulse_uC and result.pulse_width_us > 0:
-        safe_amp = limits.max_charge_per_pulse_uC / (result.pulse_width_us * 1e-3)
-        events.append(
-            EventRecord(
-                tick,
-                SEVERITY_ALERT,
-                EVENT_CHARGE_CLAMP,
-                {"charge_uC": q, "reduced_to_mA": safe_amp},
-            )
-        )
-        result = result.with_amplitude(safe_amp)
+    result = max(0.0, clamped)
+    q = charge_per_pulse(result, template)
+    if q > limits.max_charge_per_pulse_uC and template.pulse_width_us > 0:
+        safe_amp = limits.max_charge_per_pulse_uC / (template.pulse_width_us * 1e-3)
+        events.append(EventRecord(tick, SEVERITY_ALERT, EVENT_CHARGE_CLAMP,
+                                  {"charge_uC": q, "reduced_to_mA": safe_amp}))
+        result = max(0.0, safe_amp)
     return result, events
 
 
@@ -234,14 +215,15 @@ def failed_device_checks(cfg: TrustConfig, device: DeviceState, contact_set: str
 # Fallback configuration
 # ---------------------------------------------------------------------------
 
-# Each fallback kind's ``dose_for(st, baseline)`` is the dose it delivers.
+# Each fallback kind's ``dose_for(st, baseline)`` is the (amplitude, template
+# dose) it delivers.
 
 @dataclass(frozen=True)
 class FallbackOff:
     """Stimulation off until re-entry."""
 
-    def dose_for(self, st: "SupervisorState", baseline: Dose) -> Dose:
-        return baseline.off()
+    def dose_for(self, st: "SupervisorState", baseline: Dose) -> tuple:
+        return 0.0, baseline
 
 
 @dataclass(frozen=True)
@@ -250,16 +232,17 @@ class FixedSafe:
 
     dose: Dose
 
-    def dose_for(self, st: "SupervisorState", baseline: Dose) -> Dose:
-        return self.dose
+    def dose_for(self, st: "SupervisorState", baseline: Dose) -> tuple:
+        return self.dose.amplitude_mA, self.dose
 
 
 @dataclass(frozen=True)
 class LastKnownGood:
     """Hold the most recent dose delivered under a passing trust verdict."""
 
-    def dose_for(self, st: "SupervisorState", baseline: Dose) -> Dose:
-        return st.last_known_good if st.last_known_good is not None else baseline
+    def dose_for(self, st: "SupervisorState", baseline: Dose) -> tuple:
+        good = st.last_known_good
+        return good if good is not None else (baseline.amplitude_mA, baseline)
 
 
 @dataclass(frozen=True)
@@ -268,15 +251,15 @@ class ManualLoop:
 
     dose: Dose
 
-    def dose_for(self, st: "SupervisorState", baseline: Dose) -> Dose:
-        return self.dose
+    def dose_for(self, st: "SupervisorState", baseline: Dose) -> tuple:
+        return self.dose.amplitude_mA, self.dose
 
 
 FallbackKind = Union[FallbackOff, FixedSafe, LastKnownGood, ManualLoop]
 
 
-def fallback_dose(kind: FallbackKind, st: "SupervisorState", baseline: Dose) -> Dose:
-    """The dose a fallback mode delivers, constant while the mode persists."""
+def fallback_dose(kind: FallbackKind, st: "SupervisorState", baseline: Dose) -> tuple:
+    """The (amplitude, template) a fallback mode delivers, constant while it persists."""
     return kind.dose_for(st, baseline)
 
 
@@ -290,10 +273,11 @@ class SupervisorState:
 
     The dwell streaks are not here: they change on every tick, so each lane
     keeps them as plain counters and passes them to ``supervisor_step``.
+    ``last_known_good`` is a captured (amplitude, template dose).
     """
 
     mode: str = MODE_AUTOMATED
-    last_known_good: Optional[Dose] = None
+    last_known_good: Optional[tuple] = None
     resume_mode: str = MODE_AUTOMATED  # mode to restore when the magnet lifts
     magnet_prev: bool = False
     dc_leak_prev: bool = False
@@ -303,7 +287,7 @@ class SupervisorState:
         return self.mode in RESET_MODES
 
     def moved(self, mode: str, edges: tuple, resume_mode: Optional[str] = None,
-              last_known_good: Optional[Dose] = None) -> "SupervisorState":
+              last_known_good: Optional[tuple] = None) -> "SupervisorState":
         """This state in ``mode`` with this tick's (magnet, DC leak) edge registers.
 
         A ``resume_mode`` or ``last_known_good`` of None keeps this state's.
@@ -338,7 +322,7 @@ def trust_check_step(cfg: TrustConfig, quality: frozenset, ecap_est_uV: Optional
 def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
                     magnet_applied: bool, device: DeviceState, trust: TrustConfig,
                     fallback: FallbackKind, tick: int = 0,
-                    last_good_candidate: Optional[Dose] = None,
+                    last_good_candidate: Optional[tuple] = None,
                     ) -> tuple[SupervisorState, list[EventRecord]]:
     """Advance the mode machine one tick, given the lane's dwell streaks.
 
@@ -346,7 +330,8 @@ def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
     dwell rules. Reset modes latch for the rest of the run: any transition
     that would otherwise fire is suppressed with an Info record. The
     streaks are read, never changed, so magnet suspension preserves them;
-    removal restores the pre-suspension mode.
+    removal restores the pre-suspension mode. ``last_good_candidate`` is
+    the last (amplitude, template) delivered under a passing verdict.
     """
     events: list[EventRecord] = []
 
@@ -375,11 +360,7 @@ def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
         return st.moved(MODE_DC_LEAK_RESET, edges), events
 
     if device.battery_v < device.eos_threshold_v:
-        emit(
-            MODE_EOS_RESET,
-            SEVERITY_FAULT,
-            {"from": st.mode, "battery_v": device.battery_v},
-        )
+        emit(MODE_EOS_RESET, SEVERITY_FAULT, {"from": st.mode, "battery_v": device.battery_v})
         return st.moved(MODE_EOS_RESET, edges), events
 
     if magnet_applied:
@@ -454,11 +435,8 @@ def therapy_and_episode_budget_step(
     events: list[EventRecord] = []
 
     if tick > 0 and tick % b.ticks_per_day == 0:
-        events.append(
-            EventRecord(
-                tick, SEVERITY_INFO, EVENT_DAY_ROLLOVER, {"episodes": b.episodes_today}
-            )
-        )
+        events.append(EventRecord(tick, SEVERITY_INFO, EVENT_DAY_ROLLOVER,
+                                  {"episodes": b.episodes_today}))
         b = b.counted(b.therapies_this_event, 0, b.event_active, b.current_event_budgeted)
 
     if event_active and not b.event_active:
@@ -471,23 +449,13 @@ def therapy_and_episode_budget_step(
 
     allow = False
     if therapy_requested:
-        allow = (
-            b.current_event_budgeted
-            and b.therapies_this_event < b.max_therapies_per_event
-        )
+        allow = b.current_event_budgeted and b.therapies_this_event < b.max_therapies_per_event
         if allow:
             b = b.counted(b.therapies_this_event + 1, b.episodes_today, b.event_active,
                           b.current_event_budgeted)
         else:
-            events.append(
-                EventRecord(
-                    tick,
-                    SEVERITY_INFO,
-                    EVENT_BUDGET_DENY,
-                    {
-                        "therapies_this_event": b.therapies_this_event,
-                        "episode_budgeted": b.current_event_budgeted,
-                    },
-                )
-            )
+            events.append(EventRecord(tick, SEVERITY_INFO, EVENT_BUDGET_DENY, {
+                "therapies_this_event": b.therapies_this_event,
+                "episode_budgeted": b.current_event_budgeted,
+            }))
     return b, allow, events

@@ -645,6 +645,13 @@ def validate_scenario(raw: dict) -> ValidationReport:
                 f"device ({sorted(device.impedance_ohm_per_contact)})",
             )
 
+    # The actuator floors amplitudes to whole output steps (to the floor's
+    # tolerance) after the clamp, so it breaks a floor or slew bound between two.
+    for key in ("amp_min_mA", "max_slew_mA_per_tick"):
+        if not round(getattr(limits, key) / device.amp_step_mA, 9).is_integer():
+            found(CHECKLIST_LIMITS, f"limits.{key} {getattr(limits, key)} is not a whole "
+                                    f"number of amp_step_mA {device.amp_step_mA} steps")
+
     # Operating region. The growth law must stay physical over the whole
     # distance trajectory (for any policy), and a setpoint target must be
     # reachable inside the actuation limits.

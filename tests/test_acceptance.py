@@ -140,7 +140,7 @@ def test_c05_therapy_budget_exhaustive():
                 st = PolicyState()
                 for detected in bits:
                     before = st.therapies_delivered_this_event
-                    st, cmd, started = bang_bang_responsive_step(detected, st, cfg)
+                    st, amp, started = bang_bang_responsive_step(detected, st, cfg)
                     if detected:
                         if started:
                             # Re-arming rule: a therapy may start only while
@@ -150,11 +150,11 @@ def test_c05_therapy_budget_exhaustive():
                             # Exhausted: off until the flag resets and a new
                             # detection occurs.
                             assert before >= 5
-                            assert cmd.is_off
+                            assert amp == 0.0
                     else:
                         # Flag reset: counter re-arms, nothing delivered.
                         assert st.therapies_delivered_this_event == 0
-                        assert cmd.is_off
+                        assert amp == 0.0
                     assert st.therapies_delivered_this_event <= 5
 
 

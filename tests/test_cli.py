@@ -11,9 +11,16 @@ from conftest import SCENARIO_DIR, deep_merge, ecap_raw, reference_raw
 
 
 # Each of these once passed validate and then failed in run, made validate
-# itself raise, or ran with a number the file does not hold (2.7 read as 2,
-# true as 1, "1.0" as 1.0); validate and run must both exit 2.
-MUTATIONS = [
+# itself raise, ran with a number the file does not hold (2.7 read as 2,
+# true as 1, "1.0" as 1.0), or ran and then failed replay's limit scan (a
+# floor or slew limit between two output steps, which the actuator's floor
+# to a step breaks); validate and run must both exit 2.
+LIMITS_BETWEEN_STEPS = [
+    ("ecap_scs", {"limits": {"amp_min_mA": 4.005}, "baseline_dose": {"amplitude_mA": 4.5},
+                  "policy": {"target_uV": 0.2}}),
+    ("ecap_scs", {"limits": {"max_slew_mA_per_tick": 0.015}}),
+]
+MUTATIONS = LIMITS_BETWEEN_STEPS + [
     ("ecap_scs", {"trust": {"exit_after_consecutive_fails": 2.7}}),
     ("ecap_scs", {"trust": {"exit_after_consecutive_fails": True}}),
     ("ecap_scs", {"policy": {"target_uV": "1.0"}}),
@@ -100,6 +107,16 @@ class TestValidate:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
         assert "FAIL" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("name, edit", LIMITS_BETWEEN_STEPS,
+                             ids=[json.dumps(e) for _, e in LIMITS_BETWEEN_STEPS])
+    def test_limit_between_output_steps_is_a_limits_finding(self, tmp_path, capsys, name, edit):
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(deep_merge(reference_raw(name), edit)))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "Stimulation actuator limits" in out and "whole number of amp_step_mA" in out
 
 
 class TestRun:

@@ -36,25 +36,28 @@ class TestMakeTimebase:
 
 
 class TestDose:
+    # The dose arithmetic takes an amplitude and the template dose whose
+    # pulse width and rate it is delivered with; the template's own
+    # amplitude (9.0 here) is not read.
     def test_charge_three_ma_hundred_us(self):
-        assert charge_per_pulse(Dose(3.0, 100.0, 130.0)) == pytest.approx(0.3)
+        assert charge_per_pulse(3.0, Dose(9.0, 100.0, 130.0)) == pytest.approx(0.3)
 
     def test_charge_off_dose(self):
-        assert charge_per_pulse(Dose(0.0, 200.0, 130.0)) == 0.0
+        assert charge_per_pulse(0.0, Dose(9.0, 200.0, 130.0)) == 0.0
 
     def test_charge_five_ma_five_hundred_us(self):
-        assert charge_per_pulse(Dose(5.0, 500.0, 50.0)) == pytest.approx(2.5)
+        assert charge_per_pulse(5.0, Dose(9.0, 500.0, 50.0)) == pytest.approx(2.5)
 
     def test_teed_rate_formula(self):
-        assert teed_rate(Dose(2.0, 60.0, 130.0)) == pytest.approx(2**2 * 60 * 130)
+        assert teed_rate(2.0, Dose(9.0, 60.0, 130.0)) == pytest.approx(2**2 * 60 * 130)
 
     def test_teed_rate_off(self):
-        assert teed_rate(Dose(0.0, 60.0, 130.0)) == 0.0
+        assert teed_rate(0.0, Dose(9.0, 60.0, 130.0)) == 0.0
 
     def test_teed_zero_iff_any_factor_zero(self):
-        assert teed_rate(Dose(1.0, 0.0, 130.0)) == 0.0
-        assert teed_rate(Dose(1.0, 60.0, 0.0)) == 0.0
-        assert teed_rate(Dose(1.0, 60.0, 1.0)) > 0.0
+        assert teed_rate(1.0, Dose(9.0, 0.0, 130.0)) == 0.0
+        assert teed_rate(1.0, Dose(9.0, 60.0, 0.0)) == 0.0
+        assert teed_rate(1.0, Dose(9.0, 60.0, 1.0)) > 0.0
 
     def test_teed_strictly_increasing_in_amplitude(self):
         rng = np.random.default_rng(7)
@@ -63,7 +66,8 @@ class TestDose:
             if a1 == a2:
                 continue
             pw, f = rng.uniform(10, 500), rng.uniform(1, 500)
-            assert teed_rate(Dose(a2, pw, f)) > teed_rate(Dose(a1, pw, f))
+            template = Dose(0.0, pw, f)
+            assert teed_rate(a2, template) > teed_rate(a1, template)
 
     def test_cumulative_teed_matches_independent_accumulator(self):
         # Oracle: a second, independent accumulation pass over the same doses.
@@ -72,7 +76,7 @@ class TestDose:
         doses = [Dose(rng.uniform(0, 5), 120.0, 90.0) for _ in range(500)]
         total = 0.0
         for d in doses:
-            total += teed_rate(d) * dt
+            total += teed_rate(d.amplitude_mA, d) * dt
         oracle = sum(d.amplitude_mA**2 * d.pulse_width_us * d.frequency_hz * dt for d in doses)
         assert total == pytest.approx(oracle, rel=1e-12)
 
@@ -82,7 +86,7 @@ class TestDose:
 
     def test_charge_per_tick(self):
         # 0.3 uC/pulse at 100 Hz for 0.5 s -> 15 uC
-        assert charge_per_tick(Dose(3.0, 100.0, 100.0), 0.5) == pytest.approx(15.0)
+        assert charge_per_tick(3.0, Dose(9.0, 100.0, 100.0), 0.5) == pytest.approx(15.0)
 
     def test_with_amplitude_floors_at_zero(self):
         assert Dose(2.0, 100.0, 130.0).with_amplitude(-0.5).amplitude_mA == 0.0

@@ -509,30 +509,32 @@ class TestActuator:
         amplifier_saturation_uV=1000.0,
     )
 
+    # actuator_apply(amplitude, template dose, device): the template names
+    # the contact set whose compliance cap applies.
+    E1 = Dose(1.0, 200.0, 50.0, "E1")
+
     def test_compliance_limit(self):
         # 10 V across 2000 ohm allows 5 mA.
-        d = actuator_apply(Dose(8.0, 200.0, 50.0, "E1"), self.DEV)
-        assert d.amplitude_mA == pytest.approx(5.0)
+        assert actuator_apply(8.0, self.E1, self.DEV) == pytest.approx(5.0)
 
     def test_quantization_floors(self):
-        d = actuator_apply(Dose(3.14, 200.0, 50.0, "E1"), self.DEV)
-        assert d.amplitude_mA == pytest.approx(3.1)
+        assert actuator_apply(3.14, self.E1, self.DEV) == pytest.approx(3.1)
 
     def test_off_stays_off(self):
-        assert actuator_apply(Dose(0.0, 200.0, 50.0, "E1"), self.DEV).amplitude_mA == 0.0
+        assert actuator_apply(0.0, self.E1, self.DEV) == 0.0
 
     def test_never_exceeds_request_and_idempotent(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
-            req = Dose(float(rng.uniform(0, 12)), 200.0, 50.0, "E1")
-            once = actuator_apply(req, self.DEV)
-            twice = actuator_apply(once, self.DEV)
-            assert once.amplitude_mA <= req.amplitude_mA + 1e-12
+            req = float(rng.uniform(0, 12))
+            once = actuator_apply(req, self.E1, self.DEV)
+            twice = actuator_apply(once, self.E1, self.DEV)
+            assert once <= req + 1e-12
             assert twice == once
 
     def test_unknown_contact(self):
         with pytest.raises(ConfigurationError):
-            actuator_apply(Dose(1.0, 200.0, 50.0, "bogus"), self.DEV)
+            actuator_apply(1.0, Dose(1.0, 200.0, 50.0, "bogus"), self.DEV)
 
 
 class TestDeviceStep:

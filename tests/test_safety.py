@@ -77,33 +77,35 @@ def dose(amp, pw=200.0, f=50.0):
 
 
 class TestClampAndSlew:
+    # clamp_and_slew(commanded amplitude, template dose, limits, previously
+    # delivered amplitude): the template supplies the pulse width.
     def test_slew_then_clamp_order(self):
         # 10 mA commanded from 2 mA: slew allows 7, then clamp to 6.
-        out, events = clamp_and_slew(dose(10.0), LIMITS, dose(2.0))
-        assert out.amplitude_mA == 6.0
+        out, events = clamp_and_slew(10.0, dose(10.0), LIMITS, 2.0)
+        assert out == 6.0
         assert [e.code for e in events] == [EVENT_SLEW_CLAMP, EVENT_LIMIT_CLAMP]
 
     def test_within_limits_is_identity(self):
-        out, events = clamp_and_slew(dose(3.0), LIMITS, dose(2.5))
-        assert out == dose(3.0) and events == []
+        out, events = clamp_and_slew(3.0, dose(3.0), LIMITS, 2.5)
+        assert out == 3.0 and events == []
 
     def test_ramp_down_is_slew_limited(self):
         limits = DoseLimits(0.0, 6.0, 1.0, 2.0)
-        out, events = clamp_and_slew(dose(0.0), limits, dose(4.0))
-        assert out.amplitude_mA == 3.0
+        out, events = clamp_and_slew(0.0, dose(0.0), limits, 4.0)
+        assert out == 3.0
         assert [e.code for e in events] == [EVENT_SLEW_CLAMP]
 
     def test_charge_violation_reduces_amplitude_with_alert(self):
         limits = DoseLimits(0.0, 6.0, 10.0, 0.5)  # 0.5 uC cap
-        out, events = clamp_and_slew(dose(5.0, pw=200.0), limits, dose(5.0))
+        out, events = clamp_and_slew(5.0, dose(5.0, pw=200.0), limits, 5.0)
         # 0.5 uC / (200 us * 1e-3) = 2.5 mA
-        assert out.amplitude_mA == pytest.approx(2.5)
+        assert out == pytest.approx(2.5)
         assert [e.code for e in events] == [EVENT_CHARGE_CLAMP]
         assert events[0].severity == SEVERITY_ALERT
 
     def test_always_legal_never_raises(self):
-        out, _ = clamp_and_slew(dose(1e9), LIMITS, dose(0.0))
-        assert 0.0 <= out.amplitude_mA <= LIMITS.amp_max_mA
+        out, _ = clamp_and_slew(1e9, dose(1e9), LIMITS, 0.0)
+        assert 0.0 <= out <= LIMITS.amp_max_mA
 
 
 @dataclass
@@ -368,7 +370,8 @@ class TestSupervisor:
         assert st2.mode == MODE_AUTOMATED and events2 == []
 
     def test_fallback_captures_last_known_good(self):
-        good = dose(4.2)
+        # Doses are passed as (amplitude, template dose) pairs.
+        good = (4.2, dose(1.0))
         st, _ = self.step(SupervisorState(), (3, 0), candidate=good)
         assert st.last_known_good == good
         assert fallback_dose(LastKnownGood(), st, dose(1.0)) == good
@@ -377,11 +380,11 @@ class TestSupervisor:
         from neuroloop.safety import ManualLoop
 
         st = SupervisorState()
-        assert fallback_dose(FixedSafe(dose=dose(2.0)), st, dose(1.0)) == dose(2.0)
-        assert fallback_dose(FallbackOff(), st, dose(1.0)).is_off
-        assert fallback_dose(ManualLoop(dose=dose(3.5)), st, dose(1.0)) == dose(3.5)
+        assert fallback_dose(FixedSafe(dose=dose(2.0)), st, dose(1.0)) == (2.0, dose(2.0))
+        assert fallback_dose(FallbackOff(), st, dose(1.0)) == (0.0, dose(1.0))
+        assert fallback_dose(ManualLoop(dose=dose(3.5)), st, dose(1.0)) == (3.5, dose(3.5))
         # LastKnownGood with nothing captured falls back to the baseline.
-        assert fallback_dose(LastKnownGood(), st, dose(1.0)) == dose(1.0)
+        assert fallback_dose(LastKnownGood(), st, dose(1.0)) == (1.0, dose(1.0))
 
 
 class TestBudgets:
