@@ -10,7 +10,7 @@ Layout:
     plant      dose-response curves, evoked potentials, signals, device model
     features   detection features and detectors, band power, quality flags
     control    the control policies
-    safety     limits, trust checks, supervisor state machine, budgets, log
+    safety     limits, trust checks, supervisor state machine, budgets
     scenario   JSON scenario schema, parsing, design-checklist validation
     engine     the run loop, mode comparison, seed sweeps
     metrics    step response, run summaries, independent safety scan

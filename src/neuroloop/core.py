@@ -1,14 +1,12 @@
 """Shared vocabulary for the simulator: time base, doses, events.
 
-Everything here is a plain value type, built only when its value changes:
-``Dose.with_amplitude`` returns the dose itself for an unchanged amplitude,
-and a dose builds its ``off()`` form once. The run loop carries a delivered
+Everything here is a plain value type. The run loop carries a delivered
 amplitude as a float beside a template ``Dose`` for the pulse width, rate and
-contact set, so the dose arithmetic takes both; ``max(0.0, a)`` is the
-amplitude ``template.with_amplitude(a)`` holds. The simulation advances on a
-single global tick; all timestamps in the package are integer tick indices,
-never wall-clock times. Dose arithmetic lives here so that the plant, the
-controllers, and the metrics all agree on one definition.
+contact set, so the dose arithmetic takes both, and floors an amplitude with
+``max(0.0, a)``. The simulation advances on a single global tick; all
+timestamps in the package are integer tick indices, never wall-clock times.
+Dose arithmetic lives here so that the plant, the controllers, and the
+metrics all agree on one definition.
 
 Units convention, used package-wide:
     amplitude   mA      (peak current of the stimulus pulse)
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 
@@ -58,13 +55,6 @@ QUALITY_SATURATED = "Saturated"
 QUALITY_FLATLINE = "Flatline"
 QUALITY_IMPOSSIBLE = "Impossible"
 QUALITY_EXTERNAL_NOISE = "ExternalNoise"
-
-# Biomarker taxonomy tags: three reactive classes plus feedforward signals.
-# The loop does not read them; they name each biomarker's class for reports.
-KIND_REACTIVE_1 = "Reactive1"   # surrogate of the clinical outcome itself
-KIND_REACTIVE_2 = "Reactive2"   # mechanism-of-action proxy
-KIND_REACTIVE_3 = "Reactive3"   # delivered-energy measurement
-KIND_PREDICTIVE = "Predictive"  # feedforward (posture, time of day, ...)
 
 SEVERITY_INFO = "Info"
 SEVERITY_ALERT = "Alert"
@@ -134,25 +124,6 @@ class Dose:
         if self.amplitude_mA < 0 or self.pulse_width_us < 0 or self.frequency_hz < 0:
             raise DomainError(f"dose fields must be nonnegative: {self}")
 
-    def with_amplitude(self, amplitude_mA: float) -> "Dose":
-        """This dose with a different amplitude; floors at zero.
-
-        Returns the dose itself when the floored amplitude is the same float
-        (same type, value and sign of zero); -0.0 to 0.0 or an int to a float
-        changes the repr and JSON form, so it builds a new dose.
-        """
-        amp = max(0.0, amplitude_mA)
-        old = self.amplitude_mA
-        if amp == old and type(amp) is type(old) and (amp or math.copysign(1.0, old) > 0):
-            return self
-        return Dose(amp, self.pulse_width_us, self.frequency_hz, self.contact_set)
-
-    def off(self) -> "Dose":
-        """This dose switched off; built once per dose."""
-        return self._off
-
-    _off = cached_property(lambda self: self.with_amplitude(0.0))
-
 
 def charge_per_pulse(amplitude_mA: float, d: Dose) -> float:
     """Charge of one rectangular pulse at ``amplitude_mA`` with ``d``'s pulse width, in µC.
@@ -202,10 +173,9 @@ class DoseLimits:
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One line of the append-only run log.
+    """One line of a run's event log, a list the loop only appends to.
 
-    Within a run, records are sorted by tick with ties broken by emission
-    order; the log itself (see ``safety.EventLog``) enforces append-only.
+    Within a run, records are sorted by tick with ties broken by emission order.
     """
 
     tick: int

@@ -10,8 +10,9 @@ its randomness from child streams spawned from the scenario seed — one for
 the physiological process, one for signal synthesis, one for sensor noise —
 so plant realizations do not shift when the controller behaves differently.
 
-One loop runs S lanes in lockstep: the same scenario under S seeds.
-``sweep`` runs one lane per seed and ``run_scenario`` is the case S = 1.
+One loop runs S lanes in lockstep: scenarios that differ in seed and policy
+only. ``sweep`` runs one lane per seed, ``compare_modes`` runs the automated
+and the fixed arm as two lanes, and ``run_scenario`` is the case S = 1.
 Each tick, frame synthesis (``beta_lfp_frame``/``ieeg_frame``) and the frame
 features (``signal_quality``, ``band_power``, the detection tools' features)
 run once on an (S, frame_len) array holding the frames of every lane that is
@@ -27,9 +28,12 @@ columns are (S, n_ticks) arrays; each lane's result holds row views of them.
 A lane carries its delivered dose as a float amplitude beside a template
 ``Dose`` (a policy, fallback or baseline dose) for the pulse width, rate and
 contact set; the stages pass the amplitude, so a tick builds no ``Dose``.
+The lane owns its run state: the event list the supervisor, budget and
+clamp stages append to, and the last-good register LastKnownGood delivers.
 Unchanged supervisor, policy, budget and device states are passed on as
 they are, the dwell streaks are lane counters, and the device checks re-run
-only when the lane's (frozen) device state is a new object.
+only when the lane's (frozen) device state is a new object or its
+delivering contact set changes.
 
 Plant and feature extraction together are one sensing object per plant kind
 (``EcapSensing``, ``BetaSensing``, ``IeegSensing``); the policy is the
@@ -47,6 +51,7 @@ propagates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -86,7 +91,6 @@ from .plant import (
 from .safety import (
     EVENT_RUN_FAULT,
     EVENT_TRUST_FAIL,
-    EventLog,
     MODE_AUTOMATED,
     MODE_FALLBACK,
     SupervisorState,
@@ -125,7 +129,7 @@ class RunResult:
     distance_mm: Optional[np.ndarray]
     seizing: Optional[np.ndarray]
     teed_cum: np.ndarray
-    events: EventLog
+    events: list                   # EventRecord, in emission order
     metrics: Metrics
     initial_delivered_mA: float
     aborted: bool = False
@@ -176,19 +180,18 @@ class _Lane:
         self.measures_ecap = measures_ecap
         self.sup = SupervisorState()
         self.fail_streak = self.pass_streak = 0
-        self.checked_device = None   # the device whose checks device_fails holds
+        self.checked_device = self.checked_contact = None   # what device_fails is for
         self.device_fails = 0
         self.pol_state = PolicyState()
         self.budgets = scenario.budgets
         self.device = scenario.device
-        self.log = EventLog()
+        self.log: list = []
         # The delivered amplitude, and the dose whose timing and contacts it has.
         self.template = baseline = scenario.baseline_dose
         self.amplitude_mA = actuator_apply(baseline.amplitude_mA, baseline, scenario.device)
         self.initial_delivered = self.amplitude_mA
-        self.last_good: Optional[tuple] = None   # (amplitude, template)
+        self.last_good: Optional[tuple] = None   # (amplitude, template) for LastKnownGood
         self.teed = 0.0
-        self.fallback_ticks = 0
         self.n = n               # ticks completed; the abort tick once aborted
         self.aborted = False
         self.biomarker = columns["biomarker"][index]
@@ -229,9 +232,10 @@ class _Lane:
         # ---- trust checks -----------------------------------------------
         trust = sc.trust
         if not in_reset:
-            if device is not self.checked_device:
-                self.checked_device = device
-                self.device_fails = failed_device_checks(trust, device, baseline.contact_set)
+            contact = template.contact_set
+            if device is not self.checked_device or contact != self.checked_contact:
+                self.checked_device, self.checked_contact = device, contact
+                self.device_fails = failed_device_checks(trust, device, contact)
             self.fail_streak, self.pass_streak, failed = trust_check_step(
                 trust, qual, measured if self.measures_ecap else None, measured,
                 self.device_fails, self.fail_streak, self.pass_streak,
@@ -241,12 +245,8 @@ class _Lane:
                                        {"checks": trust.names(failed)}))
 
         # ---- supervisor -------------------------------------------------
-        sup, sup_events = supervisor_step(
-            sup, self.fail_streak, self.pass_streak, self.magnet[t], device, trust,
-            sc.fallback, t, last_good_candidate=self.last_good,
-        )
-        self.sup = sup
-        log.extend(sup_events)
+        self.sup = sup = supervisor_step(sup, self.fail_streak, self.pass_streak,
+                                         self.magnet[t], device, trust, sc.fallback, log, t)
         mode = sup.mode
 
         # ---- policy -----------------------------------------------------
@@ -256,28 +256,25 @@ class _Lane:
                 self.pol_state, measured, qual, detection, prev, template
             )
         elif mode == MODE_FALLBACK:
-            cmd, template = fallback_dose(sc.fallback, sup, baseline)
-            self.fallback_ticks += 1
+            cmd, template = fallback_dose(sc.fallback, self.last_good, baseline)
         else:
             # Magnet suspension or a latched reset: stimulation off.
             cmd = 0.0
 
         # ---- budgets ----------------------------------------------------
-        self.budgets, allowed, budget_events = therapy_and_episode_budget_step(
-            self.budgets, detection, therapy_started, t
-        )
-        log.extend(budget_events)
+        self.budgets, allowed = therapy_and_episode_budget_step(
+            self.budgets, detection, therapy_started, log, t)
         if therapy_started and not allowed:
             cmd = 0.0
             self.pol_state = replace(self.pol_state, plan_remaining=0)
 
         # ---- safety clamps + actuator -----------------------------------
-        legal, clamp_events = clamp_and_slew(cmd, template, sc.limits, prev, t)
-        log.extend(clamp_events)
+        legal = clamp_and_slew(cmd, template, sc.limits, prev, log, t)
         delivered = actuator_apply(legal, template, device)
 
         # A "known good" dose is one the automated loop chose while trust
-        # passed; forced-off doses (suspend/reset) never qualify.
+        # passed; forced-off doses (suspend/reset) never qualify. It changes
+        # only in Automated, so in Fallback it holds the dose held on entry.
         if mode == MODE_AUTOMATED and self.fail_streak == 0:
             self.last_good = (delivered, template)
 
@@ -320,14 +317,15 @@ class _Lane:
                 )
 
         seizure_count, early, seizure_ticks = sensing.seizure_counts(self.index, n)
+        codes = Counter(e.code for e in self.log)
         run_metrics = Metrics(
             teed_total=self.teed,
             time_in_range_frac=time_in_range,
             seizure_count=seizure_count,
             seizure_ticks_total=seizure_ticks,
             early_termination_count=early,
-            fallback_frac=self.fallback_ticks / n if n else 0.0,
-            limit_clamp_count=sum(self.log.count(c) for c in CLAMP_CODES),
+            fallback_frac=self.mode.count(MODE_FALLBACK) / n if n else 0.0,
+            limit_clamp_count=sum(codes[c] for c in CLAMP_CODES),
             step_response=sr,
         )
         distance = sensing.distance_mm
@@ -558,7 +556,11 @@ COLUMNS = {   # per-tick float columns and their value before a tick records
 
 
 def _run_lanes(scenarios: list) -> list[RunResult]:
-    """Run scenarios that differ only in their seed in lockstep, one lane each."""
+    """Run scenarios that differ in seed and policy only in lockstep, one lane each.
+
+    Everything the batched sensing reads comes from the first scenario:
+    plant, features, timebase, device and magnet schedule.
+    """
     first = scenarios[0]
     n = first.timebase.n_ticks
     # Child streams per lane: physiological process, frame synthesis, measurement noise.
@@ -651,13 +653,13 @@ def _variance_about(series: np.ndarray, target: float) -> float:
 def compare_modes(scenario: Scenario) -> ModeComparison:
     """Run the scenario as configured and as a fixed-output manual loop.
 
-    Both arms use the identical seed, so plant disturbance realizations
-    match tick for tick; the only difference is who sets the dose.
+    The arms are two lanes of one loop with the identical seed, so plant
+    disturbance realizations match tick for tick; the only difference is
+    who sets the dose. Each arm equals a ``run_scenario`` of it alone.
     """
     if isinstance(scenario.policy, ManualFixed):
         raise ValueError("compare_modes needs an automated policy to compare against")
-    auto = run_scenario(scenario)
-    fixed = run_scenario(fixed_arm_scenario(scenario))
+    auto, fixed = _run_lanes([scenario, fixed_arm_scenario(scenario)])
     target = scenario.policy.target
     va = _variance_about(auto.biomarker, target) if target is not None else None
     vf = _variance_about(fixed.biomarker, target) if target is not None else None

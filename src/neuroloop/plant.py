@@ -642,8 +642,13 @@ class DeviceState:
         if self.compliance_v <= 0:
             raise ConfigurationError("compliance_v must be positive")
         for contact, z in self.impedance_ohm_per_contact.items():
-            if z <= 0:
-                raise ConfigurationError(f"impedance of contact {contact!r} must be positive")
+            if z <= 0 or math.isinf(self.compliance_v / z * 1000.0 / self.amp_step_mA):
+                why = "positive" if z <= 0 else "large enough for a finite compliance current"
+                raise ConfigurationError(f"impedance of contact {contact!r} must be {why}")
+
+    def compliance_cap(self, z_ohm: float) -> float:
+        """The most current the output stage drives across ``z_ohm``, in whole steps."""
+        return _floor_to_step(self.compliance_v / z_ohm * 1000.0, self.amp_step_mA)
 
     def impedance_of(self, contact_set: str) -> float:
         try:
@@ -673,9 +678,7 @@ def actuator_apply(amplitude_mA: float, template: Dose, dev: DeviceState) -> flo
     cap = dev._caps.get(template.contact_set)
     if cap is None:
         z = dev.impedance_of(template.contact_set)
-        cap = dev._caps[template.contact_set] = _floor_to_step(
-            dev.compliance_v / z * 1000.0, dev.amp_step_mA
-        )
+        cap = dev._caps[template.contact_set] = dev.compliance_cap(z)
     return max(0.0, min(_floor_to_step(amplitude_mA, dev.amp_step_mA), cap))
 
 

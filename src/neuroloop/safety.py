@@ -1,4 +1,4 @@
-"""Risk-mitigation machinery: limits, trust checks, supervisor, budgets, log.
+"""Risk-mitigation machinery: limits, trust checks, supervisor, budgets.
 
 The safety layer sits between the control policy and the actuator. Every
 command — whatever mode the loop is in — passes through ``clamp_and_slew``,
@@ -8,14 +8,16 @@ failures drive the supervisor from Automated into a fallback mode, and only
 enough consecutive passes let it back in. Each check is one bit of a
 failed-check mask. The dwell streaks are the caller's counters, not
 supervisor state, and the device checks need re-running only when the
-(frozen) device state is a new object. Magnet application suspends
-therapy and restores the previous mode on removal. End-of-service and
-DC-leak conditions latch the device into reset states for the rest of the
-run: nothing a scenario can express leaves them.
+(frozen) device state is a new object or the delivering contact set
+changes. Magnet application suspends therapy and restores the previous
+mode on removal. End-of-service and DC-leak conditions latch the device
+into reset states for the rest of the run: nothing a scenario can express
+leaves them.
 
-All transitions and limit interventions are recorded in an append-only
-event log whose codes are stable strings (see EVENT_* constants); replaying
-the MODE_* records reconstructs the mode trajectory exactly.
+The supervisor, the budget step and ``clamp_and_slew`` append each
+transition and limit intervention to the lane's event list (``log``, a plain
+list of ``EventRecord``). Event codes are stable strings (see EVENT_*
+constants); replaying the MODE_* records reconstructs the mode trajectory.
 """
 
 from __future__ import annotations
@@ -84,32 +86,6 @@ CHECK_BITS = {
 }
 
 
-class EventLog:
-    """Append-only run log, single writer, emission order preserved."""
-
-    def __init__(self) -> None:
-        self._records: list[EventRecord] = []
-
-    def append(self, rec: EventRecord) -> None:
-        self._records.append(rec)
-
-    def extend(self, recs) -> None:
-        self._records.extend(recs)
-
-    @property
-    def records(self) -> tuple:
-        return tuple(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self):
-        return iter(self._records)
-
-    def count(self, code: str) -> int:
-        return sum(1 for r in self._records if r.code == code)
-
-
 # ---------------------------------------------------------------------------
 # Dose limiting
 # ---------------------------------------------------------------------------
@@ -119,8 +95,9 @@ def clamp_and_slew(
     template: Dose,
     limits: DoseLimits,
     prev_delivered_mA: float,
+    log: list,
     tick: int = 0,
-) -> tuple[float, list[EventRecord]]:
+) -> float:
     """Legalize a commanded amplitude; never raises, always yields a compliant one.
 
     ``template`` is the commanded dose, whose pulse width the charge limit
@@ -128,28 +105,27 @@ def clamp_and_slew(
     previously delivered one, then clamp into [amp_min, amp_max] (clamping
     last so the result is always in range even when the slew alone would not
     reach it), then reduce the amplitude if the per-pulse charge limit is
-    exceeded. Each intervention emits an Alert event.
+    exceeded. Each intervention appends an Alert event to ``log``.
     """
-    events: list[EventRecord] = []
     slew = limits.max_slew_mA_per_tick
     slewed = min(max(command_mA, prev_delivered_mA - slew), prev_delivered_mA + slew)
     if slewed != command_mA:
-        events.append(EventRecord(tick, SEVERITY_ALERT, EVENT_SLEW_CLAMP,
-                                  {"requested_mA": command_mA, "slewed_mA": slewed}))
+        log.append(EventRecord(tick, SEVERITY_ALERT, EVENT_SLEW_CLAMP,
+                               {"requested_mA": command_mA, "slewed_mA": slewed}))
 
     clamped = min(max(slewed, limits.amp_min_mA), limits.amp_max_mA)
     if clamped != slewed:
-        events.append(EventRecord(tick, SEVERITY_ALERT, EVENT_LIMIT_CLAMP,
-                                  {"requested_mA": slewed, "clamped_mA": clamped}))
+        log.append(EventRecord(tick, SEVERITY_ALERT, EVENT_LIMIT_CLAMP,
+                               {"requested_mA": slewed, "clamped_mA": clamped}))
 
     result = max(0.0, clamped)
     q = charge_per_pulse(result, template)
     if q > limits.max_charge_per_pulse_uC and template.pulse_width_us > 0:
         safe_amp = limits.max_charge_per_pulse_uC / (template.pulse_width_us * 1e-3)
-        events.append(EventRecord(tick, SEVERITY_ALERT, EVENT_CHARGE_CLAMP,
-                                  {"charge_uC": q, "reduced_to_mA": safe_amp}))
+        log.append(EventRecord(tick, SEVERITY_ALERT, EVENT_CHARGE_CLAMP,
+                               {"charge_uC": q, "reduced_to_mA": safe_amp}))
         result = max(0.0, safe_amp)
-    return result, events
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +175,8 @@ def failed_device_checks(cfg: TrustConfig, device: DeviceState, contact_set: str
     """The mask of the device checks ``device`` fails, enabled or not.
 
     A ``DeviceState`` is frozen, so a lane runs this only when its device
-    object changes; ``trust_check_step`` keeps the enabled checks' bits.
+    object or ``contact_set`` (the delivering dose's) changes;
+    ``trust_check_step`` keeps the enabled checks' bits.
     """
     failed = 0
     if device.battery_v < device.eos_threshold_v:
@@ -215,14 +192,15 @@ def failed_device_checks(cfg: TrustConfig, device: DeviceState, contact_set: str
 # Fallback configuration
 # ---------------------------------------------------------------------------
 
-# Each fallback kind's ``dose_for(st, baseline)`` is the (amplitude, template
-# dose) it delivers.
+# Each fallback kind's ``dose_for(last_good, baseline)`` is the (amplitude,
+# template dose) it delivers. ``last_good`` is the lane's register of the last
+# one the automated loop delivered under a passing verdict, or None.
 
 @dataclass(frozen=True)
 class FallbackOff:
     """Stimulation off until re-entry."""
 
-    def dose_for(self, st: "SupervisorState", baseline: Dose) -> tuple:
+    def dose_for(self, last_good: Optional[tuple], baseline: Dose) -> tuple:
         return 0.0, baseline
 
 
@@ -232,17 +210,16 @@ class FixedSafe:
 
     dose: Dose
 
-    def dose_for(self, st: "SupervisorState", baseline: Dose) -> tuple:
+    def dose_for(self, last_good: Optional[tuple], baseline: Dose) -> tuple:
         return self.dose.amplitude_mA, self.dose
 
 
 @dataclass(frozen=True)
 class LastKnownGood:
-    """Hold the most recent dose delivered under a passing trust verdict."""
+    """Hold the lane's last-good dose; the baseline dose before there is one."""
 
-    def dose_for(self, st: "SupervisorState", baseline: Dose) -> tuple:
-        good = st.last_known_good
-        return good if good is not None else (baseline.amplitude_mA, baseline)
+    def dose_for(self, last_good: Optional[tuple], baseline: Dose) -> tuple:
+        return last_good if last_good is not None else (baseline.amplitude_mA, baseline)
 
 
 @dataclass(frozen=True)
@@ -251,16 +228,16 @@ class ManualLoop:
 
     dose: Dose
 
-    def dose_for(self, st: "SupervisorState", baseline: Dose) -> tuple:
+    def dose_for(self, last_good: Optional[tuple], baseline: Dose) -> tuple:
         return self.dose.amplitude_mA, self.dose
 
 
 FallbackKind = Union[FallbackOff, FixedSafe, LastKnownGood, ManualLoop]
 
 
-def fallback_dose(kind: FallbackKind, st: "SupervisorState", baseline: Dose) -> tuple:
+def fallback_dose(kind: FallbackKind, last_good: Optional[tuple], baseline: Dose) -> tuple:
     """The (amplitude, template) a fallback mode delivers, constant while it persists."""
-    return kind.dose_for(st, baseline)
+    return kind.dose_for(last_good, baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +246,13 @@ def fallback_dose(kind: FallbackKind, st: "SupervisorState", baseline: Dose) -> 
 
 @dataclass(frozen=True)
 class SupervisorState:
-    """Mode plus the capture registers that drive it.
+    """Mode, resume mode and the edge registers that drive them.
 
     The dwell streaks are not here: they change on every tick, so each lane
     keeps them as plain counters and passes them to ``supervisor_step``.
-    ``last_known_good`` is a captured (amplitude, template dose).
     """
 
     mode: str = MODE_AUTOMATED
-    last_known_good: Optional[tuple] = None
     resume_mode: str = MODE_AUTOMATED  # mode to restore when the magnet lifts
     magnet_prev: bool = False
     dc_leak_prev: bool = False
@@ -286,14 +261,13 @@ class SupervisorState:
     def in_reset(self) -> bool:
         return self.mode in RESET_MODES
 
-    def moved(self, mode: str, edges: tuple, resume_mode: Optional[str] = None,
-              last_known_good: Optional[tuple] = None) -> "SupervisorState":
+    def moved(self, mode: str, edges: tuple,
+              resume_mode: Optional[str] = None) -> "SupervisorState":
         """This state in ``mode`` with this tick's (magnet, DC leak) edge registers.
 
-        A ``resume_mode`` or ``last_known_good`` of None keeps this state's.
+        A ``resume_mode`` of None keeps this state's.
         """
-        return SupervisorState(mode, last_known_good or self.last_known_good,
-                               resume_mode or self.resume_mode, *edges)
+        return SupervisorState(mode, resume_mode or self.resume_mode, *edges)
 
 
 def trust_check_step(cfg: TrustConfig, quality: frozenset, ecap_est_uV: Optional[float],
@@ -321,24 +295,18 @@ def trust_check_step(cfg: TrustConfig, quality: frozenset, ecap_est_uV: Optional
 
 def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
                     magnet_applied: bool, device: DeviceState, trust: TrustConfig,
-                    fallback: FallbackKind, tick: int = 0,
-                    last_good_candidate: Optional[tuple] = None,
-                    ) -> tuple[SupervisorState, list[EventRecord]]:
+                    fallback: FallbackKind, log: list, tick: int = 0) -> SupervisorState:
     """Advance the mode machine one tick, given the lane's dwell streaks.
 
     Precedence, highest first: DC leak, end of service, magnet, trust
     dwell rules. Reset modes latch for the rest of the run: any transition
     that would otherwise fire is suppressed with an Info record. The
     streaks are read, never changed, so magnet suspension preserves them;
-    removal restores the pre-suspension mode. ``last_good_candidate`` is
-    the last (amplitude, template) delivered under a passing verdict.
+    removal restores the pre-suspension mode. Events are appended to ``log``.
     """
-    events: list[EventRecord] = []
 
     def emit(target_mode: str, severity: str, payload: Optional[dict] = None) -> None:
-        events.append(
-            EventRecord(tick, severity, MODE_EVENT_CODES[target_mode], payload or {})
-        )
+        log.append(EventRecord(tick, severity, MODE_EVENT_CODES[target_mode], payload or {}))
 
     # Every transition records this tick's magnet and DC-leak edges. Staying
     # in the same mode changes only those, and when they do not change the
@@ -353,40 +321,40 @@ def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
             emit(MODE_DC_LEAK_RESET, SEVERITY_INFO, {"suppressed_by": st.mode})
         if magnet_applied and not st.magnet_prev:
             emit(MODE_SUSPENDED_MAGNET, SEVERITY_INFO, {"suppressed_by": st.mode})
-        return stay, events
+        return stay
 
     if device.dc_leak_flag:
         emit(MODE_DC_LEAK_RESET, SEVERITY_FAULT, {"from": st.mode})
-        return st.moved(MODE_DC_LEAK_RESET, edges), events
+        return st.moved(MODE_DC_LEAK_RESET, edges)
 
     if device.battery_v < device.eos_threshold_v:
         emit(MODE_EOS_RESET, SEVERITY_FAULT, {"from": st.mode, "battery_v": device.battery_v})
-        return st.moved(MODE_EOS_RESET, edges), events
+        return st.moved(MODE_EOS_RESET, edges)
 
     if magnet_applied:
         if st.mode != MODE_SUSPENDED_MAGNET:
             emit(MODE_SUSPENDED_MAGNET, SEVERITY_ALERT, {"from": st.mode})
-            return st.moved(MODE_SUSPENDED_MAGNET, edges, resume_mode=st.mode), events
-        return stay, events
+            return st.moved(MODE_SUSPENDED_MAGNET, edges, resume_mode=st.mode)
+        return stay
 
     if st.mode == MODE_SUSPENDED_MAGNET:
         emit(st.resume_mode, SEVERITY_ALERT, {"from": MODE_SUSPENDED_MAGNET})
-        return st.moved(st.resume_mode, edges), events
+        return st.moved(st.resume_mode, edges)
 
     if st.mode == MODE_AUTOMATED:
         if fail_streak >= trust.exit_after_consecutive_fails:
             emit(MODE_FALLBACK, SEVERITY_ALERT,
                  {"kind": type(fallback).__name__, "fail_streak": fail_streak})
-            return st.moved(MODE_FALLBACK, edges, last_known_good=last_good_candidate), events
-        return stay, events
+            return st.moved(MODE_FALLBACK, edges)
+        return stay
 
     if st.mode == MODE_FALLBACK:
         if pass_streak >= trust.reenter_after_consecutive_passes:
-            events.append(EventRecord(tick, SEVERITY_INFO, EVENT_TRUST_REENTER,
-                                      {"pass_streak": pass_streak}))
+            log.append(EventRecord(tick, SEVERITY_INFO, EVENT_TRUST_REENTER,
+                                   {"pass_streak": pass_streak}))
             emit(MODE_AUTOMATED, SEVERITY_ALERT, {"from": MODE_FALLBACK})
-            return st.moved(MODE_AUTOMATED, edges), events
-        return stay, events
+            return st.moved(MODE_AUTOMATED, edges)
+        return stay
 
     raise ConfigurationError(f"unknown supervisor mode {st.mode!r}")
 
@@ -429,14 +397,12 @@ class Budgets:
 
 
 def therapy_and_episode_budget_step(
-    b: Budgets, event_active: bool, therapy_requested: bool, tick: int
-) -> tuple[Budgets, bool, list[EventRecord]]:
-    """Advance budget bookkeeping one tick; returns (budgets, allow, events)."""
-    events: list[EventRecord] = []
-
+    b: Budgets, event_active: bool, therapy_requested: bool, log: list, tick: int
+) -> tuple[Budgets, bool]:
+    """Advance budget bookkeeping one tick, appending to ``log``; returns (budgets, allow)."""
     if tick > 0 and tick % b.ticks_per_day == 0:
-        events.append(EventRecord(tick, SEVERITY_INFO, EVENT_DAY_ROLLOVER,
-                                  {"episodes": b.episodes_today}))
+        log.append(EventRecord(tick, SEVERITY_INFO, EVENT_DAY_ROLLOVER,
+                               {"episodes": b.episodes_today}))
         b = b.counted(b.therapies_this_event, 0, b.event_active, b.current_event_budgeted)
 
     if event_active and not b.event_active:
@@ -454,8 +420,8 @@ def therapy_and_episode_budget_step(
             b = b.counted(b.therapies_this_event + 1, b.episodes_today, b.event_active,
                           b.current_event_budgeted)
         else:
-            events.append(EventRecord(tick, SEVERITY_INFO, EVENT_BUDGET_DENY, {
+            log.append(EventRecord(tick, SEVERITY_INFO, EVENT_BUDGET_DENY, {
                 "therapies_this_event": b.therapies_this_event,
                 "episode_budgeted": b.current_event_budgeted,
             }))
-    return b, allow, events
+    return b, allow

@@ -37,6 +37,7 @@ from .core import (
     DoseLimits,
     SimulationError,
     TimeBase,
+    charge_per_pulse,
     make_timebase,
 )
 from .control import (
@@ -651,6 +652,20 @@ def validate_scenario(raw: dict) -> ValidationReport:
         if not round(getattr(limits, key) / device.amp_step_mA, 9).is_integer():
             found(CHECKLIST_LIMITS, f"limits.{key} {getattr(limits, key)} is not a whole "
                                     f"number of amp_step_mA {device.amp_step_mA} steps")
+
+    # The charge clamp and the compliance cap (which shrinks as the impedance
+    # ramps up) act after the range clamp, so either could break amp_min.
+    if limits.amp_min_mA > 0:
+        ramp = device.impedance_ramp_ohm_per_tick * timebase.n_ticks
+        for role, d in s.doses.items():
+            if charge_per_pulse(limits.amp_min_mA, d) > limits.max_charge_per_pulse_uC:
+                found(CHECKLIST_LIMITS, f"{role} dose: amp_min {limits.amp_min_mA} mA at "
+                                        f"{d.pulse_width_us} µs exceeds max_charge_per_pulse_uC "
+                                        f"{limits.max_charge_per_pulse_uC}")
+            z = device.impedance_ohm_per_contact.get(d.contact_set)
+            if z is not None and device.compliance_cap(max(z, z + ramp)) < limits.amp_min_mA:
+                found(CHECKLIST_LIMITS, f"{role} dose: the compliance cap on {d.contact_set!r} "
+                                        f"lies below amp_min {limits.amp_min_mA} mA")
 
     # Operating region. The growth law must stay physical over the whole
     # distance trajectory (for any policy), and a setpoint target must be

@@ -157,7 +157,6 @@ def clinician_reset(st: SupervisorState, tick: int = 0):
     return (
         SupervisorState(
             mode=MODE_AUTOMATED,
-            last_known_good=st.last_known_good,
             magnet_prev=st.magnet_prev,
             dc_leak_prev=st.dc_leak_prev,
         ),

@@ -14,13 +14,18 @@ from conftest import SCENARIO_DIR, deep_merge, ecap_raw, reference_raw
 # itself raise, ran with a number the file does not hold (2.7 read as 2,
 # true as 1, "1.0" as 1.0), or ran and then failed replay's limit scan (a
 # floor or slew limit between two output steps, which the actuator's floor
-# to a step breaks); validate and run must both exit 2.
+# to a step breaks, or an amp_min the charge clamp or the compliance cap
+# holds a dose below); validate and run must both exit 2.
 LIMITS_BETWEEN_STEPS = [
     ("ecap_scs", {"limits": {"amp_min_mA": 4.005}, "baseline_dose": {"amplitude_mA": 4.5},
                   "policy": {"target_uV": 0.2}}),
     ("ecap_scs", {"limits": {"max_slew_mA_per_tick": 0.015}}),
 ]
 MUTATIONS = LIMITS_BETWEEN_STEPS + [
+    ("ecap_scs", {"limits": {"amp_min_mA": 4, "max_charge_per_pulse_uC": 0.7}}),
+    ("ecap_scs", {"limits": {"amp_min_mA": 4}, "plant": {"device": {"compliance_v": 1.5}}}),
+    ("ecap_scs", {"limits": {"amp_min_mA": 4},
+                  "plant": {"device": {"impedance_ramp_ohm_per_tick": 2.0}}}),
     ("ecap_scs", {"trust": {"exit_after_consecutive_fails": 2.7}}),
     ("ecap_scs", {"trust": {"exit_after_consecutive_fails": True}}),
     ("ecap_scs", {"policy": {"target_uV": "1.0"}}),
@@ -31,6 +36,7 @@ MUTATIONS = LIMITS_BETWEEN_STEPS + [
     ("ecap_scs", {"metrics": {"range": []}}),
     ("ecap_scs", {"metrics": {"step_response": {"step_tick": -1}}}),
     ("ecap_scs", {"plant": {"device": {"impedance_ohm": "x"}}}),
+    ("ecap_scs", {"plant": {"device": {"impedance_ohm": {"E1": 1e-310}}}}),
     ("ecap_scs", {"timebase": {"duration_s": 1e12}}),
     ("adbs_parkinsons", {"features": []}),
     ("adbs_parkinsons", {"features": {"band_lo_hz": 0}}),

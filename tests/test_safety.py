@@ -1,4 +1,4 @@
-"""Safety layer: clamps, trust checks, supervisor, budgets, event log."""
+"""Safety layer: clamps, trust checks, supervisor, budgets."""
 
 import itertools
 import math
@@ -11,7 +11,6 @@ from neuroloop.core import (
     ConfigurationError,
     Dose,
     DoseLimits,
-    EventRecord,
     QUALITY_EXTERNAL_NOISE,
     QUALITY_FLATLINE,
     QUALITY_IMPOSSIBLE,
@@ -39,7 +38,6 @@ from neuroloop.safety import (
     EVENT_MODE_EOS_RESET,
     EVENT_MODE_FALLBACK,
     EVENT_SLEW_CLAMP,
-    EventLog,
     FallbackOff,
     FixedSafe,
     LastKnownGood,
@@ -76,35 +74,48 @@ def dose(amp, pw=200.0, f=50.0):
     return Dose(amp, pw, f, "E1")
 
 
+def clamp(command_mA, template, limits, prev_delivered_mA):
+    """One clamp_and_slew call on a fresh log: (amplitude, events)."""
+    log = []
+    return clamp_and_slew(command_mA, template, limits, prev_delivered_mA, log), log
+
+
+def budget_step(b, event_active, therapy_requested, tick):
+    """One budget tick on a fresh log: (budgets, allow, events)."""
+    log = []
+    b, allow = therapy_and_episode_budget_step(b, event_active, therapy_requested, log, tick)
+    return b, allow, log
+
+
 class TestClampAndSlew:
     # clamp_and_slew(commanded amplitude, template dose, limits, previously
-    # delivered amplitude): the template supplies the pulse width.
+    # delivered amplitude, log): the template supplies the pulse width.
     def test_slew_then_clamp_order(self):
         # 10 mA commanded from 2 mA: slew allows 7, then clamp to 6.
-        out, events = clamp_and_slew(10.0, dose(10.0), LIMITS, 2.0)
+        out, events = clamp(10.0, dose(10.0), LIMITS, 2.0)
         assert out == 6.0
         assert [e.code for e in events] == [EVENT_SLEW_CLAMP, EVENT_LIMIT_CLAMP]
 
     def test_within_limits_is_identity(self):
-        out, events = clamp_and_slew(3.0, dose(3.0), LIMITS, 2.5)
+        out, events = clamp(3.0, dose(3.0), LIMITS, 2.5)
         assert out == 3.0 and events == []
 
     def test_ramp_down_is_slew_limited(self):
         limits = DoseLimits(0.0, 6.0, 1.0, 2.0)
-        out, events = clamp_and_slew(0.0, dose(0.0), limits, 4.0)
+        out, events = clamp(0.0, dose(0.0), limits, 4.0)
         assert out == 3.0
         assert [e.code for e in events] == [EVENT_SLEW_CLAMP]
 
     def test_charge_violation_reduces_amplitude_with_alert(self):
         limits = DoseLimits(0.0, 6.0, 10.0, 0.5)  # 0.5 uC cap
-        out, events = clamp_and_slew(5.0, dose(5.0, pw=200.0), limits, 5.0)
+        out, events = clamp(5.0, dose(5.0, pw=200.0), limits, 5.0)
         # 0.5 uC / (200 us * 1e-3) = 2.5 mA
         assert out == pytest.approx(2.5)
         assert [e.code for e in events] == [EVENT_CHARGE_CLAMP]
         assert events[0].severity == SEVERITY_ALERT
 
     def test_always_legal_never_raises(self):
-        out, _ = clamp_and_slew(1e9, dose(1e9), LIMITS, 0.0)
+        out, _ = clamp(1e9, dose(1e9), LIMITS, 0.0)
         assert 0.0 <= out <= LIMITS.amp_max_mA
 
 
@@ -286,11 +297,11 @@ class TestSupervisor:
     )
     FB = FixedSafe(dose=dose(2.0))
 
-    def step(self, st, streaks=(0, 1), magnet=False, device=DEVICE, tick=0, candidate=None):
-        """One supervisor tick; ``streaks`` is the lane's (fail, pass) streaks."""
-        return supervisor_step(
-            st, *streaks, magnet, device, self.TRUST, self.FB, tick, candidate
-        )
+    def step(self, st, streaks=(0, 1), magnet=False, device=DEVICE, tick=0):
+        """One supervisor tick on a fresh log: (state, events); ``streaks`` is
+        the lane's (fail, pass) streaks."""
+        log = []
+        return supervisor_step(st, *streaks, magnet, device, self.TRUST, self.FB, log, tick), log
 
     def test_exit_dwell_rule(self):
         st, events = self.step(SupervisorState(), (3, 0))
@@ -370,21 +381,22 @@ class TestSupervisor:
         assert st2.mode == MODE_AUTOMATED and events2 == []
 
     def test_fallback_captures_last_known_good(self):
-        # Doses are passed as (amplitude, template dose) pairs.
+        # LastKnownGood delivers the lane's register, an (amplitude, template
+        # dose) pair; the supervisor's state holds no dose.
         good = (4.2, dose(1.0))
-        st, _ = self.step(SupervisorState(), (3, 0), candidate=good)
-        assert st.last_known_good == good
-        assert fallback_dose(LastKnownGood(), st, dose(1.0)) == good
+        st, _ = self.step(SupervisorState(), (3, 0))
+        assert st.mode == MODE_FALLBACK and not hasattr(st, "last_known_good")
+        assert fallback_dose(LastKnownGood(), good, dose(1.0)) == good
 
     def test_fallback_dose_kinds(self):
         from neuroloop.safety import ManualLoop
 
-        st = SupervisorState()
-        assert fallback_dose(FixedSafe(dose=dose(2.0)), st, dose(1.0)) == (2.0, dose(2.0))
-        assert fallback_dose(FallbackOff(), st, dose(1.0)) == (0.0, dose(1.0))
-        assert fallback_dose(ManualLoop(dose=dose(3.5)), st, dose(1.0)) == (3.5, dose(3.5))
+        good = (4.2, dose(1.0))
+        assert fallback_dose(FixedSafe(dose=dose(2.0)), good, dose(1.0)) == (2.0, dose(2.0))
+        assert fallback_dose(FallbackOff(), good, dose(1.0)) == (0.0, dose(1.0))
+        assert fallback_dose(ManualLoop(dose=dose(3.5)), good, dose(1.0)) == (3.5, dose(3.5))
         # LastKnownGood with nothing captured falls back to the baseline.
-        assert fallback_dose(LastKnownGood(), st, dose(1.0)) == (1.0, dose(1.0))
+        assert fallback_dose(LastKnownGood(), None, dose(1.0)) == (1.0, dose(1.0))
 
 
 class TestBudgets:
@@ -392,7 +404,7 @@ class TestBudgets:
         b = Budgets(max_therapies_per_event=5, max_episodes_per_day=10, ticks_per_day=10_000)
         denies = 0
         for t in range(8):
-            b, allow, events = therapy_and_episode_budget_step(b, True, True, t)
+            b, allow, events = budget_step(b, True, True, t)
             if not allow:
                 denies += 1
                 assert any(e.code == EVENT_BUDGET_DENY for e in events)
@@ -404,7 +416,7 @@ class TestBudgets:
         for episode in range(3):
             # event onset + 3 therapy requests
             for i in range(3):
-                b, allow, _ = therapy_and_episode_budget_step(b, True, True, tick)
+                b, allow, _ = budget_step(b, True, True, tick)
                 tick += 1
                 if episode < 2:
                     assert allow
@@ -412,51 +424,30 @@ class TestBudgets:
                     assert not allow
             # gap between events
             for _ in range(2):
-                b, _, _ = therapy_and_episode_budget_step(b, False, False, tick)
+                b, _, _ = budget_step(b, False, False, tick)
                 tick += 1
 
     def test_day_rollover_resets_episode_count(self):
         b = Budgets(max_therapies_per_event=5, max_episodes_per_day=1, ticks_per_day=100)
-        b, allow, _ = therapy_and_episode_budget_step(b, True, True, 1)
+        b, allow, _ = budget_step(b, True, True, 1)
         assert allow
-        b, _, _ = therapy_and_episode_budget_step(b, False, False, 2)
-        b, allow, _ = therapy_and_episode_budget_step(b, True, True, 3)
+        b, _, _ = budget_step(b, False, False, 2)
+        b, allow, _ = budget_step(b, True, True, 3)
         assert not allow  # second episode same day
-        b, _, _ = therapy_and_episode_budget_step(b, False, False, 4)
-        b, allow, events = therapy_and_episode_budget_step(b, True, True, 100)
+        b, _, _ = budget_step(b, False, False, 4)
+        b, allow, events = budget_step(b, True, True, 100)
         assert allow  # new simulated day
         assert b.episodes_today == 1
 
     def test_rollover_emits_event(self):
         b = Budgets(ticks_per_day=50)
-        b, _, events = therapy_and_episode_budget_step(b, False, False, 50)
+        b, _, events = budget_step(b, False, False, 50)
         assert [e.code for e in events] == [EVENT_DAY_ROLLOVER]
 
     def test_episodes_today_never_exceeds_max(self):
         b = Budgets(max_therapies_per_event=5, max_episodes_per_day=2, ticks_per_day=10_000)
         tick = 0
         for _ in range(6):
-            b, _, _ = therapy_and_episode_budget_step(b, True, False, tick); tick += 1
-            b, _, _ = therapy_and_episode_budget_step(b, False, False, tick); tick += 1
+            b, _, _ = budget_step(b, True, False, tick); tick += 1
+            b, _, _ = budget_step(b, False, False, tick); tick += 1
             assert b.episodes_today <= 2
-
-
-class TestEventLog:
-    def test_append_to_empty(self):
-        log = EventLog()
-        log.append(EventRecord(0, SEVERITY_INFO, "DAY_ROLLOVER"))
-        assert len(log) == 1
-
-    def test_same_tick_order_preserved(self):
-        log = EventLog()
-        a = EventRecord(5, SEVERITY_INFO, "A")
-        b = EventRecord(5, SEVERITY_INFO, "B")
-        log.append(a)
-        log.append(b)
-        assert log.records == (a, b)
-
-    def test_count(self):
-        log = EventLog()
-        for i in range(4):
-            log.append(EventRecord(i, SEVERITY_ALERT, "LIMIT_CLAMP" if i % 2 else "SLEW_CLAMP"))
-        assert log.count("LIMIT_CLAMP") == 2
