@@ -9,9 +9,10 @@ Subcommands:
     replay   <rundir>                         re-verify stored outputs
 
 Exit codes: 0 ok, 2 validation failure, 3 runtime fault (or replay mismatch).
-``sweep --seeds`` below 1 and ``compare`` on a ManualFixed policy, which has
-nothing to compare against, are validation failures; a replay whose stored
-scenario.json is unreadable or invalid is a replay error, exit 3.
+A scenario path that cannot be read, ``sweep --seeds`` below 1 and ``compare``
+on a ManualFixed policy, which has nothing to compare against, are validation
+failures; an output that cannot be written (``--out`` names a file, say) is a
+fault, and so is a replay whose stored scenario.json is unreadable or invalid.
 """
 
 from __future__ import annotations
@@ -185,6 +186,9 @@ def main(argv=None) -> int:
     except ScenarioParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as e:   # reading is a ScenarioParseError, so this is writing
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

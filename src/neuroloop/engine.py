@@ -36,7 +36,9 @@ only when the lane's (frozen) device state is a new object or its
 delivering contact set changes.
 
 Plant and feature extraction together are one sensing object per plant kind
-(``EcapSensing``, ``BetaSensing``, ``IeegSensing``); the policy is the
+(``EcapSensing``, ``BetaSensing``, ``IeegSensing``) that reads only the
+scenario's plant, which holds its ``features`` section too; every signal
+trust check reads the one reading a lane senses. The policy is the
 scenario's policy config, whose ``step`` holds the previous command on any
 tick whose measurement quality is not OK. The supervisor separately decides
 whether enough has gone wrong to leave Automated mode altogether.
@@ -171,13 +173,11 @@ class _Lane:
     the record. ``fault`` aborts the lane at a tick.
     """
 
-    def __init__(self, index: int, scenario: Scenario, columns: dict, magnet: list,
-                 measures_ecap: bool) -> None:
+    def __init__(self, index: int, scenario: Scenario, columns: dict, magnet: list) -> None:
         n = scenario.timebase.n_ticks
         self.index = index
         self.scenario = scenario
         self.magnet = magnet
-        self.measures_ecap = measures_ecap
         self.sup = SupervisorState()
         self.fail_streak = self.pass_streak = 0
         self.checked_device = self.checked_contact = None   # what device_fails is for
@@ -237,8 +237,7 @@ class _Lane:
                 self.checked_device, self.checked_contact = device, contact
                 self.device_fails = failed_device_checks(trust, device, contact)
             self.fail_streak, self.pass_streak, failed = trust_check_step(
-                trust, qual, measured if self.measures_ecap else None, measured,
-                self.device_fails, self.fail_streak, self.pass_streak,
+                trust, qual, measured, self.device_fails, self.fail_streak, self.pass_streak,
             )
             if failed and self.fail_streak == 1:
                 log.append(EventRecord(t, SEVERITY_ALERT, EVENT_TRUST_FAIL,
@@ -360,7 +359,6 @@ class _Sensing:
     reading is then None; a batched stage lets the error propagate.
     """
 
-    measures_ecap = False
     distance_mm: Optional[np.ndarray] = None   # (n_ticks,) column shared by all lanes
     seizing: Optional[np.ndarray] = None       # (S, n_ticks) column, one row per lane
 
@@ -377,8 +375,6 @@ def _framed(lanes: list) -> list:
 
 class EcapSensing(_Sensing):
     """Evoked-response amplitude at the last delivered dose, range-checked, per lane."""
-
-    measures_ecap = True
 
     def __init__(self, scenario: Scenario, rngs: list) -> None:
         plant = scenario.plant
@@ -423,10 +419,10 @@ class BetaSensing(_Sensing):
     """Beta-band power of synthesized LFP frames, smoothed by a running mean."""
 
     def __init__(self, scenario: Scenario, rngs: list) -> None:
-        f = scenario.features
-        self.cfg = scenario.plant.cfg
+        plant = scenario.plant
+        self.cfg = plant.cfg
         self.table = BetaTickTable(self.cfg)
-        self.band = (f.band_lo_hz, f.band_hi_hz)
+        self.band = (plant.band_lo_hz, plant.band_hi_hz)
         self.noise = _NoiseRows([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
         self.sq_limits = SignalQualityLimits(
             saturation_uV=scenario.device.amplifier_saturation_uV
@@ -434,7 +430,7 @@ class BetaSensing(_Sensing):
         # Each lane's last ``smooth`` band powers, oldest first, right-aligned.
         # A run never holds more than n_ticks of them.
         tb = scenario.timebase
-        self.smooth = max(1, min(round(f.smooth_s / tb.dt_s), tb.n_ticks))
+        self.smooth = max(1, min(round(plant.smooth_s / tb.dt_s), tb.n_ticks))
         self.window = np.zeros((len(rngs), self.smooth))
         self.filled = np.zeros(len(rngs), dtype=int)
         self.full = False   # every lane's window is full
@@ -494,9 +490,9 @@ class IeegSensing(_Sensing):
         self.seizures = [plant.seizures] * len(rngs)
         self.plant_rngs = [lane_rngs[0] for lane_rngs in rngs]
         self.noise = _NoiseRows([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
-        self.tools = scenario.features.tools
+        self.tools = plant.tools
         self.detectors = [[Detector(spec) for spec in self.tools] for _ in rngs]
-        self.combinator = scenario.features.combinator
+        self.combinator = plant.combinator
         self.sq_limits = SignalQualityLimits(
             saturation_uV=scenario.device.amplifier_saturation_uV
         )
@@ -559,7 +555,7 @@ def _run_lanes(scenarios: list) -> list[RunResult]:
     """Run scenarios that differ in seed and policy only in lockstep, one lane each.
 
     Everything the batched sensing reads comes from the first scenario:
-    plant, features, timebase, device and magnet schedule.
+    plant (with its features), timebase, device and magnet schedule.
     """
     first = scenarios[0]
     n = first.timebase.n_ticks
@@ -576,9 +572,7 @@ def _run_lanes(scenarios: list) -> list[RunResult]:
     magnet = magnet.tolist()
 
     columns = {name: np.full((len(scenarios), n), fill) for name, fill in COLUMNS.items()}
-    lanes = [
-        _Lane(i, sc, columns, magnet, sensing.measures_ecap) for i, sc in enumerate(scenarios)
-    ]
+    lanes = [_Lane(i, sc, columns, magnet) for i, sc in enumerate(scenarios)]
 
     live = lanes
     for t in range(n):

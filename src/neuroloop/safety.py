@@ -270,23 +270,26 @@ class SupervisorState:
         return SupervisorState(mode, resume_mode or self.resume_mode, *edges)
 
 
-def trust_check_step(cfg: TrustConfig, quality: frozenset, ecap_est_uV: Optional[float],
-                     biomarker: Optional[float], device_fails: int, fail_streak: int,
+def trust_check_step(cfg: TrustConfig, quality: frozenset, biomarker: Optional[float],
+                     device_fails: int, fail_streak: int,
                      pass_streak: int) -> tuple[int, int, int]:
     """Evaluate the enabled checks and update the dwell streaks.
 
     The signal checks (QualityOK, EcapNonNegative, BiomarkerInPhysRange) read
-    this tick's reading; ``device_fails`` is ``failed_device_checks`` of the
-    lane's device. Returns (fail_streak, pass_streak, failed_mask): the tick
-    passes when the mask is 0. A pass resets the fail streak and vice versa.
+    this tick's reading, ``biomarker`` (None when none was taken): validation
+    keeps EcapNonNegative to ecap plants, and no other kind's biomarker is
+    negative. ``device_fails`` is ``failed_device_checks`` of the lane's
+    device. Returns (fail_streak, pass_streak, failed_mask): the tick passes
+    when the mask is 0. A pass resets the fail streak and vice versa.
     """
     failed = device_fails
     if quality != _OK_ONLY:
         failed |= _QUALITY_BIT
-    if ecap_est_uV is not None and ecap_est_uV < 0.0:
-        failed |= _ECAP_BIT
-    if biomarker is not None and not cfg.biomarker_min <= biomarker <= cfg.biomarker_max:
-        failed |= _BIOMARKER_BIT
+    if biomarker is not None:
+        if biomarker < 0.0:
+            failed |= _ECAP_BIT
+        if not cfg.biomarker_min <= biomarker <= cfg.biomarker_max:
+            failed |= _BIOMARKER_BIT
     failed &= cfg.mask
     if failed:
         return fail_streak + 1, 0, failed

@@ -4,7 +4,9 @@ A scenario is a complete, serializable run description: time base, seed,
 plant, feature extraction, control policy, actuation limits, trust checks,
 fallback behavior, budgets, and output selection. The on-disk format is
 UTF-8 JSON with a top-level ``"schema": 1`` field; see the shipped files
-under ``scenarios/`` for worked examples of each plant kind. One reader,
+under ``scenarios/`` for worked examples of each plant kind. A plant kind is
+one class (``PLANTS``) that reads the ``plant`` and ``features`` sections and
+runs its own checks. One reader,
 ``_read``, builds each section's dataclass from its key list (the schema
 table below): a key the file omits keeps the dataclass default, a field
 without a default is required, and each value must have the field's JSON
@@ -28,7 +30,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from .core import (
     MAX_TICKS,
@@ -88,41 +90,91 @@ CHECKLIST_VALIDATION = "Validation and testing"
 
 
 class ScenarioParseError(SimulationError):
-    """The scenario file is not parseable JSON or not a JSON object."""
+    """The scenario file cannot be read, or is not a JSON object."""
+
+
+class PlantSpec:
+    """A plant kind: ``read(plant, features, track)`` builds it from those sections,
+    whose disturbances must be of its ``DISTURBANCE_KINDS``, and ``check(scenario,
+    found)`` reports its checklist findings on a built scenario."""
+
+    DISTURBANCE_KINDS = ()
 
 
 @dataclass(frozen=True)
-class EcapPlantSpec:
+class EcapPlantSpec(PlantSpec):
+    """Evoked-response amplitude; its estimator is the identity, configured by nothing."""
+
     params: EcapPlantParams
     base_distance_mm: float
     sensor_noise_sd_uV: float = 0.0
     track: DisturbanceTrack = field(default_factory=DisturbanceTrack)
 
+    DISTURBANCE_KINDS = (PostureStep, CoughTransient)
+
+    @classmethod
+    def read(cls, p: dict, f, track: DisturbanceTrack) -> "EcapPlantSpec":
+        e = _require(p, "ecap", "plant")
+        params = _read(ECAP_PARAMS, e, "plant.ecap")
+        spec = _read(ECAP_PLANT, e, "plant.ecap", params=params, track=track)
+        _object(f, "features")
+        return spec
+
+    def check(self, s: "Scenario", found) -> None:
+        # Operating region. The growth law must stay physical over the whole
+        # distance trajectory (for any policy), and a setpoint target must be
+        # reachable inside the actuation limits.
+        d = distance_profile(self.track, self.base_distance_mm, s.timebase.n_ticks)
+        worst = float(d.max())
+        try:
+            self.params.validate_over_range(float(d.min()), worst)
+        except SimulationError as e:
+            found(CHECKLIST_MENTAL_MODEL, str(e))
+            return
+        if isinstance(s.policy, EcapSetpoint):
+            target, amp_max = s.policy.target_uV, s.limits.amp_max_mA
+            need = self.params.threshold_at(worst) + target / self.params.slope_at(worst)
+            if need > amp_max:
+                found(CHECKLIST_MENTAL_MODEL, f"target {target} µV needs {need:.2f} mA at "
+                      f"distance {worst:.2f} mm, beyond amp_max {amp_max} mA")
+
+
+class _FramedPlant(PlantSpec):
+    """A plant kind that synthesizes one frame of ``cfg`` per tick."""
+
+    def check(self, s: "Scenario", found) -> None:
+        if abs(self.cfg.dt_s - s.timebase.dt_s) > 1e-9:
+            found(CHECKLIST_VALIDATION, f"timebase dt_s {s.timebase.dt_s} must equal the plant "
+                                        f"frame duration frame_len/fs = {self.cfg.dt_s}")
+
 
 @dataclass(frozen=True)
-class BetaPlantSpec:
+class BetaPlantSpec(_FramedPlant):
+    """Beta-band LFP, sensed as each frame's band power, smoothed."""
+
     cfg: BetaPlantConfig
-
-
-@dataclass(frozen=True)
-class IeegPlantSpec:
-    cfg: IeegPlantConfig
-    seizures: SeizureGenState
-
-
-PlantSpec = Union[EcapPlantSpec, BetaPlantSpec, IeegPlantSpec]
-
-
-@dataclass(frozen=True)
-class EcapFeatures:
-    """Amplitude-level estimator: identity plus range checks."""
-
-
-@dataclass(frozen=True)
-class BetaFeatures:
     band_lo_hz: float = 13.0
     band_hi_hz: float = 30.0
     smooth_s: float = 0.5
+
+    DISTURBANCE_KINDS = (CircadianSine, CardiacArtifact)
+
+    def __post_init__(self) -> None:
+        check_band(self.band_lo_hz, self.band_hi_hz, self.cfg.fs_hz, self.cfg.frame_len)
+
+    @classmethod
+    def read(cls, p: dict, f, track: DisturbanceTrack) -> "BetaPlantSpec":
+        b = _object(_require(p, "beta", "plant"), "plant.beta")
+        curve = _read(BETA_CURVE, _require(b, "curve", "beta plant"), "plant.beta.curve")
+        cfg = _read(BETA_PLANT, b, "plant.beta", curve=curve, disturbances=track)
+        return _read(BETA_FEATURES, f, "features", cfg=cfg)
+
+    def check(self, s: "Scenario", found) -> None:
+        peak_power = (self.cfg.curve.baseline * 2.0) ** 2 / 2.0
+        if isinstance(s.policy, DualThreshold) and s.policy.lower >= peak_power:
+            found(CHECKLIST_MENTAL_MODEL, f"lower bound {s.policy.lower} is above any "
+                                          f"reachable band power (< {peak_power:.3g})")
+        super().check(s, found)
 
 
 @dataclass(frozen=True)
@@ -153,7 +205,11 @@ class ToolSpec:
 
 
 @dataclass(frozen=True)
-class IeegFeatures:
+class IeegPlantSpec(_FramedPlant):
+    """Intracranial EEG with a seizure process, sensed by detection tools."""
+
+    cfg: IeegPlantConfig
+    seizures: SeizureGenState
     tools: tuple = ()
     combinator: str = "OR"
 
@@ -163,8 +219,21 @@ class IeegFeatures:
         if self.combinator not in ("OR", "AND"):
             raise ConfigurationError("combinator must be OR or AND")
 
-
-FeatureSpec = Union[EcapFeatures, BetaFeatures, IeegFeatures]
+    @classmethod
+    def read(cls, p: dict, f, track: DisturbanceTrack) -> "IeegPlantSpec":
+        cfg = _read(IEEG_PLANT, _require(p, "ieeg", "plant"), "plant.ieeg")
+        seizures = _read(SEIZURES, _require(p, "seizures", "plant"), "plant.seizures")
+        tools = []
+        for t in _require(_object(f, "features"), "tools", "features"):
+            t = _object(t, "detection tool")
+            th = _object(t.get("threshold", {}), "detection tool threshold")
+            hw = None
+            if t["feature"] == "half_wave":
+                hw = _read(HALF_WAVE, _require(t, "half_wave", "half_wave tool"), "half_wave")
+            tools.append(_read(TOOL, th, "detection tool threshold",
+                               feature=str(t["feature"]), half_wave=hw))
+        return _read(IEEG_FEATURES, f, "features", cfg=cfg, seizures=seizures,
+                     tools=tuple(tools))
 
 
 @dataclass(frozen=True)
@@ -198,7 +267,6 @@ class Scenario:
     baseline_dose: Dose
     plant: PlantSpec
     device: DeviceState
-    features: FeatureSpec
     policy: PolicyConfig
     limits: DoseLimits
     trust: TrustConfig
@@ -330,12 +398,12 @@ BETA_PLANT = _plan(BetaPlantConfig, "fs_hz frame_len beta_hz noise_rms_uV gamma_
 IEEG_PLANT = _plan(IeegPlantConfig, "fs_hz frame_len background_sd_uV ictal_amplitude_uV ictal_hz")
 SEIZURES = _plan(SeizureGenState,
                  "rate_per_hour base_duration_ticks suppression_prob response_window_ticks")
-BETA_FEATURES = _plan(BetaFeatures, "band_lo_hz band_hi_hz smooth_s")
+BETA_FEATURES = _plan(BetaPlantSpec, "band_lo_hz band_hi_hz smooth_s")
 HALF_WAVE = _plan(HalfWaveConfig,
                   "min_amplitude_uV min_duration_ticks max_duration_ticks hysteresis_uV")
 TOOL = _plan(ToolSpec, "threshold_mode=mode multiplier long_window_ticks short_window_ticks "
                        "fixed_value=value")
-IEEG_FEATURES = _plan(IeegFeatures, "combinator")
+IEEG_FEATURES = _plan(IeegPlantSpec, "combinator")
 LIMITS = _plan(DoseLimits, "amp_min_mA amp_max_mA max_slew_mA_per_tick max_charge_per_pulse_uC")
 TRUST = _plan(TrustConfig, "checks exit_after_consecutive_fails reenter_after_consecutive_passes "
                            "impedance_min_ohm impedance_max_ohm biomarker_min biomarker_max")
@@ -360,6 +428,7 @@ POLICIES = {
     "Proportional": _plan(Proportional, "reference gain_mA_per_unit"),
     "EcapSetpoint": _plan(EcapSetpoint, "target_uV gain_mA_per_uV deadband_uV"),
 }
+PLANTS = {"ecap": EcapPlantSpec, "beta": BetaPlantSpec, "ieeg": IeegPlantSpec}
 FALLBACKS = {
     "Off": _plan(FallbackOff, ""),
     "FixedSafe": _plan(FixedSafe, "dose"),
@@ -409,6 +478,7 @@ def _build_timebase(raw: dict) -> TimeBase:
 
 
 def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
+    """The plant kind's class, read from ``plant`` and ``features``, and the device."""
     p = _object(_require(raw, "plant", "scenario"), "plant")
     kind = _require(p, "kind", "plant")
     device = _read(DEVICE, _require(p, "device", "plant"), "plant.device")
@@ -418,44 +488,12 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
                                                   "plant.disturbances", list)),
         key=lambda seg: seg.start_tick,
     )))
-
-    if kind == "ecap":
-        e = _require(p, "ecap", "plant")
-        params = _read(ECAP_PARAMS, e, "plant.ecap")
-        return _read(ECAP_PLANT, e, "plant.ecap", params=params, track=track), device
-
-    if kind == "beta":
-        b = _object(_require(p, "beta", "plant"), "plant.beta")
-        curve = _read(BETA_CURVE, _require(b, "curve", "beta plant"), "plant.beta.curve")
-        cfg = _read(BETA_PLANT, b, "plant.beta", curve=curve, disturbances=track)
-        return BetaPlantSpec(cfg=cfg), device
-
-    if kind == "ieeg":
-        cfg = _read(IEEG_PLANT, _require(p, "ieeg", "plant"), "plant.ieeg")
-        seizures = _read(SEIZURES, _require(p, "seizures", "plant"), "plant.seizures")
-        return IeegPlantSpec(cfg=cfg, seizures=seizures), device
-
-    raise ConfigurationError(f"unknown plant kind {kind!r}")
-
-
-def _build_features(raw: dict, plant: PlantSpec) -> FeatureSpec:
-    f = _object(raw.get("features", {}), "features")
-    if isinstance(plant, EcapPlantSpec):
-        return EcapFeatures()
-    if isinstance(plant, BetaPlantSpec):
-        beta = _read(BETA_FEATURES, f, "features")
-        check_band(beta.band_lo_hz, beta.band_hi_hz, plant.cfg.fs_hz, plant.cfg.frame_len)
-        return beta
-    tools = []
-    for t in _require(f, "tools", "features"):
-        t = _object(t, "detection tool")
-        th = _object(t.get("threshold", {}), "detection tool threshold")
-        hw = None
-        if t["feature"] == "half_wave":
-            hw = _read(HALF_WAVE, _require(t, "half_wave", "half_wave tool"), "half_wave")
-        tools.append(_read(TOOL, th, "detection tool threshold",
-                           feature=str(t["feature"]), half_wave=hw))
-    return _read(IEEG_FEATURES, f, "features", tools=tuple(tools))
+    plant = _kind(PLANTS, kind, "plant")
+    for seg in track.segments:
+        if not isinstance(seg, plant.DISTURBANCE_KINDS):
+            raise ConfigurationError(
+                f"a {kind} plant does not model {type(seg).__name__} disturbances")
+    return plant.read(p, raw.get("features", {}), track), device
 
 
 def _build_magnet(raw: dict) -> tuple:
@@ -500,13 +538,13 @@ def load_scenario_file(path) -> dict:
     """Read and JSON-parse a scenario file.
 
     Raises:
-        ScenarioParseError: text that is not UTF-8, or malformed JSON with
-            line/column.
-        OSError: the file cannot be read.
+        ScenarioParseError: a path that cannot be read (missing, a directory),
+            text that is not UTF-8, or malformed JSON with line/column.
     """
-    data = Path(path).read_bytes()
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as e:
+        raise ScenarioParseError(f"{path}: cannot read: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise ScenarioParseError(f"{path}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
@@ -580,7 +618,6 @@ def validate_scenario(raw: dict) -> ValidationReport:
     limits = attempt(CHECKLIST_LIMITS, lambda: _read_section(raw, "limits", LIMITS))
     trust = attempt(CHECKLIST_FALLBACK, lambda: _read_section(raw, "trust", TRUST))
     fallback = attempt(CHECKLIST_FALLBACK, lambda: _read_kind(raw, "fallback", FALLBACKS))
-    features = attempt(CHECKLIST_VARIABLES, lambda: _build_features(raw, plant)) if plant else None
     budgets = attempt(CHECKLIST_FALLBACK, lambda: _read(
         BUDGETS, raw.get("budgets", {}), "budgets", ticks_per_day=timebase.ticks_per_day(),
     )) if timebase else None
@@ -598,7 +635,6 @@ def validate_scenario(raw: dict) -> ValidationReport:
         baseline_dose=baseline,
         plant=plant,
         device=device,
-        features=features,
         policy=policy,
         limits=limits,
         trust=trust,
@@ -667,45 +703,6 @@ def validate_scenario(raw: dict) -> ValidationReport:
                 found(CHECKLIST_LIMITS, f"{role} dose: the compliance cap on {d.contact_set!r} "
                                         f"lies below amp_min {limits.amp_min_mA} mA")
 
-    # Operating region. The growth law must stay physical over the whole
-    # distance trajectory (for any policy), and a setpoint target must be
-    # reachable inside the actuation limits.
-    if isinstance(plant, EcapPlantSpec):
-        d = distance_profile(plant.track, plant.base_distance_mm, timebase.n_ticks)
-        worst = float(d.max())
-        try:
-            plant.params.validate_over_range(float(d.min()), worst)
-        except SimulationError as e:
-            found(CHECKLIST_MENTAL_MODEL, str(e))
-        else:
-            if isinstance(policy, EcapSetpoint):
-                need = (
-                    plant.params.threshold_at(worst)
-                    + policy.target_uV / plant.params.slope_at(worst)
-                )
-                if need > limits.amp_max_mA:
-                    found(
-                        CHECKLIST_MENTAL_MODEL,
-                        f"target {policy.target_uV} µV needs {need:.2f} mA at distance "
-                        f"{worst:.2f} mm, beyond amp_max {limits.amp_max_mA} mA",
-                    )
-
-    if isinstance(policy, DualThreshold) and isinstance(plant, BetaPlantSpec):
-        peak_power = (plant.cfg.curve.baseline * 2.0) ** 2 / 2.0
-        if policy.lower >= peak_power:
-            found(
-                CHECKLIST_MENTAL_MODEL,
-                f"lower bound {policy.lower} is above any reachable band power "
-                f"(< {peak_power:.3g})",
-            )
-
-    if isinstance(plant, (BetaPlantSpec, IeegPlantSpec)):
-        frame_dt = plant.cfg.dt_s
-        if abs(frame_dt - timebase.dt_s) > 1e-9:
-            found(
-                CHECKLIST_VALIDATION,
-                f"timebase dt_s {timebase.dt_s} must equal the plant frame duration "
-                f"frame_len/fs = {frame_dt}",
-            )
+    plant.check(s, found)
 
     return ValidationReport(ok=not findings, findings=tuple(findings), scenario=s)

@@ -186,7 +186,7 @@ def _supervisor_transition_table(k_exit: int, k_enter: int):
                 for verdict_pass in (False, True):
                     quality = ok if verdict_pass else bad
                     f2, p2, failed = trust_check_step(
-                        trust, quality, None, None, device_fails, f, p
+                        trust, quality, None, device_fails, f, p
                     )
                     assert (failed == 0) == verdict_pass
                     st = supervisor_step(

@@ -15,13 +15,34 @@ from conftest import SCENARIO_DIR, deep_merge, ecap_raw, reference_raw
 # true as 1, "1.0" as 1.0), or ran and then failed replay's limit scan (a
 # floor or slew limit between two output steps, which the actuator's floor
 # to a step breaks, or an amp_min the charge clamp or the compliance cap
-# holds a dose below); validate and run must both exit 2.
+# holds a dose below), or ran with a disturbance its plant kind does not
+# model silently dropped; validate and run must both exit 2.
 LIMITS_BETWEEN_STEPS = [
     ("ecap_scs", {"limits": {"amp_min_mA": 4.005}, "baseline_dose": {"amplitude_mA": 4.5},
                   "policy": {"target_uV": 0.2}}),
     ("ecap_scs", {"limits": {"max_slew_mA_per_tick": 0.015}}),
 ]
+# (reference file, plant kind, a disturbance that kind does not model)
+UNMODELLED = [
+    ("ecap_scs", "ecap", {"kind": "CardiacArtifact", "start_tick": 0, "rate_hz": 1.2,
+                          "amplitude_uV": 1.0}),
+    ("ecap_scs", "ecap", {"kind": "CircadianSine", "start_tick": 0, "period_ticks": 960,
+                          "amplitude": 0.3, "phase": 0.0}),
+    ("adbs_parkinsons", "beta", {"kind": "PostureStep", "start_tick": 100, "delta_mm": 1.0}),
+    ("rns_epilepsy", "ieeg", {"kind": "CardiacArtifact", "start_tick": 0, "rate_hz": 1.2,
+                              "amplitude_uV": 1.0}),
+]
+
+
+def with_disturbance(name: str, disturbance: dict) -> dict:
+    """The edit that appends ``disturbance`` to a reference file's disturbances."""
+    have = reference_raw(name)["plant"].get("disturbances", [])
+    return {"plant": {"disturbances": have + [disturbance]}}
+
+
 MUTATIONS = LIMITS_BETWEEN_STEPS + [
+    (name, with_disturbance(name, d)) for name, _, d in UNMODELLED
+] + [
     ("ecap_scs", {"limits": {"amp_min_mA": 4, "max_charge_per_pulse_uC": 0.7}}),
     ("ecap_scs", {"limits": {"amp_min_mA": 4}, "plant": {"device": {"compliance_v": 1.5}}}),
     ("ecap_scs", {"limits": {"amp_min_mA": 4},
@@ -123,6 +144,55 @@ class TestValidate:
         assert main(["validate", str(path)]) == EXIT_VALIDATION
         out = capsys.readouterr().out
         assert "Stimulation actuator limits" in out and "whole number of amp_step_mA" in out
+
+    @pytest.mark.parametrize("name, kind, disturbance", UNMODELLED,
+                             ids=[f"{n}:{d['kind']}" for n, _, d in UNMODELLED])
+    def test_unmodelled_disturbance_names_plant_and_disturbance(self, tmp_path, capsys,
+                                                                 name, kind, disturbance):
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(deep_merge(reference_raw(name),
+                                              with_disturbance(name, disturbance))))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert f"a {kind} plant does not model {disturbance['kind']} disturbances" in out
+
+
+class TestUnreadablePaths:
+    """A path the CLI cannot read or write ends in one stderr line and a
+    documented exit code, never a traceback (once exit 1 with FileNotFoundError,
+    IsADirectoryError, FileExistsError or NotADirectoryError)."""
+
+    ARGS = {"validate": [], "run": ["--out", "o"], "compare": ["--out", "o"],
+            "sweep": ["--seeds", "2", "--out", "o"]}
+
+    @staticmethod
+    def one_line(capsys, text: str) -> None:
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and text in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_scenario_exit_2(self, tmp_path, monkeypatch, capsys, command, where):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "absent.json"
+        if where == "directory":
+            path.mkdir()
+        assert main([command, str(path)] + self.ARGS[command]) == EXIT_VALIDATION
+        self.one_line(capsys, f"{path}: cannot read")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    def test_out_names_a_file_exit_3(self, ecap_file, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        argv = [command, str(ecap_file), "--out", str(out)]
+        assert main(argv + (["--seeds", "2"] if command == "sweep" else [])) == EXIT_FAULT
+        self.one_line(capsys, "output error:")
+        assert out.read_text() == "x"
+
+    def test_replay_of_a_missing_directory_exit_3(self, tmp_path, capsys):
+        assert main(["replay", str(tmp_path / "absent")]) == EXIT_FAULT
+        self.one_line(capsys, "replay error:")
 
 
 class TestRun:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from neuroloop.core import (
     QUALITY_EXTERNAL_NOISE,
@@ -329,3 +331,37 @@ def test_signal_quality_equals_oracle(max_delta):
     assert signal_quality(frames, limits) == want
     assert [signal_quality(x, limits) for x in frames] == want
     assert (QUALITY_EXTERNAL_NOISE in want[3]) == (max_delta < math.inf)
+
+
+# Bounded finite frames: a batch of 1-4 rows of 8-64 samples within ±1000 µV.
+FRAMES = st.tuples(st.integers(1, 4), st.integers(8, 64)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(frames=FRAMES, band=st.sampled_from([(8.0, 16.0), (8.0, 32.0), (20.0, 24.0)]))
+def test_every_frame_biomarker_is_non_negative(frames, band):
+    """No beta or iEEG biomarker is ever negative, for one frame or a batch.
+
+    Band power is a sum of squares, line length and area are sums of
+    absolute values, a half-wave count counts, and a detector's smoothed
+    value is a mean of such values; so the EcapNonNegative trust check,
+    which reads the same reading on every plant kind, never fails on them.
+    Runtime budget: well under 1 s.
+    """
+    hw = HalfWaveConfig(min_amplitude_uV=1.0, min_duration_ticks=1, max_duration_ticks=8)
+    features = [
+        lambda x: band_power(x, *band, 64.0),
+        line_length,
+        area_under_curve,
+        lambda x: half_wave_count(x, hw),
+    ]
+    detector = Detector(ToolSpec("line_length", long_window_ticks=3, short_window_ticks=2))
+    for feature in features:
+        batch = np.asarray(feature(frames))
+        assert batch.shape == (len(frames),) and np.all(batch >= 0.0), batch
+        for row in frames:
+            one = feature(row)
+            assert one >= 0.0
+            smoothed, _, _ = detector.observe(float(one))
+            assert smoothed >= 0.0

@@ -5,11 +5,15 @@ included) is set, one at a time, to each value in ``VALUES``, and is also
 deleted. Validation must return a report for every one of them, and whatever
 it passes must build and run: a 40-tick copy of each passing mutation runs
 without raising and without aborting. The deletions pin which keys are
-optional. Wrongly typed values and non-finite numbers are findings.
+optional. Wrongly typed values and non-finite numbers are findings. Each
+file's reports are pinned by a sha256 over one line per case: the case, its
+``ok`` flag and its tagged findings in order, so a refactor of the reader or
+the checklist that changes any finding's flag, tag, message or order fails.
 Runtime budget (2-core host): under 15 s for the whole file.
 """
 
 import copy
+import hashlib
 
 import pytest
 
@@ -24,6 +28,11 @@ SHORT_TICKS = 40
 # How many of each file's deletions still validate: the optional keys and
 # list elements, and the free text (name, comments).
 OPTIONAL_PATHS = {"ecap_scs": 37, "adbs_parkinsons": 34, "rns_epilepsy": 44}
+FINDINGS_SHA256 = {
+    "ecap_scs": "ed3f51bb6496fe83a0f42f3cf60f838356e82cb7eed922e15250c7f33e243523",
+    "adbs_parkinsons": "5beb4b67f1e0a502937aac2cd359f2afc44892efda5894b16718a93889c273e7",
+    "rns_epilepsy": "f00ad6cbd3e257dae9af2e418238f7ef54707878261c2be14833eb20b1d19bd7",
+}
 
 
 def json_paths(node, prefix=()):
@@ -65,6 +74,7 @@ def test_single_field_mutations(name):
     raw = reference_raw(name)
     failures = []
     cases = passed = deletions_passed = 0
+    digest = hashlib.sha256()
     for path in json_paths(raw):
         for value in VALUES + (DELETE,):
             cases += 1
@@ -73,6 +83,8 @@ def test_single_field_mutations(name):
             candidate = mutated(raw, path, value)
             try:
                 report = validate_scenario(candidate)
+                tagged = [(f.checklist_item, f.message) for f in report.findings]
+                digest.update(f"{case}\t{report.ok}\t{tagged}\n".encode())
                 if not report.ok:
                     continue
                 passed += 1
@@ -88,6 +100,7 @@ def test_single_field_mutations(name):
     # The sweep must exercise both sides of validation.
     assert 0 < passed < cases
     assert deletions_passed == OPTIONAL_PATHS[name]
+    assert digest.hexdigest() == FINDINGS_SHA256[name]
 
 
 @pytest.mark.parametrize("path, optional", [
@@ -115,7 +128,7 @@ def test_threshold_mode_defaults_to_adaptive(mode, built):
         threshold["mode"] = mode
     report = validate_scenario(raw)
     assert report.ok, report.findings
-    assert report.scenario.features.tools[0].threshold_mode == built
+    assert report.scenario.plant.tools[0].threshold_mode == built
 
 
 

@@ -121,15 +121,18 @@ class TestClampAndSlew:
 
 @dataclass
 class TrustInputs:
-    """Oracle: everything the enabled checks may look at on one tick."""
+    """Oracle: everything the enabled checks may look at on one tick.
+
+    ``reading`` is the tick's one biomarker reading (None: none taken), which
+    EcapNonNegative and BiomarkerInPhysRange both read.
+    """
 
     quality: frozenset = frozenset({QUALITY_OK})
-    ecap_est_uV: Optional[float] = None
+    reading: Optional[float] = None
     battery_v: float = float("inf")
     eos_threshold_v: float = 0.0
     impedance_ohm: float = 1000.0
     dc_leak: bool = False
-    biomarker: Optional[float] = None
 
 
 _OK_ONLY = frozenset({QUALITY_OK})
@@ -138,14 +141,14 @@ _OK_ONLY = frozenset({QUALITY_OK})
 # -> True when the check fails this tick.
 CHECK_FAILS = {
     CHECK_QUALITY_OK: lambda i, cfg: i.quality != _OK_ONLY,
-    CHECK_ECAP_NONNEGATIVE: lambda i, cfg: i.ecap_est_uV is not None and i.ecap_est_uV < 0.0,
+    CHECK_ECAP_NONNEGATIVE: lambda i, cfg: i.reading is not None and i.reading < 0.0,
     CHECK_BATTERY_ABOVE_EOS: lambda i, cfg: i.battery_v < i.eos_threshold_v,
     CHECK_IMPEDANCE_IN_RANGE: lambda i, cfg: not (
         cfg.impedance_min_ohm <= i.impedance_ohm <= cfg.impedance_max_ohm
     ),
     CHECK_NO_DC_LEAK: lambda i, cfg: i.dc_leak,
-    CHECK_BIOMARKER_IN_PHYS_RANGE: lambda i, cfg: i.biomarker is not None and not (
-        cfg.biomarker_min <= i.biomarker <= cfg.biomarker_max
+    CHECK_BIOMARKER_IN_PHYS_RANGE: lambda i, cfg: i.reading is not None and not (
+        cfg.biomarker_min <= i.reading <= cfg.biomarker_max
     ),
 }
 
@@ -155,7 +158,7 @@ def ladder_check_fails(name: str, inputs: TrustInputs, cfg: TrustConfig) -> bool
     if name == CHECK_QUALITY_OK:
         return inputs.quality != frozenset({QUALITY_OK})
     if name == CHECK_ECAP_NONNEGATIVE:
-        return inputs.ecap_est_uV is not None and inputs.ecap_est_uV < 0.0
+        return inputs.reading is not None and inputs.reading < 0.0
     if name == CHECK_BATTERY_ABOVE_EOS:
         return inputs.battery_v < inputs.eos_threshold_v
     if name == CHECK_IMPEDANCE_IN_RANGE:
@@ -163,8 +166,8 @@ def ladder_check_fails(name: str, inputs: TrustInputs, cfg: TrustConfig) -> bool
     if name == CHECK_NO_DC_LEAK:
         return inputs.dc_leak
     if name == CHECK_BIOMARKER_IN_PHYS_RANGE:
-        return inputs.biomarker is not None and not (
-            cfg.biomarker_min <= inputs.biomarker <= cfg.biomarker_max
+        return inputs.reading is not None and not (
+            cfg.biomarker_min <= inputs.reading <= cfg.biomarker_max
         )
     raise ConfigurationError(f"unknown trust check {name!r}")
 
@@ -180,8 +183,8 @@ def check(inputs: TrustInputs, cfg: TrustConfig, fail_streak: int = 0, pass_stre
         compliance_v=10.0, amp_step_mA=0.1, dc_leak_flag=inputs.dc_leak,
     )
     fails, passes, mask = trust_check_step(
-        cfg, inputs.quality, inputs.ecap_est_uV, inputs.biomarker,
-        failed_device_checks(cfg, device, "E1"), fail_streak, pass_streak,
+        cfg, inputs.quality, inputs.reading, failed_device_checks(cfg, device, "E1"),
+        fail_streak, pass_streak,
     )
     return fails, passes, mask == 0, tuple(cfg.names(mask))
 
@@ -192,16 +195,16 @@ def boundary_inputs():
              QUALITY_EXTERNAL_NOISE)
     for subset in itertools.product((False, True), repeat=len(flags)):
         yield TrustInputs(quality=frozenset(f for f, on in zip(flags, subset) if on))
-    for est in (-0.0, 0.0, -1e-9, None, 1e-9):
-        yield TrustInputs(ecap_est_uV=est)
+    # EcapNonNegative's boundaries (-0.0 is not negative), then BiomarkerInPhysRange's.
+    for reading in (-0.0, 0.0, -1e-9, None, 1e-9, math.nan, math.inf, -math.inf, 10.0,
+                    10.000001):
+        yield TrustInputs(reading=reading)
     for battery in (2.9999, 3.0, 3.0001):
         yield TrustInputs(battery_v=battery, eos_threshold_v=3.0)
     for ohm in (49.999, 50.0, 10_000.0, 10_000.001):
         yield TrustInputs(impedance_ohm=ohm)
     for leak in (False, True):
         yield TrustInputs(dc_leak=leak)
-    for marker in (None, math.nan, math.inf, -math.inf, 0.0, 10.0, 10.000001):
-        yield TrustInputs(biomarker=marker)
 
 
 class TestCheckTable:
@@ -214,6 +217,7 @@ class TestCheckTable:
 
     def test_table_agrees_with_the_ladder(self):
         cases = 0
+        outcomes = set()   # (check, fails) pairs seen
         for cfg in self.CFGS:
             for inputs in boundary_inputs():
                 _, _, passed, failed = check(inputs, cfg)
@@ -221,12 +225,14 @@ class TestCheckTable:
                     expected = bool(ladder_check_fails(name, inputs, cfg))
                     assert bool(CHECK_FAILS[name](inputs, cfg)) == expected, (name, inputs)
                     assert (name in failed) == expected, (name, inputs)
+                    outcomes.add((name, expected))
                     cases += 1
                 assert failed == tuple(
                     c for c in cfg.checks if ladder_check_fails(c, inputs, cfg)
                 )
                 assert passed == (not failed)
-        assert cases == 2 * 6 * (32 + 5 + 3 + 4 + 2 + 7)
+        assert cases == 2 * 6 * (32 + 10 + 3 + 4 + 2)
+        assert outcomes == {(name, fails) for name in CHECK_FAILS for fails in (False, True)}
 
     def test_each_check_alone_masks_the_others(self):
         # With one check enabled, only its own failure counts.
@@ -274,7 +280,7 @@ class TestTrustChecks:
         assert passes == 1 and fails == 0
 
     def test_negative_ecap_estimate_fails(self):
-        fails, passes, passed, failed = check(TrustInputs(ecap_est_uV=-0.2), self.CFG)
+        fails, passes, passed, failed = check(TrustInputs(reading=-0.2), self.CFG)
         assert not passed and failed == (CHECK_ECAP_NONNEGATIVE,)
         assert fails == 1 and passes == 0
 
