@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .control import ManualFixed
@@ -142,6 +143,7 @@ def cmd_replay(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAULT
 
 
+@lru_cache(maxsize=1)   # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="neuroloop",

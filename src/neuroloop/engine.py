@@ -13,17 +13,17 @@ so plant realizations do not shift when the controller behaves differently.
 One loop runs S lanes in lockstep: scenarios that differ in seed and policy
 only. ``sweep`` runs one lane per seed, ``compare_modes`` runs the automated
 and the fixed arm as two lanes, and ``run_scenario`` is the case S = 1.
-Each tick, frame synthesis (``beta_lfp_frame``/``ieeg_frame``) and the frame
-features (``signal_quality``, ``band_power``, the detection tools' features)
-run once on an (S, frame_len) array holding the frames of every lane that is
-not in a reset mode. The beta frames' tick-only terms come from the sensing
-object's ``BetaTickTable``, built once per 64-tick block for all lanes. The
-other stages are per lane and scalar: the seizure process, the detectors,
-evoked-response sensing (which has no frames), trust checks, supervisor,
-policy, budgets, clamp/slew, actuator and device. A lane's noise (frame
-rows, or evoked-response sensor draws) is drawn NOISE_CHUNK frames ahead
-from its own stream and read only when that lane takes a frame, so every
-lane's outputs are bit-identical to a run of its seed alone. Per-tick
+Frames and features run at once for every lane not in a reset mode: beta
+frames (``beta_lfp_frame``, ``signal_quality``, ``band_power``) each tick,
+their tick-only terms from a ``BetaTickTable`` built per 64-tick block; iEEG
+background frames (``ieeg_frame`` with no seizure), their quality and tool
+features once per NOISE_CHUNK-tick noise block, and only the seizing lanes'
+frames on their tick. The other stages are per lane and scalar: the seizure
+process, the detectors, evoked-response sensing (which has no frames), trust
+checks, supervisor, policy, budgets, clamp/slew, actuator and device. A
+lane's noise (frame rows, seizure uniforms or evoked-response sensor draws)
+is drawn NOISE_CHUNK ahead from its own stream, so every lane's outputs are
+bit-identical to a run of its seed alone. Per-tick
 columns are (S, n_ticks) arrays; each lane's result holds row views of them.
 A lane carries its delivered dose as a float amplitude beside a template
 ``Dose`` (a policy, fallback or baseline dose) for the pulse width, rate and
@@ -46,8 +46,8 @@ whether enough has gone wrong to leave Automated mode altogether.
 Aborts: a ``SimulationError`` raised by a per-lane stage aborts only that
 lane, with a RUN_FAULT event at that tick and outputs truncated before it,
 as a run of its seed alone would. One raised by a batched stage can only
-come from configuration every lane shares, so it aborts every lane that
-took part in that call. Any other exception is a programming error and
+come from configuration every lane shares, so it aborts every lane framed
+on that tick. Any other exception is a programming error and
 propagates.
 """
 
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -141,29 +141,46 @@ class RunResult:
         return self.delivered_mA.size
 
 
-class _NoiseRows:
-    """Standard-normal frame noise for every lane, drawn NOISE_CHUNK frames ahead.
+class _NoiseBlocks:
+    """Standard-normal frame noise for the framed lanes, NOISE_CHUNK frames ahead.
 
-    Lane i has its own stream and cursor; the cursor moves only when lane i
-    takes a frame. A bulk draw from a PCG64 stream equals the same draws made
-    one frame at a time, so each lane reads exactly what a run of its seed
-    alone would.
+    Reset modes latch and aborts are final, so a lane framed on tick t was
+    framed on every tick before it: the framed lanes share one cursor,
+    ``t % NOISE_CHUNK``, and on a block's first tick each draws its next
+    NOISE_CHUNK rows from its own stream, which equals drawing them one by one.
     """
 
     def __init__(self, rngs: list, frame_len: int) -> None:
         self.rngs = rngs
-        self.rows = np.empty((len(rngs), NOISE_CHUNK, frame_len))
-        self.cursor = np.full(len(rngs), NOISE_CHUNK)
+        self.frame_len = frame_len
+        self.rows = None      # the block's rows, lane by lane: (lanes * NOISE_CHUNK, frame_len)
+        self.first: dict = {}   # lane index -> its first row in the block
 
-    def take(self, lanes: np.ndarray) -> np.ndarray:
-        """The next noise row of each of ``lanes``, as a (len(lanes), frame_len) array."""
-        cursor = self.cursor[lanes]
-        for i in lanes[cursor == NOISE_CHUNK].tolist():
-            self.rngs[i].standard_normal(out=self.rows[i])
-            self.cursor[i] = 0
-        cursor = self.cursor[lanes]
-        self.cursor[lanes] = cursor + 1
-        return self.rows[lanes, cursor]
+    def at(self, t: int, idx: list) -> tuple[np.ndarray, list]:
+        """The block's rows, and the row at tick t of each of ``idx``, the lanes framed at t."""
+        k = t % NOISE_CHUNK
+        if k == 0:
+            rows = np.empty((len(idx), NOISE_CHUNK, self.frame_len))
+            for r, i in enumerate(idx):
+                self.rngs[i].standard_normal(out=rows[r])
+            self.rows = rows.reshape(-1, self.frame_len)
+            self.first = {i: r * NOISE_CHUNK for r, i in enumerate(idx)}
+        return self.rows, [self.first[i] + k for i in idx]
+
+
+class _DrawsAhead:
+    """One lane's scalar draws, made NOISE_CHUNK at a time by the bulk call
+    ``draw(n)`` on its own stream, which equals n calls. ``random()`` returns
+    the next, so uniforms stand in for the Generator ``seizure_step`` reads."""
+
+    def __init__(self, draw) -> None:
+        self.draw = draw
+        self.ahead: list = []   # next draw last
+
+    def random(self) -> float:
+        if not self.ahead:
+            self.ahead = self.draw(NOISE_CHUNK)[::-1].tolist()
+        return self.ahead.pop()
 
 
 class _Lane:
@@ -381,8 +398,8 @@ class EcapSensing(_Sensing):
         self.params = plant.params
         self.noise_sd = plant.sensor_noise_sd_uV
         self.saturation_uV = scenario.device.amplifier_saturation_uV
-        self.rngs = [lane_rngs[2] for lane_rngs in rngs]   # sensor noise streams
-        self.noise = [[] for _ in rngs]   # each lane's draws ahead, next one last
+        self.noise = [_DrawsAhead(partial(lane_rngs[2].normal, 0.0, self.noise_sd))
+                      for lane_rngs in rngs]   # sensor noise, from each lane's third stream
         self.distance_mm = distance_profile(
             plant.track, plant.base_distance_mm, scenario.timebase.n_ticks
         )
@@ -400,12 +417,7 @@ class EcapSensing(_Sensing):
             try:
                 est = ecap_true(lane.amplitude_mA, distance, self.params)
                 if self.noise_sd > 0:
-                    # A bulk normal draw equals the same draws made one at a time.
-                    noise = self.noise[lane.index]
-                    if not noise:
-                        draws = self.rngs[lane.index].normal(0.0, self.noise_sd, NOISE_CHUNK)
-                        noise.extend(draws[::-1].tolist())
-                    est += noise.pop()
+                    est += self.noise[lane.index].random()
                 measured, qual = ecap_range_check(est, self.saturation_uV)
             except SimulationError as e:
                 lane.fault(t, e)
@@ -423,7 +435,7 @@ class BetaSensing(_Sensing):
         self.cfg = plant.cfg
         self.table = BetaTickTable(self.cfg)
         self.band = (plant.band_lo_hz, plant.band_hi_hz)
-        self.noise = _NoiseRows([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
+        self.noise = _NoiseBlocks([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
         self.sq_limits = SignalQualityLimits(
             saturation_uV=scenario.device.amplifier_saturation_uV
         )
@@ -432,55 +444,44 @@ class BetaSensing(_Sensing):
         tb = scenario.timebase
         self.smooth = max(1, min(round(plant.smooth_s / tb.dt_s), tb.n_ticks))
         self.window = np.zeros((len(rngs), self.smooth))
-        self.filled = np.zeros(len(rngs), dtype=int)
-        self.full = False   # every lane's window is full
 
     def sense(self, t: int, lanes: list) -> list:
         readings = [NO_READING] * len(lanes)
         framed = _framed(lanes)
         if framed:
-            idx = np.array([lanes[j].index for j in framed])
-            frames = beta_lfp_frame(
-                [lanes[j] for j in framed], t, self.table, self.noise.take(idx)
-            )
+            idx = [lanes[j].index for j in framed]
+            rows, at = self.noise.at(t, idx)
+            frames = beta_lfp_frame([lanes[j] for j in framed], t, self.table, rows[at])
             quals = signal_quality(frames, self.sq_limits)
             power = band_power(frames, *self.band, self.cfg.fs_hz)
-            for j, value, qual in zip(framed, self._smoothed(idx, power).tolist(), quals):
+            for j, value, qual in zip(framed, self._smoothed(t, idx, power).tolist(), quals):
                 readings[j] = (value, qual, False, None)
         return readings
 
-    def _smoothed(self, idx: np.ndarray, power: np.ndarray) -> np.ndarray:
-        """Push each lane's new power; the mean of each lane's window.
+    def _smoothed(self, t: int, idx: list, power: np.ndarray) -> np.ndarray:
+        """Push each framed lane's new power; the mean of each one's window.
 
-        A window is right-aligned, so its filled part is a slice of the
-        row, and a row mean along the last axis sums in the order ``np.mean``
-        sums a 1-D window. Once every window is full, a tick that frames
-        every lane shifts and averages the whole window array.
+        A framed lane was framed on every tick so far (see ``_NoiseBlocks``),
+        so its window holds min(t + 1, smooth) powers. A window is
+        right-aligned, so they are a slice of the row, and a row mean along
+        the last axis sums in the order ``np.mean`` sums a 1-D window.
         """
-        w, m = self.window, self.smooth
-        if self.full and len(idx) == len(w):
-            w[:, :-1] = w[:, 1:]
-            w[:, -1] = power
-            return w.mean(axis=-1)
-        w[idx, :-1] = w[idx, 1:]
-        w[idx, -1] = power
-        filled = np.minimum(self.filled[idx] + 1, m)
-        self.filled[idx] = filled
-        self.full = bool(self.filled.min() == m)
-        means = np.empty(len(idx))
-        for k in set(filled.tolist()):
-            same = filled == k
-            means[same] = w[idx[same], m - k:].mean(axis=-1)
-        return means
+        w = self.window
+        rows = idx if len(idx) < len(w) else slice(None)
+        w[rows, :-1] = w[rows, 1:]
+        w[rows, -1] = power
+        return w[rows, max(0, self.smooth - t - 1):].mean(axis=-1)
 
 
 class IeegSensing(_Sensing):
     """Seizure process plus detection tools on synthesized iEEG frames.
 
-    The seizure process and the detectors are per lane; frames and their
-    features are computed for all framed lanes at once. The seizure process
-    advances even in a reset mode, where no frame is recorded. The biomarker
-    is the first tool's smoothed feature value.
+    The seizure process and the detectors are per lane; the seizure process
+    advances even in a reset mode, where no frame is recorded. A noise
+    block's background frames (nobody seizing) and their (quality, tool
+    values) are computed on its first tick; only the seizing lanes are
+    framed and featurized on their tick. The biomarker is the first tool's
+    smoothed feature value.
     """
 
     def __init__(self, scenario: Scenario, rngs: list) -> None:
@@ -488,8 +489,9 @@ class IeegSensing(_Sensing):
         self.cfg = plant.cfg
         self.dt_s = scenario.timebase.dt_s
         self.seizures = [plant.seizures] * len(rngs)
-        self.plant_rngs = [lane_rngs[0] for lane_rngs in rngs]
-        self.noise = _NoiseRows([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
+        self.uniforms = [_DrawsAhead(lane_rngs[0].random) for lane_rngs in rngs]
+        self.noise = _NoiseBlocks([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
+        self.sensed: list = []   # per block row: (quality, tool values)
         self.tools = plant.tools
         self.detectors = [[Detector(spec) for spec in self.tools] for _ in rngs]
         self.combinator = plant.combinator
@@ -498,41 +500,52 @@ class IeegSensing(_Sensing):
         )
         self.seizing = np.zeros((len(rngs), scenario.timebase.n_ticks), dtype=bool)
 
+    def _features(self, frames: np.ndarray) -> list:
+        """Each row's (quality, tool values), for an (m, frame_len) array."""
+        values = [np.asarray(tool_feature(spec, frames), dtype=float).tolist()
+                  for spec in self.tools]
+        return list(zip(signal_quality(frames, self.sq_limits), zip(*values)))
+
     def sense(self, t: int, lanes: list) -> list:
         readings = [NO_READING] * len(lanes)
         for j, lane in enumerate(lanes):
             i = lane.index
             try:
                 self.seizures[i], self.seizing[i, t] = seizure_step(
-                    self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s,
-                    self.plant_rngs[i],
+                    self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s, self.uniforms[i],
                 )
             except SimulationError as e:
                 lane.fault(t, e)
                 readings[j] = None
         framed = _framed(lanes)
-        if framed:
-            idx = np.array([lanes[j].index for j in framed])
-            frames = ieeg_frame(self.seizing[idx, t], self.cfg, self.noise.take(idx), t)
-            quals = signal_quality(frames, self.sq_limits)
-            values = [
-                np.asarray(tool_feature(spec, frames), dtype=float).tolist()
-                for spec in self.tools
-            ]
-            for row, j in enumerate(framed):
-                lane = lanes[j]
-                try:
-                    steps = [
-                        det.observe(tool_values[row])
-                        for det, tool_values in zip(self.detectors[lane.index], values)
-                    ]
-                    flag = detect([flag for _, _, flag in steps], self.combinator)
-                except SimulationError as e:
-                    lane.fault(t, e)
-                    readings[j] = None
-                    continue
-                value, threshold, _ = steps[0]
-                readings[j] = (value, quals[row], flag, threshold)
+        if not framed:
+            return readings
+        rows, at = self.noise.at(t, [lanes[j].index for j in framed])
+        if t % NOISE_CHUNK == 0:
+            quiet = ieeg_frame(np.zeros(len(rows), dtype=bool), self.cfg, rows, t)
+            self.sensed = self._features(quiet)
+        seizing = self.seizing[:, t].tolist()
+        seized = [r for j, r in zip(framed, at) if seizing[lanes[j].index]]
+        if seized:   # a row is read once, on its tick, so its ictal reading replaces it
+            frames = ieeg_frame(np.ones(len(seized), dtype=bool), self.cfg, rows[seized], t)
+            for r, sensed in zip(seized, self._features(frames)):
+                self.sensed[r] = sensed
+        more = range(1, len(self.tools))
+        for j, r in zip(framed, at):
+            lane = lanes[j]
+            qual, values = self.sensed[r]
+            try:
+                dets = self.detectors[lane.index]
+                value, threshold, flag = dets[0].observe(values[0])
+                flags = [flag]
+                for m in more:
+                    flags.append(dets[m].observe(values[m])[2])
+                flag = detect(flags, self.combinator)
+            except SimulationError as e:
+                lane.fault(t, e)
+                readings[j] = None
+                continue
+            readings[j] = (value, qual, flag, threshold)
         return readings
 
     def seizure_counts(self, i: int, n: int) -> tuple[int, int, int]:

@@ -231,30 +231,22 @@ class Detector:
     """One detection tool: a feature, its short smoothing window, its threshold.
 
     ``spec`` is a ``scenario.ToolSpec``. A fixed threshold is the configured
-    value; an adaptive one is ``multiplier * median`` of the feature's last
-    ``long_window_ticks`` values. The median is robust to contamination of
-    the baseline by the events being detected, so values are pushed
-    unconditionally; it comes from a bisect-maintained sorted copy of the
-    baseline instead of a sort every tick.
+    value, and keeps no baseline; an adaptive one is ``multiplier * median``
+    of the feature's last ``long_window_ticks`` values. The median is robust
+    to contamination of the baseline by the events being detected, so values
+    are pushed unconditionally; it comes from a bisect-maintained sorted copy
+    of the baseline instead of a sort every tick, and is taken once per push,
+    for the next value.
     """
 
     def __init__(self, spec) -> None:
         self.spec = spec
         self.fixed = spec.threshold_mode == "fixed"
+        # The current threshold; None while an adaptive baseline is empty.
+        self.threshold: Optional[float] = spec.fixed_value if self.fixed else None
         self._long: deque = deque()
         self._long_sorted: list = []
         self._short: deque = deque(maxlen=spec.short_window_ticks)
-
-    def threshold(self) -> Optional[float]:
-        """The current threshold; None while an adaptive baseline is empty."""
-        if self.fixed:
-            return self.spec.fixed_value
-        s = self._long_sorted
-        if not s:
-            return None
-        mid = len(s) // 2
-        median = s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
-        return self.spec.multiplier * median
 
     def observe(self, value: float) -> tuple[float, Optional[float], bool]:
         """Push one feature value; returns (smoothed value, threshold, flag).
@@ -262,12 +254,16 @@ class Detector:
         The threshold is taken from the baseline as it stood BEFORE this
         value, so a fresh event cannot inflate its own detection threshold.
         """
-        threshold = self.threshold()
-        if len(self._long) == self.spec.long_window_ticks:
-            oldest = self._long.popleft()
-            del self._long_sorted[bisect_left(self._long_sorted, oldest)]
-        self._long.append(value)
-        insort(self._long_sorted, value)
+        threshold = self.threshold
+        if not self.fixed:
+            s, long = self._long_sorted, self._long
+            if len(long) == self.spec.long_window_ticks:
+                del s[bisect_left(s, long.popleft())]
+            long.append(value)
+            insort(s, value)
+            mid = len(s) // 2
+            median = s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
+            self.threshold = self.spec.multiplier * median
         self._short.append(value)
 
         smoothed = sum(self._short) / len(self._short)
@@ -299,6 +295,15 @@ def detect(flags: Iterable[bool], combinator: str) -> bool:
     raise ConfigurationError(f"unknown combinator {combinator!r}")
 
 
+# Every verdict of ``ecap_range_check``, indexed by 2*impossible + saturated.
+_RANGE_VERDICTS = (
+    frozenset({QUALITY_OK}),
+    frozenset({QUALITY_SATURATED}),
+    frozenset({QUALITY_IMPOSSIBLE}),
+    frozenset({QUALITY_IMPOSSIBLE, QUALITY_SATURATED}),
+)
+
+
 def ecap_range_check(
     estimate: float, saturation_uV: float = float("inf")
 ) -> tuple[float, frozenset]:
@@ -308,14 +313,7 @@ def ecap_range_check(
     the identity: negative or zero estimates are physiologically impossible,
     estimates beyond the amplifier ceiling are saturated.
     """
-    flags = set()
-    if estimate <= 0.0:
-        flags.add(QUALITY_IMPOSSIBLE)
-    if estimate >= saturation_uV:
-        flags.add(QUALITY_SATURATED)
-    if not flags:
-        flags.add(QUALITY_OK)
-    return estimate, frozenset(flags)
+    return estimate, _RANGE_VERDICTS[2 * (estimate <= 0.0) + (estimate >= saturation_uV)]
 
 
 @dataclass(frozen=True)

@@ -594,7 +594,8 @@ def ieeg_frame(
     """One tick of intracranial signal, in µV; rhythmic component when seizing.
 
     ``noise`` holds ``frame_len`` standard-normal draws per frame: 1-D with a
-    bool ``seizing`` for one frame, (S, frame_len) with S flags for S frames.
+    bool ``seizing`` for one frame, (..., frame_len) with a flag array of
+    shape (...) for many.
     """
     frame = noise * cfg.background_sd_uV
     seizing = np.asarray(seizing)

@@ -9,9 +9,9 @@ one class (``PLANTS``) that reads the ``plant`` and ``features`` sections and
 runs its own checks. One reader,
 ``_read``, builds each section's dataclass from its key list (the schema
 table below): a key the file omits keeps the dataclass default, a field
-without a default is required, and each value must have the field's JSON
-type: a number field takes a finite JSON number (an integer field a JSON
-integer), never ``true``, ``false`` or a string.
+without a default is required, any other key (but the top-level free-text
+``_comment``) is an error, and each value must have the field's JSON type:
+a number field takes a finite JSON number (an integer field a JSON integer).
 
 ``validate_scenario`` is the only code that builds a ``Scenario``. It runs
 the design checklist: every finding is tagged with the checklist item it
@@ -103,7 +103,7 @@ class PlantSpec:
 
 @dataclass(frozen=True)
 class EcapPlantSpec(PlantSpec):
-    """Evoked-response amplitude; its estimator is the identity, configured by nothing."""
+    """Evoked-response amplitude; its estimator (``features.estimator``) is the identity."""
 
     params: EcapPlantParams
     base_distance_mm: float
@@ -114,10 +114,14 @@ class EcapPlantSpec(PlantSpec):
 
     @classmethod
     def read(cls, p: dict, f, track: DisturbanceTrack) -> "EcapPlantSpec":
+        _known(p, "plant", PLANT_KEYS, ("ecap",))
         e = _require(p, "ecap", "plant")
-        params = _read(ECAP_PARAMS, e, "plant.ecap")
-        spec = _read(ECAP_PLANT, e, "plant.ecap", params=params, track=track)
-        _object(f, "features")
+        params = _read(ECAP_PARAMS, e, "plant.ecap", also=ECAP_PLANT[-1])
+        spec = _read(ECAP_PLANT, e, "plant.ecap", also=ECAP_PARAMS[-1], params=params, track=track)
+        _known(_object(f, "features"), "features", ("estimator",))
+        if f.get("estimator", "identity") != "identity":
+            raise ConfigurationError(
+                f"features.estimator must be 'identity', got {f['estimator']!r}")
         return spec
 
     def check(self, s: "Scenario", found) -> None:
@@ -164,9 +168,10 @@ class BetaPlantSpec(_FramedPlant):
 
     @classmethod
     def read(cls, p: dict, f, track: DisturbanceTrack) -> "BetaPlantSpec":
+        _known(p, "plant", PLANT_KEYS, ("beta",))
         b = _object(_require(p, "beta", "plant"), "plant.beta")
         curve = _read(BETA_CURVE, _require(b, "curve", "beta plant"), "plant.beta.curve")
-        cfg = _read(BETA_PLANT, b, "plant.beta", curve=curve, disturbances=track)
+        cfg = _read(BETA_PLANT, b, "plant.beta", also=("curve",), curve=curve, disturbances=track)
         return _read(BETA_FEATURES, f, "features", cfg=cfg)
 
     def check(self, s: "Scenario", found) -> None:
@@ -221,19 +226,21 @@ class IeegPlantSpec(_FramedPlant):
 
     @classmethod
     def read(cls, p: dict, f, track: DisturbanceTrack) -> "IeegPlantSpec":
+        _known(p, "plant", PLANT_KEYS, ("ieeg", "seizures"))
         cfg = _read(IEEG_PLANT, _require(p, "ieeg", "plant"), "plant.ieeg")
         seizures = _read(SEIZURES, _require(p, "seizures", "plant"), "plant.seizures")
         tools = []
         for t in _require(_object(f, "features"), "tools", "features"):
-            t = _object(t, "detection tool")
+            _known(_object(t, "detection tool"), "detection tool",
+                   ("feature", "threshold", "half_wave"))
             th = _object(t.get("threshold", {}), "detection tool threshold")
             hw = None
             if t["feature"] == "half_wave":
                 hw = _read(HALF_WAVE, _require(t, "half_wave", "half_wave tool"), "half_wave")
             tools.append(_read(TOOL, th, "detection tool threshold",
                                feature=str(t["feature"]), half_wave=hw))
-        return _read(IEEG_FEATURES, f, "features", cfg=cfg, seizures=seizures,
-                     tools=tuple(tools))
+        return _read(IEEG_FEATURES, f, "features", also=("tools",), cfg=cfg,
+                     seizures=seizures, tools=tuple(tools))
 
 
 @dataclass(frozen=True)
@@ -310,6 +317,13 @@ def _object(value, where: str, kind: type = dict):
     return value
 
 
+def _known(obj: dict, where: str, *keys) -> None:
+    """Raise unless each key of ``obj`` is in one of ``keys``: a misspelt key keeps its default."""
+    unknown = sorted(k for k in obj if not any(k in known for known in keys))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
 def _finite(value) -> float:
     """``float(value)``: ``value`` must be a finite JSON number. A bool or a
     string is not a number, and JSON parsing lets NaN, Infinity and 1e999 in."""
@@ -343,7 +357,7 @@ _CONVERT = {"float": _finite, "int": _int, "bool": lambda v: _object(v, "value",
 
 
 def _plan(cls, keys: str) -> tuple:
-    """How ``_read`` builds ``cls``: (cls, defaults, field positions, entries).
+    """How ``_read`` builds ``cls``: (cls, defaults, field positions, entries, keys).
 
     ``keys`` lists the fields read from the file, in read order, as ``field``
     or ``field=json_key``. A field without a dataclass default is required.
@@ -359,18 +373,20 @@ def _plan(cls, keys: str) -> tuple:
         f = init[position[name]]
         required = f.default is MISSING and f.default_factory is MISSING
         entries.append((position[name], key or name, _CONVERT[f.type], required))
-    return cls, defaults, position, tuple(entries)
+    return cls, defaults, position, tuple(entries), frozenset(e[1] for e in entries)
 
 
-def _read(plan: tuple, obj, where: str, **given):
+def _read(plan: tuple, obj, where: str, also=(), **given):
     """Build ``plan``'s class from the JSON object ``obj`` found at ``where``.
 
-    An absent required key raises KeyError (a nested dose: ConfigurationError);
-    an absent optional key keeps the default. ``given``: fields built by the caller.
+    A key neither the plan's nor in ``also`` raises ConfigurationError, an absent
+    required key KeyError (a nested dose: ConfigurationError); an absent optional
+    key keeps the default. ``given``: fields built by the caller.
     """
-    cls, defaults, position, entries = plan
+    cls, defaults, position, entries, keys = plan
     if not isinstance(obj, dict):
         _object(obj, where)  # raises
+    _known(obj, where, keys, also)
     args = list(defaults)
     for i, key, convert, required in entries:
         if convert is Dose:
@@ -428,6 +444,10 @@ POLICIES = {
     "Proportional": _plan(Proportional, "reference gain_mA_per_unit"),
     "EcapSetpoint": _plan(EcapSetpoint, "target_uV gain_mA_per_uV deadband_uV"),
 }
+PLANT_KEYS = ("kind", "device", "disturbances")   # and the kind's own sections
+TOP_LEVEL_KEYS = ("schema", "name", "_comment", "timebase", "seed", "baseline_dose", "plant",
+                  "features", "policy", "limits", "trust", "fallback", "budgets", "magnet",
+                  "outputs", "metrics")
 PLANTS = {"ecap": EcapPlantSpec, "beta": BetaPlantSpec, "ieeg": IeegPlantSpec}
 FALLBACKS = {
     "Off": _plan(FallbackOff, ""),
@@ -457,7 +477,7 @@ def _read_section(raw: dict, section: str, plan: tuple):
 def _read_kind(raw: dict, section: str, registry: dict):
     """The required top-level ``section``, read as the class its kind names."""
     s = _object(_require(raw, section, "scenario"), section)
-    return _read(_kind(registry, _require(s, "kind", section), section), s, section)
+    return _read(_kind(registry, _require(s, "kind", section), section), s, section, also=("kind",))
 
 
 def _build_seed(raw: dict) -> int:
@@ -469,6 +489,7 @@ def _build_seed(raw: dict) -> int:
 
 def _build_timebase(raw: dict) -> TimeBase:
     tb = _object(_require(raw, "timebase", "scenario"), "timebase")
+    _known(tb, "timebase", ("dt_s", "duration_s"))
     timebase = make_timebase(_finite(tb["dt_s"]), _finite(tb["duration_s"]))
     if timebase.n_ticks > MAX_TICKS:
         raise ConfigurationError(
@@ -484,7 +505,7 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
     device = _read(DEVICE, _require(p, "device", "plant"), "plant.device")
     track = DisturbanceTrack(tuple(sorted(
         (_read(_kind(DISTURBANCES, _object(d, "disturbance")["kind"], "disturbance"),
-               d, "disturbance") for d in _object(p.get("disturbances", []),
+               d, "disturbance", also=("kind",)) for d in _object(p.get("disturbances", []),
                                                   "plant.disturbances", list)),
         key=lambda seg: seg.start_tick,
     )))
@@ -500,6 +521,7 @@ def _build_magnet(raw: dict) -> tuple:
     out = []
     for iv in _object(raw.get("magnet", []), "magnet", list):
         iv = _object(iv, "magnet interval")
+        _known(iv, "magnet interval", ("start_tick", "end_tick"))
         start, end = _int(iv["start_tick"]), _int(iv["end_tick"])
         if not (0 <= start < end):
             raise ConfigurationError(
@@ -511,6 +533,7 @@ def _build_magnet(raw: dict) -> tuple:
 
 def _build_metrics_cfg(raw: dict) -> MetricsConfig:
     m = _object(raw.get("metrics", {}), "metrics")
+    _known(m, "metrics", ("range", "step_response"))
     rng = m.get("range")
     sr = m.get("step_response")
     if rng is not None:
@@ -610,6 +633,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
             f"scenario schema must be {SCHEMA_VERSION}, got {raw.get('schema')!r}",
         )
 
+    attempt(CHECKLIST_VALIDATION, lambda: _known(raw, "scenario", TOP_LEVEL_KEYS))
     timebase = attempt(CHECKLIST_VALIDATION, lambda: _build_timebase(raw))
     seed = attempt(CHECKLIST_VALIDATION, lambda: _build_seed(raw))
     baseline = attempt(CHECKLIST_MENTAL_MODEL, lambda: _read_section(raw, "baseline_dose", DOSE))

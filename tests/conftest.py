@@ -129,9 +129,12 @@ def ieeg_raw(**overrides):
 
 
 def deep_merge(base: dict, overrides: dict) -> dict:
+    """``base`` with ``overrides`` merged in; a section given another ``kind``
+    is replaced, as the keys of the old kind are unknown to the new one."""
     out = copy.deepcopy(base)
     for k, v in overrides.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
+        if (isinstance(v, dict) and isinstance(out.get(k), dict)
+                and v.get("kind", out[k].get("kind")) == out[k].get("kind")):
             out[k] = deep_merge(out[k], v)
         else:
             out[k] = copy.deepcopy(v)

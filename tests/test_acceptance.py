@@ -85,7 +85,7 @@ def test_c01_feature_oracle_equivalence():
                 det.observe(float(x))
             s = sorted(xs)
             oracle_median = (s[31] + s[32]) / 2.0
-            assert det.threshold() == 2.0 * oracle_median
+            assert det.threshold == 2.0 * oracle_median
 
 
 def test_c02_band_power_parseval():

@@ -4,34 +4,62 @@
 features computed for all lanes at once. These tests hold each lane to a
 serial ``run_scenario`` of the same seed, byte for byte on all three output
 files, and each batched feature or frame row to the same call on that row
-alone. Runtime budgets (2-core host) are noted per test; the whole file
-takes under 15 s.
+alone. iEEG sensing, which frames and featurizes per noise block, is held
+to a per-tick oracle, and the framed ticks of every lane to a prefix of the
+run, which the shared noise-block cursor relies on. Runtime budgets (2-core
+host) are noted per test; the whole file takes under 15 s.
 """
 
 import itertools
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import neuroloop.engine as engine
-from neuroloop.core import DomainError, Dose, InvalidPlantError
-from neuroloop.engine import BetaSensing, _NoiseRows, run_scenario, sweep
+from neuroloop.core import (
+    QUALITY_FLATLINE,
+    QUALITY_SATURATED,
+    DomainError,
+    Dose,
+    InvalidPlantError,
+    SimulationError,
+)
+from neuroloop.engine import (
+    NO_READING,
+    BetaSensing,
+    IeegSensing,
+    _DrawsAhead,
+    _framed,
+    _NoiseBlocks,
+    run_scenario,
+    sweep,
+)
 from neuroloop.features import (
     HalfWaveConfig,
     SignalQualityLimits,
     area_under_curve,
     band_power,
+    detect,
     half_wave_count,
     line_length,
     signal_quality,
+    tool_feature,
 )
 from neuroloop.outputs import events_jsonl_text, summary_json_text, timeseries_csv_text
-from neuroloop.plant import BetaTickTable, IeegPlantConfig, beta_lfp_frame, ieeg_frame
-from neuroloop.scenario import scenario_from_dict
+from neuroloop.plant import (
+    BetaTickTable,
+    IeegPlantConfig,
+    beta_lfp_frame,
+    ieeg_frame,
+    seizure_step,
+)
+from neuroloop.scenario import IeegPlantSpec, scenario_from_dict
 
 from conftest import deep_merge, ecap_raw, ieeg_raw, reference_raw
+from test_trust_paths import EXPECTED as TRUST_PATHS, variant_raw
 
 RESET_MODES = ("EosReset", "DcLeakReset")
 
@@ -135,7 +163,8 @@ def test_per_lane_fault_aborts_only_its_lane(monkeypatch, stage):
 
 def test_batched_fault_aborts_every_framed_lane(monkeypatch):
     # Budget: 2 s. Lanes already in a reset mode take no frame and run on.
-    tick = 50
+    # The tick starts a noise block, whose frame call covers every framed lane.
+    tick = 2 * engine.NOISE_CHUNK
     original = engine.ieeg_frame
 
     def failing(seizing, cfg, noise, t=0):
@@ -208,29 +237,158 @@ def test_batched_frames_equal_single_frames():
             assert np.array_equal(batch[i], ieeg_frame(bool(seizing[i]), icfg, noise[i], tick))
 
 
-def test_noise_rows_follow_each_lane_alone():
-    # Budget: 0.5 s. Lanes take frames at different rates, across chunk edges.
-    seeds, frame_len = (5, 6, 7), 8
-    noise = _NoiseRows([np.random.default_rng(s) for s in seeds], frame_len)
+def test_noise_blocks_follow_each_lane_alone():
+    # Budget: 0.5 s. Lanes leave the frame batch at different ticks, across
+    # chunk edges and on one; a block is drawn for the lanes framed at its start.
+    seeds, frame_len, leave = (5, 6, 7), 8, (3 * engine.NOISE_CHUNK + 5, 40, engine.NOISE_CHUNK)
+    noise = _NoiseBlocks([np.random.default_rng(s) for s in seeds], frame_len)
     alone = [np.random.default_rng(s) for s in seeds]
-    for t in range(3 * engine.NOISE_CHUNK + 5):
-        lanes = np.array([i for i in range(3) if t % (i + 1) == 0])
-        rows = noise.take(lanes)
-        for row, i in zip(rows, lanes.tolist()):
+    for t in range(leave[0]):
+        lanes = [i for i in range(3) if t < leave[i]]
+        rows, at = noise.at(t, lanes)
+        for row, i in zip(rows[at], lanes):
             assert np.array_equal(row, alone[i].standard_normal(frame_len))
 
 
-def test_smoothing_windows_of_unequal_fill_match_np_mean():
-    # Budget: 0.5 s. A lane that skips ticks has a shorter window than the rest.
+def test_draws_ahead_follow_per_call_draws():
+    # Budget: 0.1 s. Reads cross three chunk edges.
+    uniforms = _DrawsAhead(np.random.default_rng(8).random)
+    normals = _DrawsAhead(partial(np.random.default_rng(9).normal, 0.0, 0.3))
+    alone_u, alone_n = np.random.default_rng(8), np.random.default_rng(9)
+    for _ in range(3 * engine.NOISE_CHUNK + 5):
+        assert uniforms.random() == alone_u.random()
+        assert normals.random() == alone_n.normal(0.0, 0.3)
+
+
+def test_smoothing_windows_match_np_mean():
+    # Budget: 0.5 s. Lanes leave the frame batch at different ticks, before
+    # and after their windows fill.
     scenario = beta_scenario()
     rngs = [[np.random.default_rng(s) for s in range(3)] for _ in range(3)]
     sensing = BetaSensing(scenario, rngs)
+    assert sensing.smooth == 10
     windows = [deque(maxlen=sensing.smooth) for _ in range(3)]
+    leave = (25, 6, 14)
     rng = np.random.default_rng(5)
     for t in range(25):
-        idx = np.array([i for i in range(3) if i != 1 or t % 3 == 0])
+        idx = [i for i in range(3) if t < leave[i]]
         power = rng.random(len(idx)) * 3.0
-        for i, p in zip(idx.tolist(), power.tolist()):
+        for i, p in zip(idx, power.tolist()):
             windows[i].append(p)
-        means = sensing._smoothed(idx, power).tolist()
-        assert means == [float(np.mean(windows[i])) for i in idx.tolist()]
+        means = sensing._smoothed(t, idx, power).tolist()
+        assert means == [float(np.mean(windows[i])) for i in idx]
+
+
+# ---------------------------------------------------------------------------
+# iEEG sensing per noise block, against the per-tick path
+# ---------------------------------------------------------------------------
+
+class PerTickIeegSensing(IeegSensing):
+    """Oracle of ``IeegSensing``: every framed lane is framed and featurized on
+    each tick, from noise drawn one frame at a time, and the seizure process
+    reads its Generator one draw at a time."""
+
+    def __init__(self, scenario, rngs):
+        super().__init__(scenario, rngs)
+        self.plant_rngs = [lane_rngs[0] for lane_rngs in rngs]
+        self.noise_rngs = [lane_rngs[1] for lane_rngs in rngs]
+
+    def sense(self, t, lanes):
+        readings = [NO_READING] * len(lanes)
+        for j, lane in enumerate(lanes):
+            i = lane.index
+            try:
+                self.seizures[i], self.seizing[i, t] = seizure_step(
+                    self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s,
+                    self.plant_rngs[i],
+                )
+            except SimulationError as e:
+                lane.fault(t, e)
+                readings[j] = None
+        framed = _framed(lanes)
+        if framed:
+            idx = np.array([lanes[j].index for j in framed])
+            noise = np.array([self.noise_rngs[i].standard_normal(self.cfg.frame_len) for i in idx])
+            frames = ieeg_frame(self.seizing[idx, t], self.cfg, noise, t)
+            quals = signal_quality(frames, self.sq_limits)
+            values = [np.asarray(tool_feature(spec, frames), dtype=float).tolist()
+                      for spec in self.tools]
+            for row, j in enumerate(framed):
+                steps = [det.observe(tool_values[row]) for det, tool_values
+                         in zip(self.detectors[lanes[j].index], values)]
+                flag = detect([flag for _, _, flag in steps], self.combinator)
+                value, threshold, _ = steps[0]
+                readings[j] = (value, quals[row], flag, threshold)
+        return readings
+
+
+HALF_WAVE_TOOLS = {"tools": [
+    {"feature": "half_wave",
+     "half_wave": {"min_amplitude_uV": 40.0, "min_duration_ticks": 2, "max_duration_ticks": 12},
+     "threshold": {"mode": "fixed", "value": 2.5, "short_window_ticks": 2}},
+    {"feature": "area",
+     "threshold": {"mode": "adaptive", "multiplier": 1.5, "long_window_ticks": 40,
+                   "short_window_ticks": 3}},
+    {"feature": "line_length",
+     "threshold": {"mode": "adaptive", "multiplier": 2.0, "long_window_ticks": 80,
+                   "short_window_ticks": 4}},
+], "combinator": "AND"}
+
+# In each, some lanes seize (the ictal term); in the reset cases lanes
+# leave the frame batch at different ticks.
+BLOCK_CASES = {
+    "eos_drain": lambda: ieeg_scenario(),
+    "half_wave": lambda: scenario_from_dict(ieeg_raw(
+        timebase={"dt_s": 0.125, "duration_s": 20.0}, features=HALF_WAVE_TOOLS)),
+    # Ictal frames saturate and the background is flat.
+    "saturated_flat": lambda: scenario_from_dict(ieeg_raw(
+        timebase={"dt_s": 0.125, "duration_s": 20.0},
+        plant={"ieeg": {"background_sd_uV": 0.0, "ictal_amplitude_uV": 6000.0}})),
+    **{f"trust_{path}": partial(lambda p: scenario_from_dict(variant_raw("ieeg", p)), path)
+       for path in TRUST_PATHS},
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_features_equal_the_per_tick_path(monkeypatch, case):
+    # Budget: 1 s per case.
+    scenario = BLOCK_CASES[case]()
+    batch = sweep(scenario, 5)
+    monkeypatch.setitem(engine.SENSING, IeegPlantSpec, PerTickIeegSensing)
+    oracle = sweep(scenario, 5)
+    assert [texts(r) for r in batch] == [texts(r) for r in oracle]
+    assert any(r.seizing.any() for r in batch)
+    if case == "saturated_flat":
+        flags = {f for r in batch for q in r.quality for f in q.split("+")}
+        assert {QUALITY_SATURATED, QUALITY_FLATLINE} <= flags, flags
+
+
+PREFIX_CASES = {**{f"ieeg_{c}": (IeegSensing, BLOCK_CASES[c]) for c in BLOCK_CASES
+                   if c != "half_wave"},
+                "beta_eos_drain": (BetaSensing, lambda: beta_scenario()),
+                **{f"beta_trust_{path}": (BetaSensing, partial(
+                    lambda p: scenario_from_dict(variant_raw("beta", p)), path))
+                   for path in TRUST_PATHS}}
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES)
+def test_framed_ticks_are_a_prefix(monkeypatch, case):
+    # Budget: 1 s per case. The framed lanes share one noise-block cursor,
+    # t % NOISE_CHUNK, which holds because a lane framed on tick t was framed
+    # on every tick before it: reset modes latch and aborts are final.
+    sensing, make = PREFIX_CASES[case]
+    framed = {}
+    sense = sensing.sense
+
+    def recording(self, t, lanes):
+        for j in _framed(lanes):
+            framed.setdefault(lanes[j].index, []).append(t)
+        return sense(self, t, lanes)
+
+    monkeypatch.setattr(sensing, "sense", recording)
+    batch = sweep(make(), 5)
+    for i, r in enumerate(batch):
+        ticks = framed.get(i, [])
+        assert ticks == list(range(len(ticks))), i
+        resets = [t for t, m in enumerate(r.mode) if m in RESET_MODES]
+        assert len(ticks) == (resets[0] + 1 if resets else r.n_ticks), i

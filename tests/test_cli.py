@@ -16,7 +16,8 @@ from conftest import SCENARIO_DIR, deep_merge, ecap_raw, reference_raw
 # floor or slew limit between two output steps, which the actuator's floor
 # to a step breaks, or an amp_min the charge clamp or the compliance cap
 # holds a dose below), or ran with a disturbance its plant kind does not
-# model silently dropped; validate and run must both exit 2.
+# model silently dropped, or with a key it does not know ignored; validate
+# and run must both exit 2.
 LIMITS_BETWEEN_STEPS = [
     ("ecap_scs", {"limits": {"amp_min_mA": 4.005}, "baseline_dose": {"amplitude_mA": 4.5},
                   "policy": {"target_uV": 0.2}}),
@@ -66,6 +67,9 @@ MUTATIONS = LIMITS_BETWEEN_STEPS + [
     ("adbs_parkinsons", {"timebase": {"duration_s": 1e12}}),
     ("rns_epilepsy", {"features": {"tools": ["x"]}}),
     ("rns_epilepsy", {"policy": {"burst_duration_ticks": 1e9}}),
+    ("adbs_parkinsons", {"features": {"smoothing_s": 5.0}}),
+    ("ecap_scs", {"limits": {"amp_max_mA_typo": 8.0}}),
+    ("ecap_scs", {"polcy": {}}),
 ]
 
 

@@ -223,13 +223,13 @@ class TestAdaptiveThreshold:
 
     def test_fixed_mode(self):
         det = self.detector(threshold_mode="fixed", fixed_value=10.0)
-        assert det.threshold() == 10.0
+        assert det.threshold == 10.0
 
     def test_median_times_multiplier(self):
         det = self.detector(threshold_mode="adaptive", multiplier=2.0)
         for v in (2.0, 4.0, 6.0):
             det.observe(v)
-        assert det.threshold() == 8.0
+        assert det.threshold == 8.0
 
     def test_tracks_drifting_baseline_against_sort_oracle(self):
         rng = np.random.default_rng(106)
@@ -241,12 +241,12 @@ class TestAdaptiveThreshold:
             v = float(rng.normal(loc=drift))
             det.observe(v)
             history.append(v)
-            assert det.threshold() == 2.0 * brute_force_median(history[-32:])
+            assert det.threshold == 2.0 * brute_force_median(history[-32:])
 
     def test_empty_baseline(self):
         # No baseline yet: no threshold, and nothing can be flagged.
         det = self.detector(threshold_mode="adaptive")
-        assert det.threshold() is None
+        assert det.threshold is None
         smoothed, threshold, flag = det.observe(1e9)
         assert (smoothed, threshold, flag) == (1e9, None, False)
 

@@ -5,10 +5,11 @@ included) is set, one at a time, to each value in ``VALUES``, and is also
 deleted. Validation must return a report for every one of them, and whatever
 it passes must build and run: a 40-tick copy of each passing mutation runs
 without raising and without aborting. The deletions pin which keys are
-optional. Wrongly typed values and non-finite numbers are findings. Each
-file's reports are pinned by a sha256 over one line per case: the case, its
-``ok`` flag and its tagged findings in order, so a refactor of the reader or
-the checklist that changes any finding's flag, tag, message or order fails.
+optional. Wrongly typed values, non-finite numbers and keys a section does
+not know are findings. Each file's reports are pinned by a sha256 over one
+line per case: the case, its ``ok`` flag and its tagged findings in order,
+so a refactor of the reader or the checklist that changes any finding's
+flag, tag, message or order fails.
 Runtime budget (2-core host): under 15 s for the whole file.
 """
 
@@ -29,7 +30,7 @@ SHORT_TICKS = 40
 # list elements, and the free text (name, comments).
 OPTIONAL_PATHS = {"ecap_scs": 37, "adbs_parkinsons": 34, "rns_epilepsy": 44}
 FINDINGS_SHA256 = {
-    "ecap_scs": "ed3f51bb6496fe83a0f42f3cf60f838356e82cb7eed922e15250c7f33e243523",
+    "ecap_scs": "00c1cfeed634cb46d2fd0a5a8ff21d235ac7de1daec12eefbd9f9871609c6268",
     "adbs_parkinsons": "5beb4b67f1e0a502937aac2cd359f2afc44892efda5894b16718a93889c273e7",
     "rns_epilepsy": "f00ad6cbd3e257dae9af2e418238f7ef54707878261c2be14833eb20b1d19bd7",
 }
@@ -190,3 +191,64 @@ def test_tick_count_overflow_is_a_finding():
     assert [f.message for f in report.findings] == [
         "OverflowError: cannot convert float infinity to integer"
     ]
+
+
+# A key its section does not read. Each of these once validated ok with the
+# field it was meant for left at its default.
+UNKNOWN_KEYS = [
+    ("adbs_parkinsons", ("features", "smoothing_s"), "features"),
+    ("adbs_parkinsons", ("plant", "beta", "curve", "knee"), "plant.beta.curve"),
+    ("adbs_parkinsons", ("plant", "beta", "gamma_uV"), "plant.beta"),
+    ("ecap_scs", ("polcy",), "scenario"),
+    ("ecap_scs", ("limits", "amp_max_mA_typo"), "limits"),
+    ("ecap_scs", ("timebase", "dt"), "timebase"),
+    ("ecap_scs", ("baseline_dose", "amp"), "baseline_dose"),
+    ("ecap_scs", ("plant", "beta"), "plant"),
+    ("ecap_scs", ("plant", "ecap", "noise_sd"), "plant.ecap"),
+    ("ecap_scs", ("plant", "device", "battery"), "plant.device"),
+    ("ecap_scs", ("plant", "disturbances", 0, "rise"), "disturbance"),
+    ("ecap_scs", ("features", "estimatr"), "features"),
+    ("ecap_scs", ("policy", "dose", "width"), "policy.dose"),
+    ("ecap_scs", ("policy", "target"), "policy"),
+    ("ecap_scs", ("trust", "check"), "trust"),
+    ("ecap_scs", ("fallback", "dose"), "fallback"),
+    ("ecap_scs", ("outputs", "csv"), "outputs"),
+    ("ecap_scs", ("metrics", "rng"), "metrics"),
+    ("rns_epilepsy", ("plant", "seizures", "rate"), "plant.seizures"),
+    ("rns_epilepsy", ("features", "tools", 0, "mode"), "detection tool"),
+    ("rns_epilepsy", ("features", "tools", 0, "threshold", "window"), "detection tool threshold"),
+    ("rns_epilepsy", ("budgets", "max_episodes"), "budgets"),
+]
+
+
+@pytest.mark.parametrize("name, path, where", UNKNOWN_KEYS,
+                         ids=[f"{n}:{'.'.join(map(str, p))}" for n, p, _ in UNKNOWN_KEYS])
+def test_unknown_key_is_a_finding(name, path, where):
+    raw = reference_raw(name)
+    if path[0] == "policy" and "dose" in path:
+        raw["policy"] = {"kind": "ManualFixed", "dose": dict(raw["baseline_dose"])}
+    report = validate_scenario(mutated(raw, path, 1))
+    assert [f.message for f in report.findings] == [
+        f"ConfigurationError: unknown key(s) in {where}: {path[-1]}"
+    ]
+
+
+def test_unknown_keys_are_listed_and_magnet_intervals_checked():
+    raw = reference_raw("ecap_scs")
+    raw["magnet"] = [{"start_tick": 1, "end_tick": 5, "stop": 9, "begin": 0}]
+    report = validate_scenario(raw)
+    assert [f.message for f in report.findings] == [
+        "ConfigurationError: unknown key(s) in magnet interval: begin, stop"
+    ]
+
+
+@pytest.mark.parametrize("value, ok", [("identity", True), ("matched_filter", False)])
+def test_ecap_estimator_is_the_identity(value, ok):
+    raw = reference_raw("ecap_scs")
+    raw["features"]["estimator"] = value
+    report = validate_scenario(raw)
+    assert report.ok == ok
+    if not ok:
+        assert [f.message for f in report.findings] == [
+            "ConfigurationError: features.estimator must be 'identity', got 'matched_filter'"
+        ]
