@@ -31,9 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .core import MAX_TICKS, QUALITY_OK, ConfigurationError, Dose
-
-_OK_ONLY = frozenset({QUALITY_OK})
+from .core import MAX_TICKS, OK_ONLY, ConfigurationError, Dose
 
 
 class _Regulating:
@@ -47,7 +45,7 @@ class _Regulating:
     target = property(lambda self: self.setpoint)
 
     def step(self, st, measured, quality, detected, amplitude, template):
-        if measured is None or quality != _OK_ONLY:
+        if measured is None or quality != OK_ONLY:
             return st, amplitude, template, False
         return st, self.command(measured, amplitude), template, False
 

@@ -62,7 +62,7 @@ import numpy as np
 
 from .core import (
     EventRecord,
-    QUALITY_OK,
+    OK_ONLY,
     SEVERITY_ALERT,
     SEVERITY_FAULT,
     SimulationError,
@@ -105,7 +105,6 @@ from .safety import (
 )
 from .scenario import BetaPlantSpec, EcapPlantSpec, IeegPlantSpec, Scenario, scenario_from_dict
 
-OK_ONLY = frozenset({QUALITY_OK})
 NO_READING = (None, OK_ONLY, False, None)   # what a lane in a reset mode senses
 
 NOISE_CHUNK = 32   # frames (ecap: sensor draws) of noise drawn ahead per lane

@@ -12,6 +12,14 @@ value per row, computed by the same operations along the last axis, so each
 row's value is bit-identical to that row's value as a frame. ``Detector`` is
 the only stateful piece: one detection tool with its smoothing window and
 its fixed or adaptive threshold.
+
+Line length and area are sums of nonnegative terms, exactly rounded: each
+equals math.fsum of its terms. A frame, or a batch of fewer than
+``KERNEL_MIN_ROWS`` rows, is summed with math.fsum row by row. A larger
+batch goes through ``_split_sums``, a numpy kernel that sums every row at
+once and certifies each sum as the exactly rounded one; the few rows it
+cannot certify (at a rounding tie, zero, non-finite or extreme) are summed
+with math.fsum. Both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -29,10 +37,10 @@ from .core import (
     ConfigurationError,
     DomainError,
     InsufficientDataError,
+    OK_ONLY,
     QUALITY_EXTERNAL_NOISE,
     QUALITY_FLATLINE,
     QUALITY_IMPOSSIBLE,
-    QUALITY_OK,
     QUALITY_SATURATED,
 )
 
@@ -43,18 +51,89 @@ def _as_array(w: SampleSource) -> np.ndarray:
     return np.asarray(w, dtype=float)
 
 
+# From this many rows on, ``_fsum_rows`` sums a batch with ``_split_sums``
+# and calls math.fsum only on the rows it does not certify. Measured on
+# (m, 31) batches of iEEG line-length terms (Python 3.11, numpy 2.4, one
+# x86-64 Xeon core): the kernel costs about 33 us plus 0.1 us a row and
+# math.fsum about 1.25 us a row, so they break even near 29 rows.
+KERNEL_MIN_ROWS = 30
+# A row goes to math.fsum unless its float sum lies in [_TINY, _HUGE): then
+# every grid, bound and rounding gap below is a normal float and nothing
+# overflows.
+_TINY, _HUGE = 2.0 ** -900, 2.0 ** 999
+
+
+def _split_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of an (m, n) array of nonnegative terms, and which are exact.
+
+    Each row is split error-free on the grid of ulp(sigma), sigma =
+    2**(e + 1) with the row's float sum below 2**e, so every term is below
+    sigma / 2 (Rump, Ogita and Oishi, "Accurate floating-point summation,
+    Part I", SIAM J. Sci. Comput. 31(1), 2008): q = (a + sigma) - sigma,
+    r = a - q. Every partial sum of q is a multiple of that ulp below 2**52
+    of them, so its sum is exact in any order; the float sum of r is off by
+    at most gamma(n-1) * n * ulp(sigma) / 2 < n**2 * 2**-52 * ulp(sigma).
+    TwoSum gives the split's sum as s + err exactly. A row is certified
+    when err plus or minus that bound lies strictly inside half the gaps to
+    s's neighbours: then the exact sum rounds to s under any tie rule, so s
+    is what math.fsum returns. Rows outside the range (zero, non-finite,
+    overflowing or extreme) read 0.0, are not certified and meet no further
+    arithmetic.
+    """
+    m, n = a.shape
+    with np.errstate(over="ignore"):          # an overflowing row reads inf
+        total = np.einsum("ij->i", a)         # >= each term; NaN if one is
+    inside = (total >= _TINY) & (total < _HUGE)
+    every = inside.all()
+    rows = a if every else a[inside]
+    e = np.frexp(total if every else total[inside])[1] + 1
+    sigma = np.ldexp(1.0, e)[:, None]
+    q = rows + sigma
+    q -= sigma
+    hi = np.einsum("ij->i", q)
+    np.subtract(rows, q, out=q)
+    lo = np.einsum("ij->i", q)
+    s = hi + lo                               # TwoSum: s + err == hi + lo
+    z = s - hi
+    err = (hi - (s - z)) + (lo - z)
+    bound = np.ldexp(float(n * n), e - 104)
+    up = np.nextafter(s, np.inf) - s
+    down = s - np.nextafter(s, 0.0)
+    exact = (err + bound < up / 2) & (err - bound > down / -2)
+    if every:
+        return s, exact
+    sums, certified = np.zeros(m), np.zeros(m, dtype=bool)
+    sums[inside], certified[inside] = s, exact
+    return sums, certified
+
+
 def _fsum_rows(a: np.ndarray):
-    """math.fsum of a 1-D array, or an array of the fsum of each row."""
+    """math.fsum of a 1-D array, or an array of the fsum of each row.
+
+    The terms must be nonnegative; ``_split_sums`` relies on it. A batch of
+    fewer than ``KERNEL_MIN_ROWS`` rows is summed one row at a time with
+    math.fsum; a larger one with ``_split_sums``, and with math.fsum only
+    on the rows it does not certify. A certified sum is the exactly rounded
+    sum of its row, which is what math.fsum returns, so both routes give
+    every row bit-identical to math.fsum of that row.
+    """
     if a.ndim == 1:
         return math.fsum(a.tolist())
-    return np.array([math.fsum(row) for row in a.tolist()])
+    if len(a) < KERNEL_MIN_ROWS:
+        return np.array([math.fsum(row) for row in a.tolist()])
+    sums, exact = _split_sums(a)
+    for i in np.flatnonzero(~exact).tolist():
+        sums[i] = math.fsum(a[i].tolist())
+    return sums
 
 
 def line_length(w: SampleSource):
     """Sum of absolute first differences, sum(|x[i] - x[i-1]|).
 
-    Summed with math.fsum (exactly rounded), so the result is independent of
-    accumulation order and bit-identical to any correctly rounded oracle.
+    Exactly rounded, so the result is independent of accumulation order and
+    bit-identical to math.fsum of the terms. The terms are nonnegative, so a
+    large batch is summed by the ``_split_sums`` kernel, with math.fsum for
+    the rows it does not certify; see ``_fsum_rows``.
 
     Raises:
         InsufficientDataError: fewer than 2 samples.
@@ -297,7 +376,7 @@ def detect(flags: Iterable[bool], combinator: str) -> bool:
 
 # Every verdict of ``ecap_range_check``, indexed by 2*impossible + saturated.
 _RANGE_VERDICTS = (
-    frozenset({QUALITY_OK}),
+    OK_ONLY,
     frozenset({QUALITY_SATURATED}),
     frozenset({QUALITY_IMPOSSIBLE}),
     frozenset({QUALITY_IMPOSSIBLE, QUALITY_SATURATED}),
@@ -331,7 +410,7 @@ _QUALITY_VERDICTS = tuple(
         flag
         for bit, flag in ((4, QUALITY_SATURATED), (2, QUALITY_FLATLINE), (1, QUALITY_EXTERNAL_NOISE))
         if code & bit
-    ) or frozenset({QUALITY_OK})
+    ) or OK_ONLY
     for code in range(8)
 )
 

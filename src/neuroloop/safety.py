@@ -30,7 +30,7 @@ from .core import (
     Dose,
     DoseLimits,
     EventRecord,
-    QUALITY_OK,
+    OK_ONLY,
     SEVERITY_ALERT,
     SEVERITY_FAULT,
     SEVERITY_INFO,
@@ -168,9 +168,6 @@ class TrustConfig:
         return [c for c in self.checks if CHECK_BITS[c] & failed]
 
 
-_OK_ONLY = frozenset({QUALITY_OK})
-
-
 def failed_device_checks(cfg: TrustConfig, device: DeviceState, contact_set: str) -> int:
     """The mask of the device checks ``device`` fails, enabled or not.
 
@@ -283,7 +280,7 @@ def trust_check_step(cfg: TrustConfig, quality: frozenset, biomarker: Optional[f
     when the mask is 0. A pass resets the fail streak and vice versa.
     """
     failed = device_fails
-    if quality != _OK_ONLY:
+    if quality != OK_ONLY:
         failed |= _QUALITY_BIT
     if biomarker is not None:
         if biomarker < 0.0:

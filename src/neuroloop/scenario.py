@@ -207,6 +207,8 @@ class ToolSpec:
             raise ConfigurationError(
                 "adaptive threshold needs long_window_ticks > short_window_ticks > 0"
             )
+        if self.short_window_ticks < 1:   # every mode smooths over this window
+            raise ConfigurationError("short_window_ticks must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,8 @@ class IeegPlantSpec(_FramedPlant):
             raise ConfigurationError("at least one detection tool is required")
         if self.combinator not in ("OR", "AND"):
             raise ConfigurationError("combinator must be OR or AND")
+        if self.cfg.frame_len < 3 and any(t.feature == "half_wave" for t in self.tools):
+            raise ConfigurationError("a half_wave tool needs frame_len of at least 3 samples")
 
     @classmethod
     def read(cls, p: dict, f, track: DisturbanceTrack) -> "IeegPlantSpec":

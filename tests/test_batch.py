@@ -198,23 +198,24 @@ def test_any_batch_equals_serial_runs(kind, width, base):
 # ---------------------------------------------------------------------------
 
 def test_batched_features_equal_row_by_row():
-    # Budget: 0.5 s.
-    rng = np.random.default_rng(3)
-    frames = rng.standard_normal((7, 64)) * 20.0
-    frames[2] = 5.0                 # flatline
-    frames[3, 10] = 2500.0          # saturated and a jump
-    limits = SignalQualityLimits(saturation_uV=2000.0, max_delta_uV_per_sample=150.0)
-    hw = HalfWaveConfig(min_amplitude_uV=10.0, min_duration_ticks=1, max_duration_ticks=20)
-    rows = list(frames)
-    assert line_length(frames).tolist() == [line_length(x) for x in rows]
-    assert area_under_curve(frames).tolist() == [area_under_curve(x) for x in rows]
-    for band in ((13.0, 30.0), (4.0, 128.0), (20.0, 20.5)):
-        assert band_power(frames, *band, 256.0).tolist() == [
-            band_power(x, *band, 256.0) for x in rows
-        ]
-    assert signal_quality(frames, limits) == [signal_quality(x, limits) for x in rows]
-    assert len(set(signal_quality(frames, limits))) == 3
-    assert half_wave_count(frames, hw).tolist() == [half_wave_count(x, hw) for x in rows]
+    # Budget: 0.5 s. A batch of 512 rows sums through the batch kernel.
+    for n_rows in (7, 512):
+        rng = np.random.default_rng(3)
+        frames = rng.standard_normal((n_rows, 64)) * 20.0
+        frames[2] = 5.0                 # flatline
+        frames[3, 10] = 2500.0          # saturated and a jump
+        limits = SignalQualityLimits(saturation_uV=2000.0, max_delta_uV_per_sample=150.0)
+        hw = HalfWaveConfig(min_amplitude_uV=10.0, min_duration_ticks=1, max_duration_ticks=20)
+        rows = list(frames)
+        assert line_length(frames).tolist() == [line_length(x) for x in rows]
+        assert area_under_curve(frames).tolist() == [area_under_curve(x) for x in rows]
+        for band in ((13.0, 30.0), (4.0, 128.0), (20.0, 20.5)):
+            assert band_power(frames, *band, 256.0).tolist() == [
+                band_power(x, *band, 256.0) for x in rows
+            ]
+        assert signal_quality(frames, limits) == [signal_quality(x, limits) for x in rows]
+        assert len(set(signal_quality(frames, limits))) == 3
+        assert half_wave_count(frames, hw).tolist() == [half_wave_count(x, hw) for x in rows]
 
 
 def test_batched_frames_equal_single_frames():

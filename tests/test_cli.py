@@ -67,6 +67,14 @@ MUTATIONS = LIMITS_BETWEEN_STEPS + [
     ("adbs_parkinsons", {"timebase": {"duration_s": 1e12}}),
     ("rns_epilepsy", {"features": {"tools": ["x"]}}),
     ("rns_epilepsy", {"policy": {"burst_duration_ticks": 1e9}}),
+    ("rns_epilepsy", {"features": {"tools": [
+        {"feature": "line_length",
+         "threshold": {"mode": "fixed", "value": 100.0, "short_window_ticks": 0}}]}}),
+    ("rns_epilepsy", {"plant": {"ieeg": {"fs_hz": 16.0, "frame_len": 2, "ictal_hz": 5.0}},
+                      "features": {"tools": [
+                          {"feature": "half_wave", "threshold": {"mode": "fixed", "value": 1.0},
+                           "half_wave": {"min_amplitude_uV": 10.0, "min_duration_ticks": 1,
+                                         "max_duration_ticks": 4}}]}}),
     ("adbs_parkinsons", {"features": {"smoothing_s": 5.0}}),
     ("ecap_scs", {"limits": {"amp_max_mA_typo": 8.0}}),
     ("ecap_scs", {"polcy": {}}),

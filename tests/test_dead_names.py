@@ -7,13 +7,19 @@ no loaded name or attribute in that code reads. A re-export in
 tests do not either: code only tests call belongs in the tests. Names are
 matched by spelling, so a method counts as read when any attribute of that
 name is. Dunder names are called by Python itself and are skipped.
+
+The benchmark's tracer names the functions it times in ``TRACED``; a name
+that no longer resolves is reported as 0 calls, not as an error, so every
+name is checked here against the package.
 Runtime budget: well under 0.5 s.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 PROGRAM = sorted((ROOT / "src" / "neuroloop").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -58,3 +64,19 @@ def test_every_defined_name_is_read():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     }
     assert dead == {}, f"defined but never read in src/ or demos/: {dead}"
+
+
+def test_every_traced_name_is_a_function_of_its_layer():
+    # Read, not imported: the literal is taken from the source.
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), filename=str(TRACER))
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    assert len(traced) > 5
+    missing = [
+        f"{layer}.{name}" for layer, names in traced.items() for name in names
+        if not callable(getattr(importlib.import_module(f"neuroloop.{layer}"), name, None))
+    ]
+    assert missing == [], f"perfbench/tracer.py traces names neuroloop does not define: {missing}"

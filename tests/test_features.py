@@ -15,12 +15,14 @@ from neuroloop.core import (
     QUALITY_SATURATED,
 )
 from neuroloop.features import (
+    KERNEL_MIN_ROWS,
     ConfigurationError,
     Detector,
     DomainError,
     HalfWaveConfig,
     InsufficientDataError,
     SignalQualityLimits,
+    _split_sums,
     area_under_curve,
     band_power,
     detect,
@@ -72,6 +74,84 @@ class TestLineLength:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             line_length([1.0])
+
+
+# Samples with exponents over +-1000, subnormals, signed zeros, infinities
+# and NaN.
+EXTREME_SAMPLES = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 1000)),
+    st.floats(-(2.0 ** -1022), 2.0 ** -1022),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+# Sums of 1.0 plus terms exactly at a half-ulp tie, and just above it; the
+# first frame's line-length terms are the first row's, and so on.
+TIE_ROWS = ([1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -80])
+TIE_FRAMES = ([1.0, 0.0, 2.0 ** -53], [1.0, 0.0, 2.0 ** -53, 2.0 ** -53 - 2.0 ** -80])
+
+
+def bits(values) -> list:
+    """Each float's exact hex form; every NaN reads alike."""
+    return ["nan" if math.isnan(v) else v.hex() for v in values]
+
+
+def padded(rows, n: int, pad=None) -> list:
+    """Each row extended to n samples with ``pad``, or with its last sample."""
+    return [list(r) + [r[-1] if pad is None else pad] * (n - len(r)) for r in rows]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n_rows=st.sampled_from([KERNEL_MIN_ROWS - 1, KERNEL_MIN_ROWS, 512])
+    | st.integers(1, 3 * KERNEL_MIN_ROWS),
+    n=st.integers(4, 40),
+    data=st.data(),
+)
+def test_batched_sums_equal_fsum_of_each_row(n_rows, n, data):
+    """Line length and area of a batch equal math.fsum of each row, bit for bit.
+
+    Batches fall on both sides of ``KERNEL_MIN_ROWS``. A batch is the first
+    n_rows of: the drawn rows of extreme samples, the tie rows, a zero row,
+    a row too large for the kernel, then generated rows, each spreading its
+    exponents from a base in +-1000, some with zeros, subnormals,
+    infinities and NaN mixed in. Nothing may warn. Runtime budget: under
+    2 s.
+    """
+    drawn = data.draw(st.lists(st.lists(EXTREME_SAMPLES, min_size=n, max_size=n), max_size=4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.integers(-1000, 1001, size=(n_rows, 1))
+    spread = rng.choice([0, 40, 2000], size=(n_rows, 1))
+    exps = np.clip(base + (rng.random((n_rows, n)) * (spread + 1)).astype(int), -1074, 1000)
+    bulk = np.ldexp(rng.uniform(-1.0, 1.0, (n_rows, n)), exps)
+    special = rng.random((n_rows, n)) < rng.choice([0.0, 0.02], size=(n_rows, 1))
+    bulk[special] = rng.choice([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan],
+                               size=int(special.sum()))
+    fixed = [[0.0] * n, [2.0 ** 1000] * n]
+
+    area_rows = (drawn + padded(TIE_ROWS, n, 0.0) + fixed + bulk.tolist())[:n_rows]
+    frames = np.array(area_rows)
+    assert bits(area_under_curve(frames).tolist()) == bits(map(brute_force_area, area_rows))
+
+    line_rows = (drawn + padded(TIE_FRAMES, n) + fixed + bulk.tolist())[:n_rows]
+    frames = np.array(line_rows)
+    # Neighbouring infinities of one sign would subtract to NaN with a warning.
+    frames = np.where(np.isinf(frames), np.where(np.arange(n) % 2, -math.inf, math.inf), frames)
+    want = [brute_force_line_length(row) for row in frames.tolist()]
+    assert bits(line_length(frames).tolist()) == bits(want)
+
+
+def test_split_sums_certify_only_rows_that_round_unambiguously():
+    n = 8
+    rows = padded(TIE_ROWS[:1], n, 0.0) + [
+        [0.0] * n,
+        [1.0] * (n - 1) + [math.inf],
+        [math.nan] + [1.0] * (n - 1),
+        [2.0 ** 1000] * n,              # float sum at or above 2**999
+        [2.0 ** -1000] * n,             # float sum below 2**-900
+        [0.1 * (i + 1) for i in range(n)],
+    ]
+    sums, exact = _split_sums(np.array(rows))
+    assert exact.tolist() == [False] * 6 + [True]
+    assert sums[-1].hex() == math.fsum(rows[-1]).hex()
 
 
 class TestArea:
