@@ -258,22 +258,26 @@ def single_threshold_step(biomarker: float, current: float, cfg: SingleThreshold
     """Step the amplitude against a single threshold (strictly-above triggers)."""
     above = biomarker > cfg.threshold
     increase = above if cfg.on_above else not above
-    delta = cfg.step_mA if increase else -cfg.step_mA
-    return max(0.0, current + delta)
+    amp = current + (cfg.step_mA if increase else -cfg.step_mA)
+    return amp if amp > 0.0 else 0.0
 
 
 def dual_threshold_step(biomarker: float, current: float, cfg: DualThreshold) -> float:
     """Hold inside the band; step up above it, step down below it."""
     if biomarker > cfg.upper:
-        return max(0.0, current + cfg.step_up_mA)
-    if biomarker < cfg.lower:
-        return max(0.0, current - cfg.step_down_mA)
-    return current
+        amp = current + cfg.step_up_mA
+    elif biomarker < cfg.lower:
+        amp = current - cfg.step_down_mA
+    else:
+        return current
+    return amp if amp > 0.0 else 0.0
 
 
 def proportional_step(biomarker: float, cfg: Proportional) -> float:
     """Amplitude = gain * max(0, biomarker - reference)."""
-    return max(0.0, cfg.gain_mA_per_unit * max(0.0, biomarker - cfg.reference))
+    excess = biomarker - cfg.reference
+    amp = cfg.gain_mA_per_unit * (excess if excess > 0.0 else 0.0)
+    return amp if amp > 0.0 else 0.0
 
 
 def ecap_setpoint_step(ecap_est: float, current: float, cfg: EcapSetpoint) -> float:
@@ -281,4 +285,5 @@ def ecap_setpoint_step(ecap_est: float, current: float, cfg: EcapSetpoint) -> fl
     error = cfg.target_uV - ecap_est
     if abs(error) <= cfg.deadband_uV:
         return current
-    return max(0.0, current + cfg.gain_mA_per_uV * error)
+    amp = current + cfg.gain_mA_per_uV * error
+    return amp if amp > 0.0 else 0.0

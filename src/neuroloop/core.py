@@ -3,8 +3,10 @@
 Everything here is a plain value type. The run loop carries a delivered
 amplitude as a float beside a template ``Dose`` for the pulse width, rate and
 contact set, so the dose arithmetic takes both, and floors an amplitude with
-``max(0.0, a)``. The simulation advances on a single global tick; all
-timestamps in the package are integer tick indices, never wall-clock times.
+``a if a > 0.0 else 0.0``: the same object as ``max(0.0, a)`` (ints stay
+ints, -0.0 becomes 0.0) without a builtin call on the tick path. The
+simulation advances on a single global tick; all timestamps in the package
+are integer tick indices, never wall-clock times.
 Dose arithmetic lives here so that the plant, the controllers, and the
 metrics all agree on one definition.
 

@@ -427,8 +427,16 @@ def signal_quality(w: SampleSource, limits: SignalQualityLimits):
     x = _as_array(w)
     if x.shape[-1] == 0:
         raise InsufficientDataError("signal_quality needs a nonempty window")
-    code = 4 * np.any(np.abs(x) >= limits.saturation_uV, axis=-1)
-    code += 2 * (x.max(axis=-1) - x.min(axis=-1) < limits.flatline_eps_uV)
+    # |x| >= s is x >= s or x <= -s, so the row max and min give both tests;
+    # a NaN sample makes them NaN, and such a row is scanned sample by sample.
+    s = limits.saturation_uV
+    mx, mn = x.max(axis=-1), x.min(axis=-1)
+    saturated = np.asarray((mx >= s) | (mn <= -s))
+    lost = np.isnan(mx)
+    if lost.any():
+        saturated[lost] = np.any(np.abs(x[lost]) >= s, axis=-1)
+    code = 4 * saturated
+    code += 2 * (mx - mn < limits.flatline_eps_uV)
     # No jump exceeds an infinite bound, so that pass is skipped.
     if x.shape[-1] >= 2 and limits.max_delta_uV_per_sample < math.inf:
         code += np.abs(np.diff(x, axis=-1)).max(axis=-1) > limits.max_delta_uV_per_sample

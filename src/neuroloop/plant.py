@@ -209,7 +209,8 @@ def ecap_true(amplitude_mA: float, distance_mm: float, p: EcapPlantParams) -> fl
         raise InvalidPlantError(
             f"recruitment slope is nonpositive at distance {distance_mm} mm"
         )
-    return k * max(0.0, amplitude_mA - p.threshold_at(distance_mm))
+    drive = amplitude_mA - p.threshold_at(distance_mm)
+    return k * (drive if drive > 0.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +663,28 @@ class DeviceState:
 
 
 def _floor_to_step(x: float, step: float) -> float:
-    # round() guards against 3.1/0.1 -> 30.999... flooring to 30.
-    return math.floor(round(x / step, 9)) * step
+    """``x`` floored to whole multiples of ``step``, tolerating 9-digit noise.
+
+    Defined as ``floor(round(x / step, 9)) * step``: the rounding keeps
+    3.1 / 0.1 = 30.999... from flooring to 30. ``round`` with digits goes
+    through a decimal string, so the usual cases skip it, with the same
+    result. Let q = x / step with 0 <= q < 2**31, n = floor(q), and f = q - n,
+    which is exact (Sterbenz). If f <= 0.999999, the 9-digit rounding d of q
+    lies in [n, n + 0.9999990005], and converting d to a float moves it by at
+    most half an ulp, under 2**-22 below 2**31, so floor(d) = n. If
+    f >= 1 - 4e-10, q is nearer n + 1 than the half-unit 5e-10, so d = n + 1.
+    The band between, other magnitudes, NaN and inf take the definition
+    (which raises on NaN and inf).
+    """
+    q = x / step
+    if 0.0 <= q < 2**31:
+        n = math.floor(q)
+        f = q - n
+        if f <= 0.999999:
+            return n * step
+        if f >= 1 - 4e-10:
+            return (n + 1) * step
+    return math.floor(round(q, 9)) * step
 
 
 def actuator_apply(amplitude_mA: float, template: Dose, dev: DeviceState) -> float:
@@ -680,7 +701,9 @@ def actuator_apply(amplitude_mA: float, template: Dose, dev: DeviceState) -> flo
     if cap is None:
         z = dev.impedance_of(template.contact_set)
         cap = dev._caps[template.contact_set] = dev.compliance_cap(z)
-    return max(0.0, min(_floor_to_step(amplitude_mA, dev.amp_step_mA), cap))
+    amp = _floor_to_step(amplitude_mA, dev.amp_step_mA)
+    amp = cap if cap < amp else amp
+    return amp if amp > 0.0 else 0.0
 
 
 def device_step(dev: DeviceState, delivered_charge_uC: float) -> DeviceState:

@@ -106,25 +106,33 @@ def clamp_and_slew(
     last so the result is always in range even when the slew alone would not
     reach it), then reduce the amplitude if the per-pulse charge limit is
     exceeded. Each intervention appends an Alert event to ``log``.
+
+    The clamps are comparisons with the semantics of builtin ``min`` and
+    ``max`` (``max(a, b)`` is ``b if b > a else a``), without their call cost.
     """
     slew = limits.max_slew_mA_per_tick
-    slewed = min(max(command_mA, prev_delivered_mA - slew), prev_delivered_mA + slew)
+    lo = prev_delivered_mA - slew
+    hi = prev_delivered_mA + slew
+    slewed = lo if lo > command_mA else command_mA
+    slewed = hi if hi < slewed else slewed
     if slewed != command_mA:
         log.append(EventRecord(tick, SEVERITY_ALERT, EVENT_SLEW_CLAMP,
                                {"requested_mA": command_mA, "slewed_mA": slewed}))
 
-    clamped = min(max(slewed, limits.amp_min_mA), limits.amp_max_mA)
+    amp_min, amp_max = limits.amp_min_mA, limits.amp_max_mA
+    clamped = amp_min if amp_min > slewed else slewed
+    clamped = amp_max if amp_max < clamped else clamped
     if clamped != slewed:
         log.append(EventRecord(tick, SEVERITY_ALERT, EVENT_LIMIT_CLAMP,
                                {"requested_mA": slewed, "clamped_mA": clamped}))
 
-    result = max(0.0, clamped)
+    result = clamped if clamped > 0.0 else 0.0
     q = charge_per_pulse(result, template)
     if q > limits.max_charge_per_pulse_uC and template.pulse_width_us > 0:
         safe_amp = limits.max_charge_per_pulse_uC / (template.pulse_width_us * 1e-3)
         log.append(EventRecord(tick, SEVERITY_ALERT, EVENT_CHARGE_CLAMP,
                                {"charge_uC": q, "reduced_to_mA": safe_amp}))
-        result = max(0.0, safe_amp)
+        result = safe_amp if safe_amp > 0.0 else 0.0
     return result
 
 

@@ -12,6 +12,7 @@ Runtime budget (2-core host): under 3 s for the whole file.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import neuroloop.plant as plant
@@ -160,6 +161,52 @@ DEVICES = st.builds(
 )
 
 
+STEPS = st.sampled_from([0.1, 0.01, 0.05, 1, 0.25, 0.3, 7.0])
+# The fraction of x / step above a whole number: on and around the fast
+# path's cut-offs 0.999999 and 1 - 4e-10, and the 9-digit tie at 1 - 5e-10.
+CUTOFFS = (0.999999, 1 - 4e-10, 1 - 5e-10)
+FRACTIONS = st.one_of(
+    st.sampled_from((0.0, 0.5) + CUTOFFS),
+    st.builds(lambda c, d: c + d, st.sampled_from(CUTOFFS), st.floats(-2e-9, 2e-9)),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+def grid_sum(step, k: int):
+    """``k`` steps added one at a time, as 0.1 + 0.1 + ... drifts off the grid."""
+    x = 0.0
+    for _ in range(k):
+        x += step
+    return x
+
+
+FLOOR_INPUTS = st.one_of(
+    st.builds(lambda n, f, step: ((n + f) * step, step),
+              st.integers(0, 2**31 - 1) | st.integers(0, 100), FRACTIONS, STEPS),
+    st.builds(lambda step, k: (grid_sum(step, k), step), STEPS, st.integers(0, 400)),
+    st.tuples(st.floats(2.0**31, 2.0**62) | st.sampled_from([2.0**31, 2.0**31 - 0.5]),
+              st.just(1)),
+    st.tuples(st.integers(-5, 10**6) | st.floats(-5.0, 0.0), STEPS),
+    st.tuples(st.sampled_from([3.1, -0.0, 0, 7, math.nan, math.inf, -math.inf]), STEPS),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=FLOOR_INPUTS)
+@example(case=(3.1, 0.1))
+def test_floor_to_step_equals_the_rounding_definition(case):
+    # Budget: under 1 s. The fast path must give the oracle's repr, and NaN
+    # and inf must raise the oracle's exception type.
+    x, step = case
+    try:
+        want = floor_to_step(x, step)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            plant._floor_to_step(x, step)
+    else:
+        assert repr(plant._floor_to_step(x, step)) == repr(want), (x, step)
+
+
 def assert_same_amplitude(value, dose: Dose):
     assert repr(value) == repr(dose.amplitude_mA), (value, dose)
 
@@ -167,6 +214,11 @@ def assert_same_amplitude(value, dose: Dose):
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(cmd=AMPS, prev=AMPS, limits=LIMITS, pw=PULSE_WIDTHS, device=DEVICES,
        at=st.sampled_from(["free", "slew_up", "slew_down", "charge", "amp_min", "amp_max"]))
+# An int command equal to a float slew bound is kept, as min and max keep it.
+@example(cmd=3, prev=2.0, limits=DoseLimits(0.0, 6.0, 1, 1.0), pw=60.0,
+         device=DeviceState(3.6, 3.0, {"E1": 500.0}, 12.0, 1), at="free")
+@example(cmd=2, prev=3.0, limits=DoseLimits(0.0, 6.0, 1, 1.0), pw=60.0,
+         device=DeviceState(3.6, 3.0, {"E1": 500.0}, 12.0, 1), at="free")
 def test_clamp_charge_and_actuator_equal_the_oracle(cmd, prev, limits, pw, device, at):
     # Budget: under 1 s for all examples.
     if at == "slew_up":
@@ -216,6 +268,9 @@ READINGS = st.lists(
 @example(cfg=EcapSetpoint(0.0, 0.5, 0.3), start=-0.0, readings=[(0.1, False), (None, True)])
 @example(cfg=EcapSetpoint(1.0, 0.5), start=3, readings=[(1.0, False), (2.0, False)])
 @example(cfg=SingleThreshold(0.0, 0.1), start=-0.0, readings=[(-1.0, False)])
+# Int arithmetic that lands on 0 floors to the float 0.0.
+@example(cfg=DualThreshold(-0.5, 0.5, 0.1, 1), start=1, readings=[(-1.0, False)])
+@example(cfg=EcapSetpoint(1, 1), start=1, readings=[(2, False)])
 def test_policy_amplitudes_equal_the_oracle(cfg, start, readings):
     # Budget: under 1 s for all examples. Each reading's command becomes
     # the next tick's current dose, as a policy sees it in a quiet loop.

@@ -413,6 +413,31 @@ def test_signal_quality_equals_oracle(max_delta):
     assert (QUALITY_EXTERNAL_NOISE in want[3]) == (max_delta < math.inf)
 
 
+# Samples at and just inside +-saturation, zeros of both signs, infinities,
+# NaN and anything in between.
+SQ_SAMPLES = st.one_of(
+    st.sampled_from([100.0, -100.0, math.nextafter(100.0, 0.0), -math.nextafter(100.0, 0.0),
+                     0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-250.0, 250.0),
+)
+SQ_BATCHES = st.tuples(st.integers(1, 6), st.integers(2, 8)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=SQ_SAMPLES))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(frames=SQ_BATCHES, saturation=st.sampled_from([100.0, math.inf]),
+       max_delta=st.sampled_from([math.inf, 120.0]))
+def test_signal_quality_equals_the_abs_formula(frames, saturation, max_delta):
+    # Budget: under 1 s. The saturation flag comes from the row max and
+    # min; the oracle tests |x| >= saturation sample by sample. A row of
+    # equal infinities has the peak-to-peak inf - inf, which warns in both.
+    limits = SignalQualityLimits(saturation_uV=saturation, max_delta_uV_per_sample=max_delta)
+    with np.errstate(invalid="ignore"):
+        want = [signal_quality_oracle(x, limits) for x in frames]
+        assert signal_quality(frames, limits) == want
+        assert [signal_quality(x, limits) for x in frames] == want
+
+
 # Bounded finite frames: a batch of 1-4 rows of 8-64 samples within ±1000 µV.
 FRAMES = st.tuples(st.integers(1, 4), st.integers(8, 64)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))

@@ -112,6 +112,8 @@ class TestEcapTrue:
     def test_zero_at_threshold(self):
         assert ecap_true(3.0, 4.0, self.P) == 0.0
         assert ecap_true(2.0, 4.0, self.P) == 0.0
+        # A drive of -0.0 floors to 0.0, as max(0.0, drive) does.
+        assert repr(ecap_true(-0.0, 4.0, EcapPlantParams(0.5, 0.0, 4.0))) == "0.0"
 
     def test_distance_step_shifts_threshold(self):
         # Hand-derived: +1 mm raises I_th by 0.8 mA, so the same 5 mA drive
