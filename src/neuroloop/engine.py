@@ -33,7 +33,9 @@ clamp stages append to, and the last-good register LastKnownGood delivers.
 Unchanged supervisor, policy, budget and device states are passed on as
 they are, the dwell streaks are lane counters, and the device checks re-run
 only when the lane's (frozen) device state is a new object or its
-delivering contact set changes.
+delivering contact set changes. The lane caches ``in_reset`` and
+``frequency_hz`` as attributes, refreshed when its supervisor state or
+template is a new object.
 
 Plant and feature extraction together are one sensing object per plant kind
 (``EcapSensing``, ``BetaSensing``, ``IeegSensing``) that reads only the
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -71,6 +73,7 @@ from .core import (
 )
 from .control import ManualFixed, PolicyState
 from .features import (
+    QUALITY_TEXT,
     Detector,
     SignalQualityLimits,
     band_power,
@@ -108,12 +111,6 @@ from .scenario import BetaPlantSpec, EcapPlantSpec, IeegPlantSpec, Scenario, sce
 NO_READING = (None, OK_ONLY, False, None)   # what a lane in a reset mode senses
 
 NOISE_CHUNK = 32   # frames (ecap: sensor draws) of noise drawn ahead per lane
-
-
-@lru_cache(maxsize=32)   # one entry per subset of the five quality flags
-def _quality_text(qual: frozenset) -> str:
-    """A quality flag set as its timeseries.csv cell."""
-    return "+".join(sorted(qual))
 
 
 @dataclass
@@ -166,6 +163,14 @@ class _NoiseBlocks:
             self.first = {i: r * NOISE_CHUNK for r, i in enumerate(idx)}
         return self.rows, [self.first[i] + k for i in idx]
 
+    def rows_at(self, t: int, idx: list) -> np.ndarray:
+        """The row at tick t of each of ``idx``: a strided view of the block
+        while every lane it was drawn for is framed, else a gather."""
+        rows, at = self.at(t, idx)
+        if len(at) * NOISE_CHUNK == len(rows):
+            return rows[t % NOISE_CHUNK::NOISE_CHUNK]
+        return rows[at]
+
 
 class _DrawsAhead:
     """One lane's scalar draws, made NOISE_CHUNK at a time by the bulk call
@@ -195,6 +200,8 @@ class _Lane:
         self.scenario = scenario
         self.magnet = magnet
         self.sup = SupervisorState()
+        self.in_reset = self.sup.in_reset   # refreshed when sup changes
+        self.default_threshold = scenario.policy.setpoint   # recorded when sensing gives none
         self.fail_streak = self.pass_streak = 0
         self.checked_device = self.checked_contact = None   # what device_fails is for
         self.device_fails = 0
@@ -204,6 +211,7 @@ class _Lane:
         self.log: list = []
         # The delivered amplitude, and the dose whose timing and contacts it has.
         self.template = baseline = scenario.baseline_dose
+        self.frequency_hz = baseline.frequency_hz   # the delivered rate, refreshed with template
         self.amplitude_mA = actuator_apply(baseline.amplitude_mA, baseline, scenario.device)
         self.initial_delivered = self.amplitude_mA
         self.last_good: Optional[tuple] = None   # (amplitude, template) for LastKnownGood
@@ -217,12 +225,6 @@ class _Lane:
         self.teed_cum = columns["teed_cum"][index]
         self.quality = [""] * n
         self.mode = [""] * n
-
-    @property
-    def in_reset(self) -> bool:
-        return self.sup.in_reset
-
-    frequency_hz = property(lambda self: self.template.frequency_hz)   # the delivered rate
 
     def fault(self, t: int, e: SimulationError) -> None:
         """Abort at tick t: an invariant breached, so stop, never corrupt."""
@@ -240,14 +242,12 @@ class _Lane:
         prev = self.amplitude_mA
         template = self.template
         log = self.log
-        sup = self.sup
-        in_reset = sup.in_reset
         if threshold_now is None:
-            threshold_now = policy.setpoint
+            threshold_now = self.default_threshold
 
         # ---- trust checks -----------------------------------------------
         trust = sc.trust
-        if not in_reset:
+        if not self.in_reset:
             contact = template.contact_set
             if device is not self.checked_device or contact != self.checked_contact:
                 self.checked_device, self.checked_contact = device, contact
@@ -260,8 +260,11 @@ class _Lane:
                                        {"checks": trust.names(failed)}))
 
         # ---- supervisor -------------------------------------------------
-        self.sup = sup = supervisor_step(sup, self.fail_streak, self.pass_streak,
-                                         self.magnet[t], device, trust, sc.fallback, log, t)
+        sup = supervisor_step(self.sup, self.fail_streak, self.pass_streak,
+                              self.magnet[t], device, trust, sc.fallback, log, t)
+        if sup is not self.sup:
+            self.sup = sup
+            self.in_reset = sup.in_reset
         mode = sup.mode
 
         # ---- policy -----------------------------------------------------
@@ -300,7 +303,7 @@ class _Lane:
         # ---- record -----------------------------------------------------
         if measured is not None:
             self.biomarker[t] = measured
-            self.quality[t] = _quality_text(qual)
+            self.quality[t] = QUALITY_TEXT[qual]
         if threshold_now is not None:
             self.setpoint[t] = threshold_now
         self.commanded_mA[t] = cmd
@@ -308,7 +311,9 @@ class _Lane:
         self.mode[t] = mode
         self.teed_cum[t] = self.teed
         self.amplitude_mA = delivered
-        self.template = template
+        if template is not self.template:
+            self.template = template
+            self.frequency_hz = template.frequency_hz
 
     def result(self, sensing: "_Sensing") -> RunResult:
         n = self.n
@@ -449,8 +454,8 @@ class BetaSensing(_Sensing):
         framed = _framed(lanes)
         if framed:
             idx = [lanes[j].index for j in framed]
-            rows, at = self.noise.at(t, idx)
-            frames = beta_lfp_frame([lanes[j] for j in framed], t, self.table, rows[at])
+            frames = beta_lfp_frame([lanes[j] for j in framed], t, self.table,
+                                    self.noise.rows_at(t, idx))
             quals = signal_quality(frames, self.sq_limits)
             power = band_power(frames, *self.band, self.cfg.fs_hz)
             for j, value, qual in zip(framed, self._smoothed(t, idx, power).tolist(), quals):
@@ -462,14 +467,15 @@ class BetaSensing(_Sensing):
 
         A framed lane was framed on every tick so far (see ``_NoiseBlocks``),
         so its window holds min(t + 1, smooth) powers. A window is
-        right-aligned, so they are a slice of the row, and a row mean along
-        the last axis sums in the order ``np.mean`` sums a 1-D window.
+        right-aligned, so they are a slice of the row. A row sum along the
+        last axis, then a division, is what ``np.mean`` does to a 1-D window.
         """
         w = self.window
         rows = idx if len(idx) < len(w) else slice(None)
         w[rows, :-1] = w[rows, 1:]
         w[rows, -1] = power
-        return w[rows, max(0, self.smooth - t - 1):].mean(axis=-1)
+        fill = min(t + 1, self.smooth)
+        return np.add.reduce(w[rows, -fill:], axis=-1) / fill
 
 
 class IeegSensing(_Sensing):
@@ -507,15 +513,20 @@ class IeegSensing(_Sensing):
 
     def sense(self, t: int, lanes: list) -> list:
         readings = [NO_READING] * len(lanes)
+        ictal = set()   # positions in ``lanes`` of the lanes seizing at t
         for j, lane in enumerate(lanes):
             i = lane.index
             try:
-                self.seizures[i], self.seizing[i, t] = seizure_step(
+                self.seizures[i], now = seizure_step(
                     self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s, self.uniforms[i],
                 )
             except SimulationError as e:
                 lane.fault(t, e)
                 readings[j] = None
+                continue
+            if now:   # the column is False until a lane seizes
+                self.seizing[i, t] = True
+                ictal.add(j)
         framed = _framed(lanes)
         if not framed:
             return readings
@@ -523,9 +534,8 @@ class IeegSensing(_Sensing):
         if t % NOISE_CHUNK == 0:
             quiet = ieeg_frame(np.zeros(len(rows), dtype=bool), self.cfg, rows, t)
             self.sensed = self._features(quiet)
-        seizing = self.seizing[:, t].tolist()
-        seized = [r for j, r in zip(framed, at) if seizing[lanes[j].index]]
-        if seized:   # a row is read once, on its tick, so its ictal reading replaces it
+        if ictal:   # a row is read once, on its tick, so its ictal reading replaces it
+            seized = [r for j, r in zip(framed, at) if j in ictal]
             frames = ieeg_frame(np.ones(len(seized), dtype=bool), self.cfg, rows[seized], t)
             for r, sensed in zip(seized, self._features(frames)):
                 self.sensed[r] = sensed
@@ -595,14 +605,17 @@ def _run_lanes(scenarios: list) -> list[RunResult]:
             for j in _framed(live):
                 live[j].fault(t, e)
             readings = [None if lane.aborted else NO_READING for lane in live]
+        aborted = False   # only where a reading is None or a step raises
         for lane, reading in zip(live, readings):
             if reading is None:
+                aborted = True
                 continue
             try:
                 lane.step(t, *reading)
             except SimulationError as e:
                 lane.fault(t, e)
-        if any(lane.aborted for lane in live):
+                aborted = True
+        if aborted:
             live = [lane for lane in live if not lane.aborted]
     return [lane.result(sensing) for lane in lanes]
 

@@ -414,6 +414,9 @@ _QUALITY_VERDICTS = tuple(
     for code in range(8)
 )
 
+# Every verdict of both checks, as its timeseries.csv cell.
+QUALITY_TEXT = {qual: "+".join(sorted(qual)) for qual in _QUALITY_VERDICTS + _RANGE_VERDICTS}
+
 
 def signal_quality(w: SampleSource, limits: SignalQualityLimits):
     """Classify a window as OK / Saturated / Flatline / ExternalNoise.

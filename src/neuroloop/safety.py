@@ -266,14 +266,6 @@ class SupervisorState:
     def in_reset(self) -> bool:
         return self.mode in RESET_MODES
 
-    def moved(self, mode: str, edges: tuple,
-              resume_mode: Optional[str] = None) -> "SupervisorState":
-        """This state in ``mode`` with this tick's (magnet, DC leak) edge registers.
-
-        A ``resume_mode`` of None keeps this state's.
-        """
-        return SupervisorState(mode, resume_mode or self.resume_mode, *edges)
-
 
 def trust_check_step(cfg: TrustConfig, quality: frozenset, biomarker: Optional[float],
                      device_fails: int, fail_streak: int,
@@ -312,59 +304,56 @@ def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
     streaks are read, never changed, so magnet suspension preserves them;
     removal restores the pre-suspension mode. Events are appended to ``log``.
     """
-
-    def emit(target_mode: str, severity: str, payload: Optional[dict] = None) -> None:
-        log.append(EventRecord(tick, severity, MODE_EVENT_CODES[target_mode], payload or {}))
-
-    # Every transition records this tick's magnet and DC-leak edges. Staying
-    # in the same mode changes only those, and when they do not change the
-    # state is returned as it is.
-    edges = (magnet_applied, device.dc_leak_flag)
-    stay = st if (st.magnet_prev, st.dc_leak_prev) == edges else st.moved(st.mode, edges)
-
-    if st.in_reset:
+    dc_leak = device.dc_leak_flag
+    mode = st.mode
+    to = None   # the mode a transition enters; None stays in ``mode``
+    if mode in RESET_MODES:
         # Latched. Report (once, on the rising edge) anything that would
         # normally transition, then stay put.
-        if device.dc_leak_flag and not st.dc_leak_prev and st.mode != MODE_DC_LEAK_RESET:
-            emit(MODE_DC_LEAK_RESET, SEVERITY_INFO, {"suppressed_by": st.mode})
+        if dc_leak and not st.dc_leak_prev and mode != MODE_DC_LEAK_RESET:
+            _mode_event(log, tick, MODE_DC_LEAK_RESET, SEVERITY_INFO, {"suppressed_by": mode})
         if magnet_applied and not st.magnet_prev:
-            emit(MODE_SUSPENDED_MAGNET, SEVERITY_INFO, {"suppressed_by": st.mode})
-        return stay
-
-    if device.dc_leak_flag:
-        emit(MODE_DC_LEAK_RESET, SEVERITY_FAULT, {"from": st.mode})
-        return st.moved(MODE_DC_LEAK_RESET, edges)
-
-    if device.battery_v < device.eos_threshold_v:
-        emit(MODE_EOS_RESET, SEVERITY_FAULT, {"from": st.mode, "battery_v": device.battery_v})
-        return st.moved(MODE_EOS_RESET, edges)
-
-    if magnet_applied:
-        if st.mode != MODE_SUSPENDED_MAGNET:
-            emit(MODE_SUSPENDED_MAGNET, SEVERITY_ALERT, {"from": st.mode})
-            return st.moved(MODE_SUSPENDED_MAGNET, edges, resume_mode=st.mode)
-        return stay
-
-    if st.mode == MODE_SUSPENDED_MAGNET:
-        emit(st.resume_mode, SEVERITY_ALERT, {"from": MODE_SUSPENDED_MAGNET})
-        return st.moved(st.resume_mode, edges)
-
-    if st.mode == MODE_AUTOMATED:
+            _mode_event(log, tick, MODE_SUSPENDED_MAGNET, SEVERITY_INFO, {"suppressed_by": mode})
+    elif dc_leak:
+        to = MODE_DC_LEAK_RESET
+        _mode_event(log, tick, to, SEVERITY_FAULT, {"from": mode})
+    elif device.battery_v < device.eos_threshold_v:
+        to = MODE_EOS_RESET
+        _mode_event(log, tick, to, SEVERITY_FAULT, {"from": mode, "battery_v": device.battery_v})
+    elif magnet_applied:
+        if mode != MODE_SUSPENDED_MAGNET:
+            _mode_event(log, tick, MODE_SUSPENDED_MAGNET, SEVERITY_ALERT, {"from": mode})
+            return SupervisorState(MODE_SUSPENDED_MAGNET, mode, magnet_applied, dc_leak)
+    elif mode == MODE_SUSPENDED_MAGNET:
+        to = st.resume_mode
+        _mode_event(log, tick, to, SEVERITY_ALERT, {"from": MODE_SUSPENDED_MAGNET})
+    elif mode == MODE_AUTOMATED:
         if fail_streak >= trust.exit_after_consecutive_fails:
-            emit(MODE_FALLBACK, SEVERITY_ALERT,
-                 {"kind": type(fallback).__name__, "fail_streak": fail_streak})
-            return st.moved(MODE_FALLBACK, edges)
-        return stay
-
-    if st.mode == MODE_FALLBACK:
+            to = MODE_FALLBACK
+            _mode_event(log, tick, to, SEVERITY_ALERT,
+                        {"kind": type(fallback).__name__, "fail_streak": fail_streak})
+    elif mode == MODE_FALLBACK:
         if pass_streak >= trust.reenter_after_consecutive_passes:
+            to = MODE_AUTOMATED
             log.append(EventRecord(tick, SEVERITY_INFO, EVENT_TRUST_REENTER,
                                    {"pass_streak": pass_streak}))
-            emit(MODE_AUTOMATED, SEVERITY_ALERT, {"from": MODE_FALLBACK})
-            return st.moved(MODE_AUTOMATED, edges)
-        return stay
+            _mode_event(log, tick, to, SEVERITY_ALERT, {"from": MODE_FALLBACK})
+    else:
+        raise ConfigurationError(f"unknown supervisor mode {mode!r}")
 
-    raise ConfigurationError(f"unknown supervisor mode {st.mode!r}")
+    # Every transition records this tick's magnet and DC-leak edges. Staying
+    # changes only those, and when they do not change the state is returned
+    # as it is.
+    if to is None:
+        if st.magnet_prev == magnet_applied and st.dc_leak_prev == dc_leak:
+            return st
+        to = mode
+    return SupervisorState(to, st.resume_mode, magnet_applied, dc_leak)
+
+
+def _mode_event(log: list, tick: int, mode: str, severity: str, payload: dict) -> None:
+    """Append the event of a transition (or a suppressed one) into ``mode``."""
+    log.append(EventRecord(tick, severity, MODE_EVENT_CODES[mode], payload))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Cost guard: the per-lane dose stages call no builtin ``min``, ``max`` or ``round``.
+"""Cost guard: the per-lane tick path keeps out interpreter glue.
 
 Every lane runs these functions on every tick. A two-argument builtin
 ``min`` or ``max`` costs about 200-250 ns in CPython 3.11, several times the
 comparison that replaces it, and ``round(x, 9)`` converts through a decimal
 string; so ``round`` stays only on ``plant._floor_to_step``'s fallback line.
+``safety.supervisor_step`` builds no closure per call, ``engine._Lane``
+reads plain attributes instead of properties, and the tick loop of
+``engine._run_lanes`` scans no lanes with a generator or ``any``.
 The source is parsed with ``ast``, nothing is imported.
 Runtime budget: well under 0.1 s.
 """
@@ -57,3 +60,32 @@ def test_round_is_called_only_on_the_floor_fallback_line():
     rounds = [c for node in functions.values() for c in calls(node, "round")]
     assert len(rounds) == 1 and rounds == calls(fallback, "round"), [
         c.lineno for c in rounds]
+
+
+def top_level(module: str, name: str) -> ast.AST:
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return next(node for node in tree.body if getattr(node, "name", None) == name)
+
+
+def test_supervisor_step_builds_no_closure():
+    fn = top_level("safety", "supervisor_step")
+    nested = [node.lineno for node in ast.walk(fn) if node is not fn
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == [], f"a nested function or lambda is built on every call: {nested}"
+
+
+def test_lane_defines_no_property():
+    lane = top_level("engine", "_Lane")
+    found = [node.lineno for node in ast.walk(lane)
+             if isinstance(node, ast.Name) and node.id == "property"]
+    assert found == [], f"cache it as an attribute: {found}"
+
+
+def test_tick_loop_scans_no_lanes_with_a_generator_or_any():
+    run = top_level("engine", "_run_lanes")
+    loops = [node for node in ast.walk(run) if isinstance(node, ast.For)
+             and isinstance(node.target, ast.Name) and node.target.id == "t"]
+    assert len(loops) == 1
+    found = [c.lineno for c in ast.walk(loops[0]) if isinstance(c, ast.GeneratorExp)]
+    found += [c.lineno for c in calls(loops[0], "any")]
+    assert found == [], f"a per-tick scan of the lanes: {found}"
