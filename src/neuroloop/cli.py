@@ -31,6 +31,7 @@ from .outputs import (
     aggregate_summaries,
     fault_count,
     replay_run,
+    run_files,
     scan_pulse_width_us,
     write_run,
 )
@@ -74,8 +75,9 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     result = run_scenario(scenario)
     outdir = write_run(result, args.out)
-    print(f"wrote {outdir}/timeseries.csv events.jsonl summary.json")
-    if fault_count(result) > 0 or result.aborted:
+    names = [fname for fname, enabled, _ in run_files(scenario.outputs) if enabled]
+    print(f"wrote {outdir}/{' '.join(names)}")
+    if fault_count(result) > 0:
         print(f"run recorded {fault_count(result)} fault event(s)", file=sys.stderr)
         return EXIT_FAULT
     return EXIT_OK
@@ -155,23 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("scenario")
     v.set_defaults(func=cmd_validate)
 
-    r = sub.add_parser("run", help="execute a scenario")
-    r.add_argument("scenario")
-    r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--seed", type=int, default=None, help="override the file's seed")
-    r.set_defaults(func=cmd_run)
+    common = argparse.ArgumentParser(add_help=False)   # the arguments of run, compare, sweep
+    common.add_argument("scenario")
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--seed", type=int, default=None, help="override the file's seed")
 
-    c = sub.add_parser("compare", help="automated policy vs fixed-output baseline")
-    c.add_argument("scenario")
-    c.add_argument("--out", required=True)
-    c.add_argument("--seed", type=int, default=None)
+    sub.add_parser("run", parents=[common], help="execute a scenario").set_defaults(func=cmd_run)
+    c = sub.add_parser("compare", parents=[common], help="automated policy vs fixed-output twin")
     c.set_defaults(func=cmd_compare)
-
-    s = sub.add_parser("sweep", help="run N independent seeds and aggregate")
-    s.add_argument("scenario")
+    s = sub.add_parser("sweep", parents=[common], help="run N independent seeds and aggregate")
     s.add_argument("--seeds", type=int, required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=int, default=None)
     s.set_defaults(func=cmd_sweep)
 
     rp = sub.add_parser("replay", help="re-verify a stored run directory")

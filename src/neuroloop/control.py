@@ -17,8 +17,8 @@ recorded beside the biomarker, or None), ``target`` (the level biomarker
 deviations are measured against in mode comparisons, or None), and
 ``step(state, measured, quality, detected, amplitude, template) -> (state,
 amplitude, template, therapy_started)``: the delivered amplitude (a float)
-and the dose it is delivered with, in and out. It delegates to the
-module-level ``*_step`` function of its family, which works on amplitudes.
+and the dose it is delivered with, in and out. Each but ManualFixed delegates
+to the module-level ``*_step`` function of its family, which works on amplitudes.
 
 Policies emit raw commands. Clamping, slew limiting, and charge limiting all
 happen downstream in the safety module so that limit enforcement is testable
@@ -59,8 +59,7 @@ class ManualFixed:
     setpoint = target = None
 
     def step(self, st, measured, quality, detected, amplitude, template):
-        dose = manual_fixed_step(self)
-        return st, dose.amplitude_mA, dose, False
+        return st, self.dose.amplitude_mA, self.dose, False
 
 
 @dataclass(frozen=True)
@@ -215,11 +214,6 @@ class PolicyState:
 
     therapies_delivered_this_event: int = 0
     plan_remaining: int = 0
-
-
-def manual_fixed_step(cfg: ManualFixed) -> Dose:
-    """The configured dose, independent of any input."""
-    return cfg.dose
 
 
 def bang_bang_responsive_step(

@@ -77,10 +77,6 @@ class TimeBase:
         if self.n_ticks < 0:
             raise InvalidTimebaseError(f"n_ticks must be >= 0, got {self.n_ticks}")
 
-    @property
-    def duration_s(self) -> float:
-        return self.dt_s * self.n_ticks
-
     def ticks_per_day(self) -> int:
         """Ticks in 24 h of simulated time (for daily budget rollover)."""
         return max(1, round(86_400.0 / self.dt_s))

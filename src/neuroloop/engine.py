@@ -446,7 +446,7 @@ class BetaSensing(_Sensing):
         # Each lane's last ``smooth`` band powers, oldest first, right-aligned.
         # A run never holds more than n_ticks of them.
         tb = scenario.timebase
-        self.smooth = max(1, min(round(plant.smooth_s / tb.dt_s), tb.n_ticks))
+        self.smooth = round(max(1, min(plant.smooth_s / tb.dt_s, tb.n_ticks)))
         self.window = np.zeros((len(rngs), self.smooth))
 
     def sense(self, t: int, lanes: list) -> list:

@@ -115,16 +115,30 @@ def _fsum_rows(a: np.ndarray):
     math.fsum; a larger one with ``_split_sums``, and with math.fsum only
     on the rows it does not certify. A certified sum is the exactly rounded
     sum of its row, which is what math.fsum returns, so both routes give
-    every row bit-identical to math.fsum of that row.
+    every row bit-identical to math.fsum of that row. A row on which
+    math.fsum raises for an overflowing partial sum reads inf (``_fsum``).
     """
-    if a.ndim == 1:
-        return math.fsum(a.tolist())
-    if len(a) < KERNEL_MIN_ROWS:
-        return np.array([math.fsum(row) for row in a.tolist()])
-    sums, exact = _split_sums(a)
-    for i in np.flatnonzero(~exact).tolist():
-        sums[i] = math.fsum(a[i].tolist())
-    return sums
+    try:
+        if a.ndim == 1:
+            return math.fsum(a.tolist())
+        if len(a) < KERNEL_MIN_ROWS:
+            return np.array([math.fsum(row) for row in a.tolist()])
+        sums, exact = _split_sums(a)
+        for i in np.flatnonzero(~exact).tolist():
+            sums[i] = math.fsum(a[i].tolist())
+        return sums
+    except OverflowError:   # a partial sum overflowed: redo the batch row by row
+        return _fsum(a.tolist()) if a.ndim == 1 else np.array([_fsum(r) for r in a.tolist()])
+
+
+def _fsum(terms: list) -> float:
+    """math.fsum of nonnegative terms. Where a partial sum overflows, math.fsum
+    raises; the exact sum is then at least that large and rounds to inf, the
+    correctly rounded result (NaN if a term is NaN)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.nan if any(map(math.isnan, terms)) else math.inf
 
 
 def line_length(w: SampleSource):

@@ -121,9 +121,6 @@ class SafetyScanResult:
     ok: bool
     violations: tuple  # (tick, kind, detail) triples
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def scan_delivered_series(
     delivered_mA,

@@ -15,7 +15,7 @@ a stored scenario and compare files byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Optional
@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .engine import RunResult, run_scenario
-from .metrics import SafetyScanResult, scan_timeseries_csv
-from .scenario import Scenario, load_scenario_file, scenario_from_dict
+from .metrics import Metrics, SafetyScanResult, scan_timeseries_csv
+from .scenario import OutputFlags, Scenario, load_scenario_file, scenario_from_dict
 
 CSV_COLUMNS = (
     "tick",
@@ -116,20 +116,27 @@ def scan_pulse_width_us(scenario: Scenario) -> float:
     return max(d.pulse_width_us for d in scenario.doses.values())
 
 
+def run_files(flags: OutputFlags) -> tuple:
+    """(file name, enabled, renderer) of each output beside scenario.json, in write order:
+    what ``write_run`` writes, ``replay_run`` compares and ``neuroloop run`` names. Built
+    per call, so a renderer rebound on this module (by a tracer) is the one called."""
+    return (
+        ("timeseries.csv", flags.timeseries, timeseries_csv_text),
+        ("events.jsonl", flags.events, events_jsonl_text),
+        ("summary.json", flags.summary, summary_json_text),
+    )
+
+
 def write_run(result: RunResult, outdir) -> Path:
     """Write a run's outputs into ``outdir`` (created if needed)."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    flags = result.scenario.outputs
     (out / "scenario.json").write_text(
         scenario_json_text(result.scenario), encoding="utf-8"
     )
-    if flags.timeseries:
-        (out / "timeseries.csv").write_text(timeseries_csv_text(result), encoding="utf-8")
-    if flags.events:
-        (out / "events.jsonl").write_text(events_jsonl_text(result), encoding="utf-8")
-    if flags.summary:
-        (out / "summary.json").write_text(summary_json_text(result), encoding="utf-8")
+    for fname, enabled, render in run_files(result.scenario.outputs):
+        if enabled:
+            (out / fname).write_text(render(result), encoding="utf-8")
     return out
 
 
@@ -165,14 +172,8 @@ def replay_run(rundir) -> ReplayReport:
     scenario = scenario_from_dict(load_scenario_file(rundir / "scenario.json"))
     fresh = run_scenario(scenario)
 
-    flags = scenario.outputs
-    expectations = {
-        "timeseries.csv": (flags.timeseries, timeseries_csv_text),
-        "events.jsonl": (flags.events, events_jsonl_text),
-        "summary.json": (flags.summary, summary_json_text),
-    }
     matched = {}
-    for fname, (enabled, render) in expectations.items():
+    for fname, enabled, render in run_files(scenario.outputs):
         path = rundir / fname
         if enabled or path.exists():
             matched[fname] = (
@@ -190,17 +191,8 @@ def replay_run(rundir) -> ReplayReport:
 
 def aggregate_summaries(results: list) -> dict:
     """Mean/min/max of the scalar metrics over a seed sweep."""
-    fields = (
-        "teed_total",
-        "time_in_range_frac",
-        "seizure_count",
-        "seizure_ticks_total",
-        "early_termination_count",
-        "fallback_frac",
-        "limit_clamp_count",
-    )
     agg: dict = {"n_runs": len(results), "seeds": [r.scenario.seed for r in results]}
-    for f in fields:
+    for f in [m.name for m in fields(Metrics) if m.name != "step_response"]:
         vals = [getattr(r.metrics, f) for r in results]
         if any(v is None for v in vals):
             agg[f] = None

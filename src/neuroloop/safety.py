@@ -227,14 +227,8 @@ class LastKnownGood:
         return last_good if last_good is not None else (baseline.amplitude_mA, baseline)
 
 
-@dataclass(frozen=True)
-class ManualLoop:
+class ManualLoop(FixedSafe):
     """Revert to fixed-output manual-loop stimulation at the given dose."""
-
-    dose: Dose
-
-    def dose_for(self, last_good: Optional[tuple], baseline: Dose) -> tuple:
-        return self.dose.amplitude_mA, self.dose
 
 
 FallbackKind = Union[FallbackOff, FixedSafe, LastKnownGood, ManualLoop]

@@ -175,7 +175,10 @@ class BetaPlantSpec(_FramedPlant):
         return _read(BETA_FEATURES, f, "features", cfg=cfg)
 
     def check(self, s: "Scenario", found) -> None:
-        peak_power = (self.cfg.curve.baseline * 2.0) ** 2 / 2.0
+        try:
+            peak_power = (self.cfg.curve.baseline * 2.0) ** 2 / 2.0
+        except OverflowError:   # float ** raises where * gives inf
+            peak_power = math.inf
         if isinstance(s.policy, DualThreshold) and s.policy.lower >= peak_power:
             found(CHECKLIST_MENTAL_MODEL, f"lower bound {s.policy.lower} is above any "
                                           f"reachable band power (< {peak_power:.3g})")
@@ -340,12 +343,15 @@ def _finite(value) -> float:
 
 
 def _int(value) -> int:
-    """``value`` itself, which must be a JSON integer: a float (even 2.0), a
-    bool or a string is not one."""
+    """``value`` itself, which must be a JSON integer: a float (even 2.0), a bool,
+    a string or one past 2**53 - 1 in magnitude, the range JSON readers agree
+    on (RFC 8259, section 6), is not one."""
     if isinstance(value, float):
         _finite(value)   # a non-finite float is reported as such
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"value must be a JSON integer, got {value!r}")
+    if abs(value) > 2**53 - 1:
+        raise ConfigurationError(f"integer {value} lies outside [-(2**53 - 1), 2**53 - 1]")
     return value
 
 
@@ -730,6 +736,17 @@ def validate_scenario(raw: dict) -> ValidationReport:
             if z is not None and device.compliance_cap(max(z, z + ramp)) < limits.amp_min_mA:
                 found(CHECKLIST_LIMITS, f"{role} dose: the compliance cap on {d.contact_set!r} "
                                         f"lies below amp_min {limits.amp_min_mA} mA")
+
+    # Each tick adds teed_rate(delivered) * dt_s to the energy total, delivering at most amp_max
+    # or, while the impedance only grows, the compliance cap; summary.json needs a finite total.
+    for role, d in s.doses.items():
+        amp = limits.amp_max_mA
+        z = device.impedance_ohm_per_contact.get(d.contact_set)
+        if z is not None and device.impedance_ramp_ohm_per_tick >= 0:
+            amp = min(amp, device.compliance_cap(z))
+        if not math.isfinite(amp * amp * d.pulse_width_us * d.frequency_hz
+                             * timebase.dt_s * timebase.n_ticks):
+            found(CHECKLIST_LIMITS, f"{role} dose: the energy total at {amp} mA is not finite")
 
     plant.check(s, found)
 

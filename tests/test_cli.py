@@ -41,6 +41,42 @@ def with_disturbance(name: str, disturbance: dict) -> dict:
     return {"plant": {"disturbances": have + [disturbance]}}
 
 
+def with_first(name: str, section: str, key: str, **fields) -> dict:
+    """The edit that sets ``fields`` on the first item of the list ``section.key``."""
+    items = reference_raw(name)[section][key]
+    return {section: {key: [{**items[0], **fields}] + items[1:]}}
+
+
+# Each of these once made validate or run exit 1 with an OverflowError, or
+# run with a ValueError as summary.json refused an infinite energy total: an
+# integer beyond 2**53 - 1, and a dose whose energy over the run is not a
+# finite float.
+OVERFLOWS = [
+    ("rns_epilepsy", with_first("rns_epilepsy", "features", "tools", threshold={
+        "mode": "fixed", "value": 5.0, "short_window_ticks": 10**20})),
+    ("ecap_scs", {"baseline_dose": {"frequency_hz": 1e308}}),
+    ("adbs_parkinsons", {"baseline_dose": {"frequency_hz": 1e308}}),
+    ("rns_epilepsy", {"policy": {"burst": {"frequency_hz": 1e308}}}),
+    ("ecap_scs", with_first("ecap_scs", "plant", "disturbances", start_tick=10**20)),
+    ("ecap_scs", with_first("ecap_scs", "plant", "disturbances", start_tick=-10**20)),
+    ("ecap_scs", with_first("ecap_scs", "plant", "disturbances", rise_ticks=10**20)),
+    ("ecap_scs", {"plant": {"device": {"compliance_v": 1e300}},
+                  "limits": {"amp_max_mA": 1e300, "max_charge_per_pulse_uC": 1e300},
+                  "baseline_dose": {"amplitude_mA": 1e200}}),
+]
+# Each of these once exited 1 with an OverflowError: run on a smoothing window
+# of round(inf) ticks and on an fsum whose partial sum overflows, validate on
+# a float ** that overflows. Each now validates, runs to the end and replays.
+RUNS_THROUGH = [
+    ("adbs_parkinsons", {"features": {"smooth_s": 1e308}}),
+    ("adbs_parkinsons", {"features": {"smooth_s": -1e308}}),
+    ("rns_epilepsy", {"plant": {"ieeg": {"background_sd_uV": 1e308}}}),
+    ("rns_epilepsy", {"plant": {"ieeg": {"background_sd_uV": -1e308}}}),
+    ("rns_epilepsy", {"plant": {"ieeg": {"ictal_amplitude_uV": 1e308}}}),
+    ("adbs_parkinsons", {"plant": {"beta": {"curve": {"baseline_uV": 1e300}}}}),
+]
+
+
 MUTATIONS = LIMITS_BETWEEN_STEPS + [
     (name, with_disturbance(name, d)) for name, _, d in UNMODELLED
 ] + [
@@ -78,7 +114,7 @@ MUTATIONS = LIMITS_BETWEEN_STEPS + [
     ("adbs_parkinsons", {"features": {"smoothing_s": 5.0}}),
     ("ecap_scs", {"limits": {"amp_max_mA_typo": 8.0}}),
     ("ecap_scs", {"polcy": {}}),
-]
+] + OVERFLOWS
 
 
 @pytest.fixture
@@ -168,6 +204,19 @@ class TestValidate:
         out = capsys.readouterr().out
         assert f"a {kind} plant does not model {disturbance['kind']} disturbances" in out
 
+    @pytest.mark.parametrize("name, edit", RUNS_THROUGH,
+                             ids=[f"{n}:{json.dumps(e)}" for n, e in RUNS_THROUGH])
+    def test_overflowing_values_run_and_replay(self, tmp_path, capsys, name, edit):
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(deep_merge(reference_raw(name), edit)))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():   # numpy warns about the overflow it is given
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["validate", str(path)]) == EXIT_OK
+            assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+            assert main(["replay", str(out)]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestUnreadablePaths:
     """A path the CLI cannot read or write ends in one stderr line and a
@@ -216,6 +265,18 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fault_count"] == 0
         assert summary["metrics"]["teed_total"] > 0
+
+    def test_disabled_output_is_not_written_named_or_compared(self, tmp_path, capsys):
+        path = tmp_path / "no_summary.json"
+        path.write_text(json.dumps(ecap_raw(outputs={"summary": False})))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {out}/timeseries.csv events.jsonl\n"
+        assert sorted(f.name for f in out.iterdir()) == [
+            "events.jsonl", "scenario.json", "timeseries.csv"]
+        assert main(["replay", str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["files_matched"] == {
+            "timeseries.csv": True, "events.jsonl": True}
 
     def test_identical_seed_identical_bytes(self, ecap_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

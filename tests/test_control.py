@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from neuroloop.core import MAX_TICKS, ConfigurationError, Dose
+from neuroloop.core import MAX_TICKS, OK_ONLY, ConfigurationError, Dose
 from neuroloop.control import (
     BangBangResponsive,
     DualThreshold,
@@ -18,7 +18,6 @@ from neuroloop.control import (
     bang_bang_responsive_step,
     dual_threshold_step,
     ecap_setpoint_step,
-    manual_fixed_step,
     proportional_step,
     single_threshold_step,
 )
@@ -32,8 +31,10 @@ AMP = CURRENT.amplitude_mA   # the regulating steps take and return amplitudes
 class TestManualFixed:
     def test_ignores_everything(self):
         cfg = ManualFixed(dose=CURRENT)
-        assert manual_fixed_step(cfg) == CURRENT
-        assert manual_fixed_step(cfg) == manual_fixed_step(cfg)
+        for measured, quality, detected, amplitude in ((None, frozenset(), False, 0.0),
+                                                       (9.0, OK_ONLY, True, 5.0)):
+            assert cfg.step("st", measured, quality, detected, amplitude, BURST) == (
+                "st", AMP, CURRENT, False)
 
 
 class TestBangBangResponsive:

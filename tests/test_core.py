@@ -29,7 +29,7 @@ class TestMakeTimebase:
 
     def test_duration_is_product(self):
         tb = make_timebase(0.25, 10.0)
-        assert tb.duration_s == pytest.approx(0.25 * tb.n_ticks)
+        assert tb.dt_s * tb.n_ticks == pytest.approx(10.0)
 
     @pytest.mark.parametrize("dt,dur", [(0.0, 1.0), (-0.1, 1.0), (0.5, 0.25)])
     def test_invalid_inputs(self, dt, dur):

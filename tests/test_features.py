@@ -1,6 +1,8 @@
 """Feature extractors against independent brute-force and analytic oracles."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,20 +36,34 @@ from neuroloop.features import (
 from neuroloop.scenario import ToolSpec
 
 
+def rounded_sum(terms) -> float:
+    """The exactly rounded sum of nonnegative terms: math.fsum, and where it
+    raises on an overflowing partial sum, the exact sum rounded by hand: NaN
+    with a NaN term, inf with an inf term or from the midpoint between the
+    largest float and 2**1024 up (round half to even)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        if any(map(math.isnan, terms)):
+            return math.nan
+        exact = sum(map(Fraction, terms)) if all(map(math.isfinite, terms)) else math.inf
+        return math.inf if exact >= 2 ** 1024 - 2 ** 970 else float(exact)
+
+
 def brute_force_line_length(xs):
     # Exactly rounded sum of hand-enumerated terms; order-independent, so a
     # correct implementation must match it bit for bit.
     terms = []
     for i in range(1, len(xs)):
         terms.append(abs(xs[i] - xs[i - 1]))
-    return math.fsum(terms)
+    return rounded_sum(terms)
 
 
 def brute_force_area(xs):
     terms = []
     for x in xs:
         terms.append(abs(x))
-    return math.fsum(terms)
+    return rounded_sum(terms)
 
 
 def brute_force_median(xs):
@@ -87,6 +103,14 @@ EXTREME_SAMPLES = st.one_of(
 # first frame's line-length terms are the first row's, and so on.
 TIE_ROWS = ([1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -80])
 TIE_FRAMES = ([1.0, 0.0, 2.0 ** -53], [1.0, 0.0, 2.0 ** -53, 2.0 ** -53 - 2.0 ** -80])
+# Sums at the top of the float range: just below the midpoint between the
+# largest float and 2**1024 (rounds to the largest float), exactly at it and
+# past it (round to inf, where math.fsum raises), with and without NaN; the
+# frames' line-length terms sum to 2**1024 and to 3 * 2**1023.
+BIG = sys.float_info.max
+OVERFLOW_ROWS = ([BIG, 2.0 ** 969], [BIG, 2.0 ** 970], [2.0 ** 1022] * 4,
+                 [2.0 ** 1023, 2.0 ** 1023, math.nan])
+OVERFLOW_FRAMES = ([0.0, BIG, BIG - 2.0 ** 971], [2.0 ** 1022, -(2.0 ** 1022)] * 2)
 
 
 def bits(values) -> list:
@@ -111,10 +135,10 @@ def test_batched_sums_equal_fsum_of_each_row(n_rows, n, data):
 
     Batches fall on both sides of ``KERNEL_MIN_ROWS``. A batch is the first
     n_rows of: the drawn rows of extreme samples, the tie rows, a zero row,
-    a row too large for the kernel, then generated rows, each spreading its
-    exponents from a base in +-1000, some with zeros, subnormals,
-    infinities and NaN mixed in. Nothing may warn. Runtime budget: under
-    2 s.
+    a row too large for the kernel, the rows whose sum overflows, then
+    generated rows, each spreading its exponents from a base in +-1000, some
+    with zeros, subnormals, infinities and NaN mixed in. Nothing may warn.
+    Runtime budget: under 2 s.
     """
     drawn = data.draw(st.lists(st.lists(EXTREME_SAMPLES, min_size=n, max_size=n), max_size=4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -127,11 +151,13 @@ def test_batched_sums_equal_fsum_of_each_row(n_rows, n, data):
                                size=int(special.sum()))
     fixed = [[0.0] * n, [2.0 ** 1000] * n]
 
-    area_rows = (drawn + padded(TIE_ROWS, n, 0.0) + fixed + bulk.tolist())[:n_rows]
+    area_rows = (drawn + padded(TIE_ROWS, n, 0.0) + fixed + padded(OVERFLOW_ROWS, n, 0.0)
+                 + bulk.tolist())[:n_rows]
     frames = np.array(area_rows)
     assert bits(area_under_curve(frames).tolist()) == bits(map(brute_force_area, area_rows))
 
-    line_rows = (drawn + padded(TIE_FRAMES, n) + fixed + bulk.tolist())[:n_rows]
+    line_rows = (drawn + padded(TIE_FRAMES, n) + fixed + padded(OVERFLOW_FRAMES, n)
+                 + bulk.tolist())[:n_rows]
     frames = np.array(line_rows)
     # Neighbouring infinities of one sign would subtract to NaN with a warning.
     frames = np.where(np.isinf(frames), np.where(np.arange(n) % 2, -math.inf, math.inf), frames)

@@ -4,7 +4,8 @@ Every JSON path of each shipped scenario (containers and list elements
 included) is set, one at a time, to each value in ``VALUES``, and is also
 deleted. Validation must return a report for every one of them, and whatever
 it passes must build and run: a 40-tick copy of each passing mutation runs
-without raising and without aborting. The deletions pin which keys are
+without raising and without aborting, and renders the summary.json and
+events.jsonl that ``run`` writes. The deletions pin which keys are
 optional. Wrongly typed values, non-finite numbers and keys a section does
 not know are findings. Each file's reports are pinned by a sha256 over one
 line per case: the case, its ``ok`` flag and its tagged findings in order,
@@ -15,24 +16,31 @@ Runtime budget (2-core host): under 15 s for the whole file.
 
 import copy
 import hashlib
+import warnings
 
 import pytest
 
 from neuroloop.engine import run_scenario
+from neuroloop.outputs import events_jsonl_text, summary_json_text
 from neuroloop.scenario import validate_scenario
 
 from conftest import reference_raw
 
-VALUES = ([], "x", None, {}, 1, -1, True, 0, 1e9, float("nan"), float("inf"), float("-inf"))
+VALUES = ([], "x", None, {}, 1, -1, True, 0, 1e9, float("nan"), float("inf"), float("-inf"),
+          1e308, -1e308, 2**63)
+# Values that overflow float arithmetic on purpose. numpy warns about the
+# overflow (a RuntimeWarning, which this suite otherwise fails on); the case
+# must still validate, or run and render, without raising.
+OVERFLOWING = (1e308, -1e308)
 DELETE = object()  # the mutation that removes the path
 SHORT_TICKS = 40
 # How many of each file's deletions still validate: the optional keys and
 # list elements, and the free text (name, comments).
 OPTIONAL_PATHS = {"ecap_scs": 37, "adbs_parkinsons": 34, "rns_epilepsy": 44}
 FINDINGS_SHA256 = {
-    "ecap_scs": "00c1cfeed634cb46d2fd0a5a8ff21d235ac7de1daec12eefbd9f9871609c6268",
-    "adbs_parkinsons": "5beb4b67f1e0a502937aac2cd359f2afc44892efda5894b16718a93889c273e7",
-    "rns_epilepsy": "f00ad6cbd3e257dae9af2e418238f7ef54707878261c2be14833eb20b1d19bd7",
+    "ecap_scs": "4952b3d1101780b864b440f7e8efc059330431cb822c145be2e9ffe5fc3a8b6f",
+    "adbs_parkinsons": "714c4740c0d079aa81611309db395ca1038bb04228f0af30fdb950186acc505f",
+    "rns_epilepsy": "a31395e02ad7dd408c649850b7ab6e75be7b9f586322638813b5ed6d69f54da5",
 }
 
 
@@ -82,21 +90,25 @@ def test_single_field_mutations(name):
             where = ".".join(map(str, path))
             case = f"del {where}" if value is DELETE else f"{where} = {value!r}"
             candidate = mutated(raw, path, value)
-            try:
-                report = validate_scenario(candidate)
-                tagged = [(f.checklist_item, f.message) for f in report.findings]
-                digest.update(f"{case}\t{report.ok}\t{tagged}\n".encode())
-                if not report.ok:
-                    continue
-                passed += 1
-                deletions_passed += value is DELETE
-                assert report.scenario is not None, "ok report without a scenario"
-                short = validate_scenario(short_copy(candidate))
-                assert short.ok, f"40-tick copy fails validation: {short.findings}"
-                result = run_scenario(short.scenario)
-                assert not result.aborted, f"run aborted: {fault_events(result)}"
-            except Exception as e:  # collect every failing case, not just the first
-                failures.append(f"{case}: {type(e).__name__}: {e}")
+            with warnings.catch_warnings():
+                if value in OVERFLOWING:
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    report = validate_scenario(candidate)
+                    tagged = [(f.checklist_item, f.message) for f in report.findings]
+                    digest.update(f"{case}\t{report.ok}\t{tagged}\n".encode())
+                    if not report.ok:
+                        continue
+                    passed += 1
+                    deletions_passed += value is DELETE
+                    assert report.scenario is not None, "ok report without a scenario"
+                    short = validate_scenario(short_copy(candidate))
+                    assert short.ok, f"40-tick copy fails validation: {short.findings}"
+                    result = run_scenario(short.scenario)
+                    assert not result.aborted, f"run aborted: {fault_events(result)}"
+                    summary_json_text(result), events_jsonl_text(result)   # what run writes
+                except Exception as e:  # collect every failing case, not just the first
+                    failures.append(f"{case}: {type(e).__name__}: {e}")
     assert not failures, f"{len(failures)} of {cases} mutations:\n" + "\n".join(failures)
     # The sweep must exercise both sides of validation.
     assert 0 < passed < cases

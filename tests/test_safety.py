@@ -401,6 +401,9 @@ class TestSupervisor:
         assert fallback_dose(FixedSafe(dose=dose(2.0)), good, dose(1.0)) == (2.0, dose(2.0))
         assert fallback_dose(FallbackOff(), good, dose(1.0)) == (0.0, dose(1.0))
         assert fallback_dose(ManualLoop(dose=dose(3.5)), good, dose(1.0)) == (3.5, dose(3.5))
+        # A FixedSafe under its own name, which is the fallback event's kind.
+        assert repr(ManualLoop(dose=dose(3.5))) == f"ManualLoop(dose={dose(3.5)!r})"
+        assert ManualLoop(dose=dose(3.5)) != FixedSafe(dose=dose(3.5))
         # LastKnownGood with nothing captured falls back to the baseline.
         assert fallback_dose(LastKnownGood(), None, dose(1.0)) == (1.0, dose(1.0))
 
