@@ -13,7 +13,6 @@ import numpy as np
 
 from neuroloop.plant import (
     BetaSuppression,
-    IdealLinear,
     NoisyNonMonotonic,
     OffsetGain,
     dose_response_eval,
@@ -22,7 +21,7 @@ from neuroloop.plant import (
 amps = np.arange(0.0, 4.01, 0.5)
 
 print("=== Ideal linear (gain 2 units/mA, through the origin) ===")
-ideal = IdealLinear(gain=2.0)
+ideal = OffsetGain(gain=2.0, offset_mA=0.0)
 for a in amps:
     print(f"  {a:4.1f} mA -> {dose_response_eval(ideal, a):6.2f}")
 

@@ -11,8 +11,9 @@ Subcommands:
 Exit codes: 0 ok, 2 validation failure, 3 runtime fault (or replay mismatch).
 A scenario path that cannot be read, ``sweep --seeds`` below 1 and ``compare``
 on a ManualFixed policy, which has nothing to compare against, are validation
-failures; an output that cannot be written (``--out`` names a file, say) is a
-fault, and so is a replay whose stored scenario.json is unreadable or invalid.
+failures; an output that cannot be written (``--out`` names a file, say) or
+that holds a metric which is not finite is a fault, and so is a replay whose
+stored scenario.json is unreadable or invalid.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .core import SimulationError
 from .engine import compare_modes, run_scenario, sweep
 from .metrics import scan_delivered_series
 from .outputs import (
+    NonFiniteOutputError,
     aggregate_summaries,
     fault_count,
+    json_text,
     replay_run,
     run_files,
     scan_pulse_width_us,
@@ -95,10 +98,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     write_run(comparison.automated, out / "automated")
     write_run(comparison.fixed, out / "fixed")
-    (out / "comparison.json").write_text(
-        json.dumps(comparison.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    (out / "comparison.json").write_text(json_text(comparison.to_dict()), encoding="utf-8")
     print(f"wrote {out}/comparison.json")
     if fault_count(comparison.automated) or fault_count(comparison.fixed):
         return EXIT_FAULT
@@ -126,9 +126,7 @@ def cmd_sweep(args) -> int:
         violations += len(scan.violations)
     agg = aggregate_summaries(results)
     agg["safety_violations_total"] = violations
-    (out / "aggregate.json").write_text(
-        json.dumps(agg, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out / "aggregate.json").write_text(json_text(agg), encoding="utf-8")
     print(f"wrote {out}/aggregate.json ({len(results)} runs)")
     if violations or any(fault_count(r) for r in results):
         return EXIT_FAULT
@@ -183,7 +181,7 @@ def main(argv=None) -> int:
     except ScenarioParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as e:   # reading is a ScenarioParseError, so this is writing
+    except (OSError, NonFiniteOutputError) as e:   # writing; reading is a ScenarioParseError
         print(f"output error: {e}", file=sys.stderr)
         return EXIT_FAULT
 

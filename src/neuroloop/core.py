@@ -85,6 +85,9 @@ class TimeBase:
 # The most ticks a scenario may run or hold one therapy for: far above every
 # shipped scenario, and small enough for the per-tick columns to fit in memory.
 MAX_TICKS = 1_000_000
+# The most samples a synthesized frame may hold: far above every shipped scenario (64), and
+# small enough for a lane's engine.NOISE_CHUNK noise frames (2 MiB at it) to fit in memory.
+MAX_FRAME_LEN = 8192
 
 
 def make_timebase(dt_s: float, duration_s: float) -> TimeBase:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
@@ -320,6 +320,19 @@ def band_power(w: SampleSource, f_lo: float, f_hi: float, fs: float):
     return float(power) if x.ndim == 1 else power
 
 
+# The detection features a tool may name: the function of this module that
+# computes one (looked up at each call, so a rebinding of its name is the one
+# called), the fewest samples a frame needs, and whether the tool needs a
+# ``half_wave`` block (a ``HalfWaveConfig``, the function's second argument).
+Feature = namedtuple("Feature", "function min_frame_len needs_half_wave")
+FEATURES = {"line_length": Feature("line_length", 2, False),
+            "area": Feature("area_under_curve", 1, False),
+            "half_wave": Feature("half_wave_count", 3, True)}
+# The threshold modes, each mapped to whether it follows a baseline window.
+THRESHOLD_MODES = {"adaptive": True, "fixed": False}
+COMBINATORS = {"OR": any, "AND": all}   # how ``detect`` combines per-tool flags
+
+
 class Detector:
     """One detection tool: a feature, its short smoothing window, its threshold.
 
@@ -334,7 +347,7 @@ class Detector:
 
     def __init__(self, spec) -> None:
         self.spec = spec
-        self.fixed = spec.threshold_mode == "fixed"
+        self.fixed = not THRESHOLD_MODES[spec.threshold_mode]
         # The current threshold; None while an adaptive baseline is empty.
         self.threshold: Optional[float] = spec.fixed_value if self.fixed else None
         self._long: deque = deque()
@@ -365,27 +378,21 @@ class Detector:
 
 def tool_feature(spec, frames: SampleSource):
     """The feature a ``scenario.ToolSpec`` names, of a frame or of each row of a batch."""
-    if spec.feature == "line_length":
-        return line_length(frames)
-    if spec.feature == "area":
-        return area_under_curve(frames)
-    return half_wave_count(frames, spec.half_wave)
+    feature = FEATURES[spec.feature]
+    args = (spec.half_wave,) if feature.needs_half_wave else ()
+    return globals()[feature.function](frames, *args)
 
 
 def detect(flags: Iterable[bool], combinator: str) -> bool:
-    """Combine per-tool detection flags with AND or OR.
+    """Combine per-tool detection flags with a ``COMBINATORS`` name (AND or OR).
 
     Raises:
-        ConfigurationError: empty flag list or unknown combinator.
+        ConfigurationError: empty flag list.
     """
     flag_list = list(flags)
     if not flag_list:
         raise ConfigurationError("detect needs at least one flag")
-    if combinator == "OR":
-        return any(flag_list)
-    if combinator == "AND":
-        return all(flag_list)
-    raise ConfigurationError(f"unknown combinator {combinator!r}")
+    return COMBINATORS[combinator](flag_list)
 
 
 # Every verdict of ``ecap_range_check``, indexed by 2*impossible + saturated.

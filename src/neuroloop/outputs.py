@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import SimulationError
 from .engine import RunResult, run_scenario
 from .metrics import Metrics, SafetyScanResult, scan_timeseries_csv
 from .scenario import OutputFlags, Scenario, load_scenario_file, scenario_from_dict
@@ -93,6 +94,19 @@ def fault_count(result: RunResult) -> int:
     return sum(1 for r in result.events if r.severity == "Fault")
 
 
+class NonFiniteOutputError(SimulationError):
+    """A JSON output document holds a number that is not finite, which JSON has no form for."""
+
+
+def json_text(doc: dict) -> str:
+    """The text of summary.json, comparison.json or aggregate.json; raises
+    NonFiniteOutputError where ``doc`` holds inf or NaN."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:   # the one ValueError a tree of dicts, lists and scalars raises
+        raise NonFiniteOutputError(str(e)) from None
+
+
 def summary_json_text(result: RunResult) -> str:
     doc = {
         "name": result.scenario.name,
@@ -104,7 +118,7 @@ def summary_json_text(result: RunResult) -> str:
         "fault_count": fault_count(result),
         "metrics": result.metrics.to_dict(),
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json_text(doc)
 
 
 def scenario_json_text(scenario: Scenario) -> str:

@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ConfigurationError, DomainError, Dose, InvalidPlantError
+from .core import MAX_FRAME_LEN, ConfigurationError, DomainError, Dose, InvalidPlantError
 
 
 # ---------------------------------------------------------------------------
@@ -38,22 +38,18 @@ from .core import ConfigurationError, DomainError, Dose, InvalidPlantError
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IdealLinear:
-    """Noiseless monotone response through the origin."""
+class OffsetGain:
+    """Linear response with an activation offset: zero below ``offset_mA`` (0: the ideal line)."""
 
     gain: float  # biomarker units per mA
-
-
-@dataclass(frozen=True)
-class OffsetGain:
-    """Linear response with an activation offset: zero below ``offset_mA``."""
-
-    gain: float
     offset_mA: float
 
+    def value(self, amplitude_mA: float, rng) -> float:
+        return self.gain * max(0.0, amplitude_mA - self.offset_mA)
+
 
 @dataclass(frozen=True)
-class NoisyNonMonotonic:
+class NoisyNonMonotonic(OffsetGain):
     """Offset-linear response that peaks at ``peak_mA`` and then declines.
 
     With ``noise_sd == 0`` and amplitude at or below the peak this is exactly
@@ -61,8 +57,6 @@ class NoisyNonMonotonic:
     ``decline_gain`` per mA (defaults to the rising gain).
     """
 
-    gain: float
-    offset_mA: float
     peak_mA: float
     noise_sd: float = 0.0
     decline_gain: Optional[float] = None
@@ -72,6 +66,19 @@ class NoisyNonMonotonic:
             raise ConfigurationError("peak_mA must lie above offset_mA")
         if self.noise_sd < 0:
             raise ConfigurationError("noise_sd must be nonnegative")
+
+    def value(self, amplitude_mA: float, rng) -> float:
+        if amplitude_mA <= self.peak_mA:
+            value = super().value(amplitude_mA, rng)
+        else:
+            at_peak = self.gain * (self.peak_mA - self.offset_mA)
+            down = self.decline_gain if self.decline_gain is not None else self.gain
+            value = at_peak - down * (amplitude_mA - self.peak_mA)
+        if self.noise_sd > 0:
+            if rng is None:
+                raise DomainError("NoisyNonMonotonic with noise_sd > 0 needs an rng")
+            value += rng.normal(0.0, self.noise_sd)
+        return value
 
 
 @dataclass(frozen=True)
@@ -99,8 +106,12 @@ class BetaSuppression:
         if self.baseline < 0:
             raise ConfigurationError("baseline must be nonnegative")
 
+    def value(self, amplitude_mA: float, rng) -> float:
+        s = _logistic((amplitude_mA - self.knee_mA) / self.softness_mA)
+        return self.baseline * (1.0 - self.max_suppression_fraction * s)
 
-DoseResponseCurve = Union[IdealLinear, OffsetGain, NoisyNonMonotonic, BetaSuppression]
+
+DoseResponseCurve = Union[OffsetGain, NoisyNonMonotonic, BetaSuppression]
 
 
 def _logistic(x: float) -> float:
@@ -116,7 +127,7 @@ def dose_response_eval(
     amplitude_mA: float,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
-    """Biomarker value produced by ``amplitude_mA`` under the given curve.
+    """Biomarker value produced by ``amplitude_mA`` under the given curve (its ``value``).
 
     ``rng`` is only consulted by NoisyNonMonotonic with ``noise_sd > 0``.
 
@@ -125,27 +136,7 @@ def dose_response_eval(
     """
     if amplitude_mA < 0:
         raise DomainError(f"amplitude must be nonnegative, got {amplitude_mA}")
-    if isinstance(curve, IdealLinear):
-        return curve.gain * amplitude_mA
-    if isinstance(curve, OffsetGain):
-        return curve.gain * max(0.0, amplitude_mA - curve.offset_mA)
-    if isinstance(curve, NoisyNonMonotonic):
-        rising = curve.gain * max(0.0, amplitude_mA - curve.offset_mA)
-        if amplitude_mA <= curve.peak_mA:
-            value = rising
-        else:
-            at_peak = curve.gain * (curve.peak_mA - curve.offset_mA)
-            down = curve.decline_gain if curve.decline_gain is not None else curve.gain
-            value = at_peak - down * (amplitude_mA - curve.peak_mA)
-        if curve.noise_sd > 0:
-            if rng is None:
-                raise DomainError("NoisyNonMonotonic with noise_sd > 0 needs an rng")
-            value += rng.normal(0.0, curve.noise_sd)
-        return value
-    if isinstance(curve, BetaSuppression):
-        s = _logistic((amplitude_mA - curve.knee_mA) / curve.softness_mA)
-        return curve.baseline * (1.0 - curve.max_suppression_fraction * s)
-    raise ConfigurationError(f"unknown dose-response curve {type(curve).__name__}")
+    return curve.value(amplitude_mA, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +215,12 @@ class PostureStep:
     start_tick: int
     delta_mm: float
 
+    effect = "distance"
+
+    def add_offset(self, d: np.ndarray, ticks: np.ndarray) -> None:
+        """Add this segment's offset at each of ``ticks`` to the distances ``d``."""
+        d[ticks >= self.start_tick] += self.delta_mm
+
 
 @dataclass(frozen=True)
 class CoughTransient:
@@ -239,9 +236,19 @@ class CoughTransient:
     rise_ticks: int
     fall_ticks: int
 
+    effect = "distance"
+
     def __post_init__(self) -> None:
         if self.rise_ticks <= 0 or self.fall_ticks <= 0:
             raise ConfigurationError("rise_ticks and fall_ticks must be positive")
+
+    def add_offset(self, d: np.ndarray, ticks: np.ndarray) -> None:
+        """Add this segment's offset at each of ``ticks`` to the distances ``d``."""
+        t = ticks - self.start_tick
+        rising = (t >= 0) & (t <= self.rise_ticks)
+        falling = (t > self.rise_ticks) & (t < self.rise_ticks + self.fall_ticks)
+        d[rising] += self.delta_mm * t[rising] / self.rise_ticks
+        d[falling] += self.delta_mm * (1.0 - (t[falling] - self.rise_ticks) / self.fall_ticks)
 
 
 @dataclass(frozen=True)
@@ -252,6 +259,8 @@ class CircadianSine:
     period_ticks: int
     amplitude: float
     phase: float = 0.0
+
+    effect = "circadian"
 
     def __post_init__(self) -> None:
         if self.period_ticks <= 0:
@@ -266,6 +275,8 @@ class CardiacArtifact:
     rate_hz: float
     amplitude_uV: float
     pulse_width_s: float = 0.05
+
+    effect = "cardiac"
 
     def __post_init__(self) -> None:
         if self.rate_hz <= 0:
@@ -283,40 +294,26 @@ class DisturbanceTrack:
         if starts != sorted(starts):
             raise ConfigurationError("disturbance segments must be sorted by start_tick")
 
-    def distance_segments(self) -> tuple:
-        return tuple(
-            s for s in self.segments if isinstance(s, (PostureStep, CoughTransient))
-        )
-
-    def circadian_segments(self) -> tuple:
-        return tuple(s for s in self.segments if isinstance(s, CircadianSine))
-
-    def cardiac_segments(self) -> tuple:
-        return tuple(s for s in self.segments if isinstance(s, CardiacArtifact))
+    def with_effect(self, effect: str) -> tuple:
+        """The segments whose kind has this ``effect``, in start order: "distance"
+        (``add_offset`` shifts the electrode-to-cord distance), "circadian" (the beta
+        envelope's modulation) or "cardiac" (a pulse train on the sensed signal)."""
+        return tuple(s for s in self.segments if s.effect == effect)
 
 
 def distance_profile(track: DisturbanceTrack, base_mm: float, n_ticks: int) -> np.ndarray:
     """Electrode-to-cord distance at each tick of a run: base plus active contributions."""
     ticks = np.arange(n_ticks)
     d = np.full(n_ticks, base_mm, dtype=float)
-    for seg in track.distance_segments():
-        if isinstance(seg, PostureStep):
-            d[ticks >= seg.start_tick] += seg.delta_mm
-        else:
-            t = ticks - seg.start_tick
-            rising = (t >= 0) & (t <= seg.rise_ticks)
-            falling = (t > seg.rise_ticks) & (t < seg.rise_ticks + seg.fall_ticks)
-            d[rising] += seg.delta_mm * t[rising] / seg.rise_ticks
-            d[falling] += seg.delta_mm * (
-                1.0 - (t[falling] - seg.rise_ticks) / seg.fall_ticks
-            )
+    for seg in track.with_effect("distance"):
+        seg.add_offset(d, ticks)
     return d
 
 
 def circadian_factor(track: DisturbanceTrack, tick: int) -> float:
     """Multiplicative envelope modulation at ``tick`` (1.0 with no segments)."""
     f = 1.0
-    for seg in track.circadian_segments():
+    for seg in track.with_effect("circadian"):
         if tick >= seg.start_tick:
             f += seg.amplitude * math.sin(
                 2.0 * math.pi * (tick - seg.start_tick) / seg.period_ticks + seg.phase
@@ -413,7 +410,26 @@ def seizure_step(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BetaPlantConfig:
+class _FrameConfig:
+    """A synthesizer of one frame of ``frame_len`` samples at ``fs_hz`` per tick."""
+
+    fs_hz: float
+    frame_len: int
+
+    def __post_init__(self) -> None:
+        if self.frame_len < 2:
+            raise ConfigurationError("frame_len must be at least 2")
+        if self.frame_len > MAX_FRAME_LEN:
+            raise ConfigurationError(f"frame_len {self.frame_len} is more than the "
+                                     f"{MAX_FRAME_LEN} samples a frame may have")
+
+    @property
+    def dt_s(self) -> float:
+        return self.frame_len / self.fs_hz
+
+
+@dataclass(frozen=True)
+class BetaPlantConfig(_FrameConfig):
     """Field-potential synthesizer around the beta rhythm.
 
     Each tick yields ``frame_len`` samples at ``fs_hz``. The beta envelope
@@ -424,8 +440,6 @@ class BetaPlantConfig:
     segments contribute a biphasic pulse train that overlaps the beta band.
     """
 
-    fs_hz: float
-    frame_len: int
     beta_hz: float
     curve: BetaSuppression
     noise_rms_uV: float = 1.0
@@ -433,14 +447,9 @@ class BetaPlantConfig:
     disturbances: DisturbanceTrack = field(default_factory=DisturbanceTrack)
 
     def __post_init__(self) -> None:
-        if self.frame_len < 2:
-            raise ConfigurationError("frame_len must be at least 2")
+        super().__post_init__()
         if not (0 < self.beta_hz < self.fs_hz / 2):
             raise ConfigurationError("beta_hz must lie below Nyquist")
-
-    @property
-    def dt_s(self) -> float:
-        return self.frame_len / self.fs_hz
 
 
 BLOCK_TICKS = 64   # ticks per block of a BetaTickTable
@@ -465,7 +474,7 @@ class BetaTickTable:
 
     def __init__(self, cfg: BetaPlantConfig) -> None:
         self.cfg = cfg
-        self.cardiac_segments = cfg.disturbances.cardiac_segments()
+        self.cardiac_segments = cfg.disturbances.with_effect("cardiac")
         self.start = -BLOCK_TICKS   # first tick of the current block; none built yet
         self._envelopes: dict = {}
 
@@ -566,24 +575,17 @@ def beta_lfp_frame(
 
 
 @dataclass(frozen=True)
-class IeegPlantConfig:
+class IeegPlantConfig(_FrameConfig):
     """Intracranial EEG synthesizer: Gaussian background plus ictal rhythm."""
 
-    fs_hz: float
-    frame_len: int
     background_sd_uV: float
     ictal_amplitude_uV: float
     ictal_hz: float
 
     def __post_init__(self) -> None:
-        if self.frame_len < 2:
-            raise ConfigurationError("frame_len must be at least 2")
+        super().__post_init__()
         if not (0 < self.ictal_hz < self.fs_hz / 2):
             raise ConfigurationError("ictal_hz must lie below Nyquist")
-
-    @property
-    def dt_s(self) -> float:
-        return self.frame_len / self.fs_hz
 
 
 def ieeg_frame(

@@ -51,7 +51,7 @@ from .control import (
     Proportional,
     SingleThreshold,
 )
-from .features import HalfWaveConfig, check_band
+from .features import COMBINATORS, FEATURES, THRESHOLD_MODES, HalfWaveConfig, check_band
 from .plant import (
     BetaPlantConfig,
     BetaSuppression,
@@ -95,10 +95,10 @@ class ScenarioParseError(SimulationError):
 
 class PlantSpec:
     """A plant kind: ``read(plant, features, track)`` builds it from those sections,
-    whose disturbances must be of its ``DISTURBANCE_KINDS``, and ``check(scenario,
+    whose disturbances must have one of its ``EFFECTS``, and ``check(scenario,
     found)`` reports its checklist findings on a built scenario."""
 
-    DISTURBANCE_KINDS = ()
+    EFFECTS = ()
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class EcapPlantSpec(PlantSpec):
     sensor_noise_sd_uV: float = 0.0
     track: DisturbanceTrack = field(default_factory=DisturbanceTrack)
 
-    DISTURBANCE_KINDS = (PostureStep, CoughTransient)
+    EFFECTS = ("distance",)
 
     @classmethod
     def read(cls, p: dict, f, track: DisturbanceTrack) -> "EcapPlantSpec":
@@ -161,7 +161,7 @@ class BetaPlantSpec(_FramedPlant):
     band_hi_hz: float = 30.0
     smooth_s: float = 0.5
 
-    DISTURBANCE_KINDS = (CircadianSine, CardiacArtifact)
+    EFFECTS = ("circadian", "cardiac")
 
     def __post_init__(self) -> None:
         check_band(self.band_lo_hz, self.band_hi_hz, self.cfg.fs_hz, self.cfg.frame_len)
@@ -189,8 +189,8 @@ class BetaPlantSpec(_FramedPlant):
 class ToolSpec:
     """One detection tool: a feature plus its (fixed or adaptive) threshold."""
 
-    feature: str                      # "line_length" | "area" | "half_wave"
-    threshold_mode: str = "adaptive"  # "adaptive" | "fixed"
+    feature: str                      # a key of features.FEATURES
+    threshold_mode: str = "adaptive"  # a key of features.THRESHOLD_MODES
     multiplier: float = 2.0
     long_window_ticks: int = 240
     short_window_ticks: int = 4
@@ -198,13 +198,13 @@ class ToolSpec:
     half_wave: Optional[HalfWaveConfig] = None
 
     def __post_init__(self) -> None:
-        if self.feature not in ("line_length", "area", "half_wave"):
+        if self.feature not in FEATURES:
             raise ConfigurationError(f"unknown detection feature {self.feature!r}")
-        if self.threshold_mode not in ("adaptive", "fixed"):
+        if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigurationError(f"unknown threshold mode {self.threshold_mode!r}")
-        if self.feature == "half_wave" and self.half_wave is None:
-            raise ConfigurationError("half_wave tool needs a half_wave config block")
-        if self.threshold_mode == "adaptive" and not (
+        if FEATURES[self.feature].needs_half_wave and self.half_wave is None:
+            raise ConfigurationError(f"{self.feature} tool needs a half_wave config block")
+        if THRESHOLD_MODES[self.threshold_mode] and not (
             self.long_window_ticks > self.short_window_ticks > 0
         ):
             raise ConfigurationError(
@@ -226,10 +226,12 @@ class IeegPlantSpec(_FramedPlant):
     def __post_init__(self) -> None:
         if not self.tools:
             raise ConfigurationError("at least one detection tool is required")
-        if self.combinator not in ("OR", "AND"):
-            raise ConfigurationError("combinator must be OR or AND")
-        if self.cfg.frame_len < 3 and any(t.feature == "half_wave" for t in self.tools):
-            raise ConfigurationError("a half_wave tool needs frame_len of at least 3 samples")
+        if self.combinator not in COMBINATORS:
+            raise ConfigurationError(f"combinator must be {' or '.join(COMBINATORS)}")
+        for t in self.tools:
+            if self.cfg.frame_len < FEATURES[t.feature].min_frame_len:
+                raise ConfigurationError(f"a {t.feature} tool needs frame_len of at least "
+                                         f"{FEATURES[t.feature].min_frame_len} samples")
 
     @classmethod
     def read(cls, p: dict, f, track: DisturbanceTrack) -> "IeegPlantSpec":
@@ -241,11 +243,10 @@ class IeegPlantSpec(_FramedPlant):
             _known(_object(t, "detection tool"), "detection tool",
                    ("feature", "threshold", "half_wave"))
             th = _object(t.get("threshold", {}), "detection tool threshold")
-            hw = None
-            if t["feature"] == "half_wave":
-                hw = _read(HALF_WAVE, _require(t, "half_wave", "half_wave tool"), "half_wave")
-            tools.append(_read(TOOL, th, "detection tool threshold",
-                               feature=str(t["feature"]), half_wave=hw))
+            feature, hw = str(t["feature"]), None
+            if feature in FEATURES and FEATURES[feature].needs_half_wave:
+                hw = _read(HALF_WAVE, _require(t, "half_wave", f"{feature} tool"), "half_wave")
+            tools.append(_read(TOOL, th, "detection tool threshold", feature=feature, half_wave=hw))
         return _read(IEEG_FEATURES, f, "features", also=("tools",), cfg=cfg,
                      seizures=seizures, tools=tuple(tools))
 
@@ -521,7 +522,7 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
     )))
     plant = _kind(PLANTS, kind, "plant")
     for seg in track.segments:
-        if not isinstance(seg, plant.DISTURBANCE_KINDS):
+        if seg.effect not in plant.EFFECTS:
             raise ConfigurationError(
                 f"a {kind} plant does not model {type(seg).__name__} disturbances")
     return plant.read(p, raw.get("features", {}), track), device

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
+from neuroloop import cli
 from neuroloop.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
 
 from conftest import SCENARIO_DIR, deep_merge, ecap_raw, reference_raw
@@ -74,6 +77,16 @@ RUNS_THROUGH = [
     ("rns_epilepsy", {"plant": {"ieeg": {"background_sd_uV": -1e308}}}),
     ("rns_epilepsy", {"plant": {"ieeg": {"ictal_amplitude_uV": 1e308}}}),
     ("adbs_parkinsons", {"plant": {"beta": {"curve": {"baseline_uV": 1e300}}}}),
+]
+
+# Each of these once validated and then made run, sweep and compare exit 1, as
+# summary.json refused a step-response metric that overflowed to inf. A
+# metric that is not finite is a fault: exit 3, and no summary.json.
+NON_FINITE_METRICS = [
+    {"plant": {"ecap": {"slope_uV_per_mA_at_ref": 1e308}}},
+    {"plant": {"ecap": {"slope_distance_coeff_per_mm": 1e308}}},
+    {"plant": {"ecap": {"sensor_noise_sd_uV": 1e308}}},
+    {"policy": {"target_uV": -1e308}},
 ]
 
 
@@ -216,6 +229,57 @@ class TestValidate:
             assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
             assert main(["replay", str(out)]) == EXIT_OK
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestNonFiniteOutput:
+    """summary.json, comparison.json and aggregate.json are written by one JSON
+    writer, which refuses a number that is not finite: exit 3, one line."""
+
+    ERR = "output error: Out of range float values are not JSON compliant: inf\n"
+
+    @staticmethod
+    def argv(command: str, path, out) -> list:
+        seeds = ["--seeds", "2"] if command == "sweep" else []
+        return [command, str(path), "--out", str(out)] + seeds
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    @pytest.mark.parametrize("edit", NON_FINITE_METRICS, ids=json.dumps)
+    def test_overflowing_metric_exit_3(self, tmp_path, capsys, edit, command):
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(deep_merge(reference_raw("ecap_scs"), edit)))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():   # numpy warns about the overflow it is given
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["validate", str(path)]) == EXIT_OK
+            assert main(self.argv(command, path, out)) == EXIT_FAULT
+        assert capsys.readouterr().err == self.ERR
+        assert not list(out.rglob("summary.json"))
+
+    def test_comparison_json_holds_no_infinity(self, tmp_path, capsys):
+        # Every summary is finite, but the variance about the target is not:
+        # comparison.json once held the non-JSON literal Infinity, with exit 0.
+        edit = {"plant": {"ecap": {"slope_uV_per_mA_at_ref": 1e200}}}
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(deep_merge(reference_raw("ecap_scs"), edit)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(self.argv("run", path, tmp_path / "r")) == EXIT_OK
+            assert main(self.argv("compare", path, tmp_path / "c")) == EXIT_FAULT
+        assert capsys.readouterr().err == self.ERR
+        assert not (tmp_path / "c" / "comparison.json").exists()
+
+    @pytest.mark.parametrize("command, stage, spoil", [
+        ("run", "run_scenario",
+         lambda r: replace(r, metrics=replace(r.metrics, teed_total=math.inf))),
+        ("compare", "compare_modes", lambda c: replace(c, fixed_variance_about_target=math.inf)),
+        ("sweep", "aggregate_summaries", lambda agg: {**agg, "teed_total": {"mean": math.inf}}),
+    ], ids=["summary.json", "comparison.json", "aggregate.json"])
+    def test_each_writer_refuses_an_inf_metric(self, ecap_file, tmp_path, monkeypatch, capsys,
+                                               command, stage, spoil):
+        real = getattr(cli, stage)
+        monkeypatch.setattr(cli, stage, lambda *args: spoil(real(*args)))
+        assert main(self.argv(command, ecap_file, tmp_path / "o")) == EXIT_FAULT
+        assert capsys.readouterr().err == self.ERR
 
 
 class TestUnreadablePaths:

@@ -16,8 +16,12 @@ from neuroloop.core import (
     QUALITY_OK,
     QUALITY_SATURATED,
 )
+from neuroloop.engine import run_scenario
 from neuroloop.features import (
+    COMBINATORS,
+    FEATURES,
     KERNEL_MIN_ROWS,
+    THRESHOLD_MODES,
     ConfigurationError,
     Detector,
     DomainError,
@@ -33,7 +37,9 @@ from neuroloop.features import (
     line_length,
     signal_quality,
 )
-from neuroloop.scenario import ToolSpec
+from neuroloop.scenario import ToolSpec, validate_scenario
+
+from conftest import ieeg_raw
 
 
 def rounded_sum(terms) -> float:
@@ -496,3 +502,29 @@ def test_every_frame_biomarker_is_non_negative(frames, band):
             assert one >= 0.0
             smoothed, _, _ = detector.observe(float(one))
             assert smoothed >= 0.0
+
+
+@pytest.mark.parametrize("combinator", list(COMBINATORS))
+@pytest.mark.parametrize("mode", list(THRESHOLD_MODES))
+@pytest.mark.parametrize("feature", list(FEATURES))
+def test_every_declared_tool_kind_validates_and_runs(feature, mode, combinator):
+    """Each declared feature, threshold mode and combinator, read from a
+    scenario file and run for 40 ticks of an iEEG plant. Two tools of the
+    feature are combined, so the combinator decides the flag."""
+    tools = [{"feature": feature, "threshold": {"mode": mode, "multiplier": multiplier,
+                                                "long_window_ticks": 8, "short_window_ticks": 2,
+                                                "value": 50.0 * multiplier}}
+             for multiplier in (1.5, 3.0)]
+    if FEATURES[feature].needs_half_wave:
+        for tool in tools:
+            tool["half_wave"] = {"min_amplitude_uV": 5.0, "min_duration_ticks": 1,
+                                 "max_duration_ticks": 8}
+    raw = ieeg_raw(timebase={"duration_s": 40 * 0.125},
+                   features={"tools": tools, "combinator": combinator})
+    report = validate_scenario(raw)
+    assert report.ok, report.findings
+    tool = report.scenario.plant.tools[0]
+    assert (tool.feature, tool.threshold_mode) == (feature, mode)
+    result = run_scenario(report.scenario)
+    assert not result.aborted and result.n_ticks == 40
+    assert np.isfinite(result.biomarker).all()

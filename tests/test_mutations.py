@@ -20,6 +20,7 @@ import warnings
 
 import pytest
 
+from neuroloop.core import MAX_FRAME_LEN
 from neuroloop.engine import run_scenario
 from neuroloop.outputs import events_jsonl_text, summary_json_text
 from neuroloop.scenario import validate_scenario
@@ -203,6 +204,22 @@ def test_tick_count_overflow_is_a_finding():
     assert [f.message for f in report.findings] == [
         "OverflowError: cannot convert float infinity to integer"
     ]
+
+
+@pytest.mark.parametrize("name, plant", [("adbs_parkinsons", "beta"), ("rns_epilepsy", "ieeg")])
+@pytest.mark.parametrize("frame_len", [MAX_FRAME_LEN, MAX_FRAME_LEN + 1])
+def test_frame_len_is_bounded(name, plant, frame_len):
+    # Validated only, never run: a run draws engine.NOISE_CHUNK such frames per lane.
+    raw = reference_raw(name)
+    raw["plant"][plant]["frame_len"] = frame_len
+    raw["plant"][plant]["fs_hz"] = frame_len / raw["timebase"]["dt_s"]
+    report = validate_scenario(raw)
+    if frame_len <= MAX_FRAME_LEN:
+        assert report.ok, report.findings
+    else:
+        assert [f.message for f in report.findings] == [
+            f"ConfigurationError: frame_len {frame_len} is more than the "
+            f"{MAX_FRAME_LEN} samples a frame may have"]
 
 
 # A key its section does not read. Each of these once validated ok with the

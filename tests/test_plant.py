@@ -17,7 +17,6 @@ from neuroloop.plant import (
     DeviceState,
     DisturbanceTrack,
     EcapPlantParams,
-    IdealLinear,
     IeegPlantConfig,
     InvalidPlantError,
     NoisyNonMonotonic,
@@ -41,8 +40,8 @@ from conftest import deep_merge, reference_raw
 
 class TestDoseResponseCurves:
     def test_ideal_linear_through_origin(self):
-        assert dose_response_eval(IdealLinear(gain=2.0), 3.0) == 6.0
-        assert dose_response_eval(IdealLinear(gain=2.0), 0.0) == 0.0
+        assert dose_response_eval(OffsetGain(gain=2.0, offset_mA=0.0), 3.0) == 6.0
+        assert dose_response_eval(OffsetGain(gain=2.0, offset_mA=0.0), 0.0) == 0.0
 
     def test_offset_gain_below_offset(self):
         assert dose_response_eval(OffsetGain(gain=2.0, offset_mA=1.0), 0.5) == 0.0
@@ -95,7 +94,7 @@ class TestDoseResponseCurves:
 
     def test_negative_amplitude(self):
         with pytest.raises(DomainError):
-            dose_response_eval(IdealLinear(1.0), -0.1)
+            dose_response_eval(OffsetGain(1.0, 0.0), -0.1)
 
 
 class TestEcapTrue:
@@ -147,11 +146,11 @@ def cough_contribution(seg: CoughTransient, tick: int) -> float:
 def distance_at(track: DisturbanceTrack, base_mm: float, tick: int) -> float:
     """Oracle of ``distance_profile``: the distance at one tick, segment by segment."""
     d = base_mm
-    for seg in track.distance_segments():
+    for seg in track.segments:
         if isinstance(seg, PostureStep):
             if tick >= seg.start_tick:
                 d += seg.delta_mm
-        else:
+        elif isinstance(seg, CoughTransient):
             d += cough_contribution(seg, tick)
     return d
 
@@ -242,7 +241,7 @@ def beta_frame_oracle(doses, tick: int, cfg: BetaPlantConfig, noise: np.ndarray)
 
     frame += noise * cfg.noise_rms_uV
 
-    cardiac = cfg.disturbances.cardiac_segments()
+    cardiac = tuple(s for s in cfg.disturbances.segments if isinstance(s, CardiacArtifact))
     if cardiac:
         frame += cardiac_train(cardiac, t, tick)
 
