@@ -24,7 +24,6 @@ from .core import (
     EventRecord,
     TimeBase,
     charge_per_pulse,
-    make_timebase,
     teed_rate,
 )
 from .engine import ModeComparison, RunResult, compare_modes, run_scenario, sweep
@@ -44,7 +43,6 @@ __all__ = [
     "charge_per_pulse",
     "compare_modes",
     "load_scenario",
-    "make_timebase",
     "replay_run",
     "run_scenario",
     "scenario_from_dict",

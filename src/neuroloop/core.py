@@ -64,24 +64,6 @@ SEVERITY_ALERT = "Alert"
 SEVERITY_FAULT = "Fault"
 
 
-@dataclass(frozen=True)
-class TimeBase:
-    """Discrete time axis: ``n_ticks`` steps of ``dt_s`` seconds each."""
-
-    dt_s: float
-    n_ticks: int
-
-    def __post_init__(self) -> None:
-        if self.dt_s <= 0:
-            raise InvalidTimebaseError(f"dt_s must be positive, got {self.dt_s}")
-        if self.n_ticks < 0:
-            raise InvalidTimebaseError(f"n_ticks must be >= 0, got {self.n_ticks}")
-
-    def ticks_per_day(self) -> int:
-        """Ticks in 24 h of simulated time (for daily budget rollover)."""
-        return max(1, round(86_400.0 / self.dt_s))
-
-
 # The most ticks a scenario may run or hold one therapy for: far above every
 # shipped scenario, and small enough for the per-tick columns to fit in memory.
 MAX_TICKS = 1_000_000
@@ -90,22 +72,39 @@ MAX_TICKS = 1_000_000
 MAX_FRAME_LEN = 8192
 
 
-def make_timebase(dt_s: float, duration_s: float) -> TimeBase:
-    """Build a time base covering ``duration_s`` seconds at step ``dt_s``.
+@dataclass(frozen=True)
+class TimeBase:
+    """Discrete time axis covering ``duration_s`` seconds in steps of ``dt_s``.
 
-    The tick count is ``floor(duration_s / dt_s)``; a trailing fraction of a
-    step is dropped.
+    The tick count ``n_ticks`` is ``floor(duration_s / dt_s)``; a trailing
+    fraction of a step is dropped.
 
     Raises:
         InvalidTimebaseError: if ``dt_s <= 0`` or ``duration_s < dt_s``.
+        ConfigurationError: if there are more than ``MAX_TICKS`` ticks.
     """
-    if dt_s <= 0:
-        raise InvalidTimebaseError(f"dt_s must be positive, got {dt_s}")
-    if duration_s < dt_s:
-        raise InvalidTimebaseError(
-            f"duration_s ({duration_s}) must be at least one step ({dt_s})"
-        )
-    return TimeBase(dt_s=dt_s, n_ticks=math.floor(duration_s / dt_s))
+
+    dt_s: float
+    duration_s: float
+    n_ticks: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.dt_s <= 0:
+            raise InvalidTimebaseError(f"dt_s must be positive, got {self.dt_s}")
+        if self.duration_s < self.dt_s:
+            raise InvalidTimebaseError(
+                f"duration_s ({self.duration_s}) must be at least one step ({self.dt_s})"
+            )
+        n_ticks = math.floor(self.duration_s / self.dt_s)
+        if n_ticks > MAX_TICKS:
+            raise ConfigurationError(
+                f"timebase has {n_ticks} ticks, more than the {MAX_TICKS} a run may have"
+            )
+        object.__setattr__(self, "n_ticks", n_ticks)
+
+    def ticks_per_day(self) -> int:
+        """Ticks in 24 h of simulated time (for daily budget rollover)."""
+        return max(1, round(86_400.0 / self.dt_s))
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,10 @@ class _Lane:
         # ---- policy -----------------------------------------------------
         therapy_started = False
         if mode == MODE_AUTOMATED:
+            # A regulating policy keeps the baseline's timing and contacts,
+            # never those of a fallback dose held before re-entry.
             self.pol_state, cmd, template, therapy_started = policy.step(
-                self.pol_state, measured, qual, detection, prev, template
+                self.pol_state, measured, qual, detection, prev, baseline
             )
         elif mode == MODE_FALLBACK:
             cmd, template = fallback_dose(sc.fallback, self.last_good, baseline)
@@ -589,8 +591,8 @@ def _run_lanes(scenarios: list) -> list[RunResult]:
     sensing = SENSING[type(first.plant)](first, rngs)
 
     magnet = np.zeros(n, dtype=bool)
-    for start, end in first.magnet_intervals:
-        magnet[start:min(end, n)] = True
+    for iv in first.magnet_intervals:
+        magnet[iv.start_tick:min(iv.end_tick, n)] = True
     magnet = magnet.tolist()
 
     columns = {name: np.full((len(scenarios), n), fill) for name, fill in COLUMNS.items()}

@@ -167,8 +167,11 @@ def scan_delivered_series(
     return SafetyScanResult(ok=not violations, violations=tuple(violations))
 
 
-def scan_timeseries_csv(path, limits: DoseLimits, pulse_width_us: float) -> SafetyScanResult:
-    """Run the safety scan against a stored timeseries.csv.
+def scan_timeseries_csv(
+    path, limits: DoseLimits, pulse_width_us: float, initial_mA: Optional[float] = None,
+) -> SafetyScanResult:
+    """Run the safety scan against a stored timeseries.csv (``initial_mA`` as
+    in ``scan_delivered_series``).
 
     Parses the CSV with plain text handling (no engine code) so the scan
     stays independent of the simulation path that produced the file. A file
@@ -188,4 +191,4 @@ def scan_timeseries_csv(path, limits: DoseLimits, pulse_width_us: float) -> Safe
         return SafetyScanResult(
             ok=False, violations=((len(delivered), "unreadable", f"{type(e).__name__}: {e}"),)
         )
-    return scan_delivered_series(delivered, limits, pulse_width_us)
+    return scan_delivered_series(delivered, limits, pulse_width_us, initial_mA)

@@ -99,7 +99,7 @@ class NonFiniteOutputError(SimulationError):
 
 
 def json_text(doc: dict) -> str:
-    """The text of summary.json, comparison.json or aggregate.json; raises
+    """The text of scenario.json, summary.json, comparison.json or aggregate.json; raises
     NonFiniteOutputError where ``doc`` holds inf or NaN."""
     try:
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -119,10 +119,6 @@ def summary_json_text(result: RunResult) -> str:
         "metrics": result.metrics.to_dict(),
     }
     return json_text(doc)
-
-
-def scenario_json_text(scenario: Scenario) -> str:
-    return json.dumps(scenario.raw, sort_keys=True, indent=2) + "\n"
 
 
 def scan_pulse_width_us(scenario: Scenario) -> float:
@@ -145,9 +141,7 @@ def write_run(result: RunResult, outdir) -> Path:
     """Write a run's outputs into ``outdir`` (created if needed)."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "scenario.json").write_text(
-        scenario_json_text(result.scenario), encoding="utf-8"
-    )
+    (out / "scenario.json").write_text(json_text(result.scenario.raw), encoding="utf-8")
     for fname, enabled, render in run_files(result.scenario.outputs):
         if enabled:
             (out / fname).write_text(render(result), encoding="utf-8")
@@ -197,7 +191,8 @@ def replay_run(rundir) -> ReplayReport:
     scan = None
     ts = rundir / "timeseries.csv"
     if ts.exists():
-        scan = scan_timeseries_csv(ts, scenario.limits, scan_pulse_width_us(scenario))
+        scan = scan_timeseries_csv(ts, scenario.limits, scan_pulse_width_us(scenario),
+                                   fresh.initial_delivered_mA)
 
     ok = all(matched.values()) and bool(matched) and (scan is None or scan.ok)
     return ReplayReport(ok=ok, files_matched=matched, safety_scan=scan)

@@ -33,14 +33,12 @@ from pathlib import Path
 from typing import Optional
 
 from .core import (
-    MAX_TICKS,
     ConfigurationError,
     Dose,
     DoseLimits,
     SimulationError,
     TimeBase,
     charge_per_pulse,
-    make_timebase,
 )
 from .control import (
     BangBangResponsive,
@@ -169,9 +167,7 @@ class BetaPlantSpec(_FramedPlant):
     @classmethod
     def read(cls, p: dict, f, track: DisturbanceTrack) -> "BetaPlantSpec":
         _known(p, "plant", PLANT_KEYS, ("beta",))
-        b = _object(_require(p, "beta", "plant"), "plant.beta")
-        curve = _read(BETA_CURVE, _require(b, "curve", "beta plant"), "plant.beta.curve")
-        cfg = _read(BETA_PLANT, b, "plant.beta", also=("curve",), curve=curve, disturbances=track)
+        cfg = _read(BETA_PLANT, _require(p, "beta", "plant"), "plant.beta", disturbances=track)
         return _read(BETA_FEATURES, f, "features", cfg=cfg)
 
     def check(self, s: "Scenario", found) -> None:
@@ -268,6 +264,19 @@ class MetricsConfig:
 
 
 @dataclass(frozen=True)
+class MagnetInterval:
+    """Ticks [start_tick, end_tick) during which the patient magnet is applied."""
+
+    start_tick: int
+    end_tick: int
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.start_tick < self.end_tick):
+            raise ConfigurationError(f"magnet interval needs 0 <= start_tick < end_tick, "
+                                     f"got [{self.start_tick}, {self.end_tick})")
+
+
+@dataclass(frozen=True)
 class OutputFlags:
     timeseries: bool = True
     events: bool = True
@@ -356,13 +365,20 @@ def _int(value) -> int:
     return value
 
 
+def _range(value) -> tuple:
+    """``(lo, hi)``: ``value`` must unpack into two finite JSON numbers."""
+    lo, hi = value
+    return _finite(lo), _finite(hi)
+
+
 # Converter for each field annotation a key may name (annotations are strings
 # under postponed evaluation). A number must be a JSON number (an int a JSON
 # integer), a bool a JSON boolean and a tuple a JSON array. The one dict
-# field is the device's impedance map, and a ``Dose`` field reads a nested
-# dose object.
+# field is the device's impedance map, and the one optional tuple the metrics
+# range. A plan (a tuple, added with the schema below) reads a nested object.
 _CONVERT = {"float": _finite, "int": _int, "bool": lambda v: _object(v, "value", bool),
-            "str": str, "tuple": lambda v: tuple(_object(v, "value", list)), "Dose": Dose,
+            "str": str, "tuple": lambda v: tuple(_object(v, "value", list)),
+            "Optional[tuple]": _range,
             "dict": lambda m: {str(k): _finite(v) for k, v in
                                _object(m, "plant.device.impedance_ohm").items()}}
 
@@ -391,8 +407,9 @@ def _read(plan: tuple, obj, where: str, also=(), **given):
     """Build ``plan``'s class from the JSON object ``obj`` found at ``where``.
 
     A key neither the plan's nor in ``also`` raises ConfigurationError, an absent
-    required key KeyError (a nested dose: ConfigurationError); an absent optional
-    key keeps the default. ``given``: fields built by the caller.
+    required key KeyError (a nested object: ConfigurationError); an absent optional
+    key keeps the default. A field whose converter is a plan reads a nested object
+    at ``where.key``. ``given``: fields built by the caller.
     """
     cls, defaults, position, entries, keys = plan
     if not isinstance(obj, dict):
@@ -400,8 +417,9 @@ def _read(plan: tuple, obj, where: str, also=(), **given):
     _known(obj, where, keys, also)
     args = list(defaults)
     for i, key, convert, required in entries:
-        if convert is Dose:
-            args[i] = _read(DOSE, _require(obj, key, where), f"{where}.{key}")
+        if type(convert) is tuple:
+            if required or key in obj:
+                args[i] = _read(convert, _require(obj, key, where), f"{where}.{key}")
         elif required or key in obj:
             args[i] = convert(obj[key])
     if given:
@@ -410,8 +428,13 @@ def _read(plan: tuple, obj, where: str, also=(), **given):
     return cls(*args)
 
 
-# The file schema: each section's dataclass and the keys read into it.
-DOSE = _plan(Dose, "amplitude_mA pulse_width_us frequency_hz contact_set")
+# The file schema: each section's dataclass and the keys read into it. A plan
+# entered in _CONVERT reads each field of its class as a nested object.
+DOSE = _CONVERT["Dose"] = _plan(Dose, "amplitude_mA pulse_width_us frequency_hz contact_set")
+_CONVERT["BetaSuppression"] = _plan(
+    BetaSuppression, "baseline=baseline_uV max_suppression_fraction knee_mA softness_mA")
+_CONVERT["Optional[StepResponseSpec]"] = _plan(StepResponseSpec, "step_tick tol_frac")
+TIMEBASE = _plan(TimeBase, "dt_s duration_s")
 DEVICE = _plan(DeviceState, "battery_v eos_threshold_v impedance_ohm_per_contact=impedance_ohm "
                             "compliance_v amp_step_mA amplifier_saturation_uV dc_leak_flag "
                             "drain_v_per_uC impedance_ramp_ohm_per_tick")
@@ -419,9 +442,8 @@ ECAP_PARAMS = _plan(EcapPlantParams, "slope_uV_per_mA_at_ref threshold_mA_at_ref
                     "threshold_distance_coeff=threshold_distance_coeff_mA_per_mm "
                     "slope_distance_coeff=slope_distance_coeff_per_mm")
 ECAP_PLANT = _plan(EcapPlantSpec, "base_distance_mm sensor_noise_sd_uV")
-BETA_CURVE = _plan(BetaSuppression,
-                   "baseline=baseline_uV max_suppression_fraction knee_mA softness_mA")
-BETA_PLANT = _plan(BetaPlantConfig, "fs_hz frame_len beta_hz noise_rms_uV gamma_entrainment_uV")
+BETA_PLANT = _plan(BetaPlantConfig,
+                   "fs_hz frame_len beta_hz noise_rms_uV gamma_entrainment_uV curve")
 IEEG_PLANT = _plan(IeegPlantConfig, "fs_hz frame_len background_sd_uV ictal_amplitude_uV ictal_hz")
 SEIZURES = _plan(SeizureGenState,
                  "rate_per_hour base_duration_ticks suppression_prob response_window_ticks")
@@ -436,7 +458,8 @@ TRUST = _plan(TrustConfig, "checks exit_after_consecutive_fails reenter_after_co
                            "impedance_min_ohm impedance_max_ohm biomarker_min biomarker_max")
 BUDGETS = _plan(Budgets, "max_therapies_per_event max_episodes_per_day")
 OUTPUTS = _plan(OutputFlags, "timeseries events summary")
-STEP_RESPONSE = _plan(StepResponseSpec, "step_tick tol_frac")
+METRICS = _plan(MetricsConfig, "biomarker_range=range step_response")
+MAGNET = _plan(MagnetInterval, "start_tick end_tick")
 
 # The sections that name their kind: kind -> plan.
 DISTURBANCES = {
@@ -498,17 +521,6 @@ def _build_seed(raw: dict) -> int:
     return seed
 
 
-def _build_timebase(raw: dict) -> TimeBase:
-    tb = _object(_require(raw, "timebase", "scenario"), "timebase")
-    _known(tb, "timebase", ("dt_s", "duration_s"))
-    timebase = make_timebase(_finite(tb["dt_s"]), _finite(tb["duration_s"]))
-    if timebase.n_ticks > MAX_TICKS:
-        raise ConfigurationError(
-            f"timebase has {timebase.n_ticks} ticks, more than the {MAX_TICKS} a run may have"
-        )
-    return timebase
-
-
 def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
     """The plant kind's class, read from ``plant`` and ``features``, and the device."""
     p = _object(_require(raw, "plant", "scenario"), "plant")
@@ -526,33 +538,6 @@ def _build_plant(raw: dict) -> tuple[PlantSpec, DeviceState]:
             raise ConfigurationError(
                 f"a {kind} plant does not model {type(seg).__name__} disturbances")
     return plant.read(p, raw.get("features", {}), track), device
-
-
-def _build_magnet(raw: dict) -> tuple:
-    out = []
-    for iv in _object(raw.get("magnet", []), "magnet", list):
-        iv = _object(iv, "magnet interval")
-        _known(iv, "magnet interval", ("start_tick", "end_tick"))
-        start, end = _int(iv["start_tick"]), _int(iv["end_tick"])
-        if not (0 <= start < end):
-            raise ConfigurationError(
-                f"magnet interval needs 0 <= start_tick < end_tick, got [{start}, {end})"
-            )
-        out.append((start, end))
-    return tuple(out)
-
-
-def _build_metrics_cfg(raw: dict) -> MetricsConfig:
-    m = _object(raw.get("metrics", {}), "metrics")
-    _known(m, "metrics", ("range", "step_response"))
-    rng = m.get("range")
-    sr = m.get("step_response")
-    if rng is not None:
-        lo, hi = rng
-        rng = (_finite(lo), _finite(hi))
-    if sr is not None:
-        sr = _read(STEP_RESPONSE, sr, "metrics.step_response")
-    return MetricsConfig(biomarker_range=rng, step_response=sr)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -645,7 +630,9 @@ def validate_scenario(raw: dict) -> ValidationReport:
         )
 
     attempt(CHECKLIST_VALIDATION, lambda: _known(raw, "scenario", TOP_LEVEL_KEYS))
-    timebase = attempt(CHECKLIST_VALIDATION, lambda: _build_timebase(raw))
+    # Free text, but scenario.json must hold it as JSON: no NaN or Infinity.
+    attempt(CHECKLIST_VALIDATION, lambda: json.dumps(raw.get("_comment"), allow_nan=False))
+    timebase = attempt(CHECKLIST_VALIDATION, lambda: _read_section(raw, "timebase", TIMEBASE))
     seed = attempt(CHECKLIST_VALIDATION, lambda: _build_seed(raw))
     baseline = attempt(CHECKLIST_MENTAL_MODEL, lambda: _read_section(raw, "baseline_dose", DOSE))
     plant, device = attempt(CHECKLIST_VARIABLES, lambda: _build_plant(raw)) or (None, None)
@@ -656,10 +643,12 @@ def validate_scenario(raw: dict) -> ValidationReport:
     budgets = attempt(CHECKLIST_FALLBACK, lambda: _read(
         BUDGETS, raw.get("budgets", {}), "budgets", ticks_per_day=timebase.ticks_per_day(),
     )) if timebase else None
-    magnet = attempt(CHECKLIST_DEVICE_STATE, lambda: _build_magnet(raw))
+    magnet = attempt(CHECKLIST_DEVICE_STATE, lambda: tuple(_read(MAGNET, iv, "magnet interval")
+                     for iv in _object(raw.get("magnet", []), "magnet", list)))
     outputs = attempt(CHECKLIST_DEVICE_STATE, lambda: _read(
         OUTPUTS, raw.get("outputs", {}), "outputs"))
-    metrics_cfg = attempt(CHECKLIST_VALIDATION, lambda: _build_metrics_cfg(raw))
+    metrics_cfg = attempt(CHECKLIST_VALIDATION, lambda: _read(
+        METRICS, raw.get("metrics", {}), "metrics"))
     if findings:
         return ValidationReport(ok=False, findings=tuple(findings))
 

@@ -186,6 +186,16 @@ class TestValidate:
         assert not (tmp_path / "o").exists()
         assert "is not a finite number" in capsys.readouterr().out
 
+    # Free text, yet once written as NaN into scenario.json, which is then not JSON.
+    @pytest.mark.parametrize("comment", [math.nan, math.inf, ["text", -math.inf]], ids=repr)
+    def test_non_finite_comment_exit_2(self, tmp_path, capsys, comment):
+        path = tmp_path / "comment.json"
+        path.write_text(json.dumps({**reference_raw("ecap_scs"), "_comment": comment}))
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+        assert "not JSON compliant" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name, edit", MUTATIONS,
                              ids=[f"{n}:{json.dumps(e)}" for n, e in MUTATIONS])
     def test_reproduced_mutations_exit_2(self, tmp_path, capsys, name, edit):
@@ -489,6 +499,22 @@ class TestReplay:
         assert report["files_matched"]["timeseries.csv"] is False
         assert report["safety_scan_ok"] is False
         assert [v[1] for v in report["violations"]] == ["unreadable"]
+
+    def test_tick_zero_slew_is_scanned(self, tmp_path, capsys):
+        # The scan once compared tick 0 with itself, not with the initial delivered amplitude.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(ecap_raw(limits={"max_slew_mA_per_tick": 0.5})))
+        out = tmp_path / "r"
+        assert main(["run", str(scenario), "--out", str(out)]) == EXIT_OK
+        ts = out / "timeseries.csv"
+        rows = [line.split(",") for line in ts.read_text().splitlines()]
+        col = rows[0].index("delivered_mA")
+        rows[1][col] = repr(float(rows[1][col]) + 2.0)   # 4.0 mA before tick 0
+        ts.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_FAULT
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert violations[0][:2] == [0, "slew_exceeded"]
 
     def test_timeseries_not_utf8_exit_3(self, ecap_file, tmp_path, capsys):
         out = tmp_path / "r"

@@ -4,37 +4,47 @@ import numpy as np
 import pytest
 
 from neuroloop.core import (
+    MAX_TICKS,
+    ConfigurationError,
     Dose,
     DomainError,
     EventRecord,
     InvalidTimebaseError,
+    TimeBase,
     charge_per_pulse,
     charge_per_tick,
-    make_timebase,
     teed_rate,
 )
 
 from test_dose_floats import switched_off, with_amplitude
 
 
-class TestMakeTimebase:
+class TestTimeBase:
     def test_one_millisecond_ten_seconds(self):
-        assert make_timebase(0.001, 10.0).n_ticks == 10_000
+        assert TimeBase(0.001, 10.0).n_ticks == 10_000
 
     def test_minimal_run(self):
-        assert make_timebase(0.5, 0.5).n_ticks == 1
+        assert TimeBase(0.5, 0.5).n_ticks == 1
 
     def test_one_simulated_day(self):
-        assert make_timebase(0.001, 86_400.0).n_ticks == 86_400_000
+        assert TimeBase(0.1, 86_400.0).n_ticks == 864_000
+        # At 1 ms a day is 86,400,000 ticks, beyond the bound on a run.
+        with pytest.raises(ConfigurationError, match=f"more than the {MAX_TICKS} a run"):
+            TimeBase(0.001, 86_400.0)
+
+    def test_bound_is_inclusive(self):
+        assert TimeBase(1.0, float(MAX_TICKS)).n_ticks == MAX_TICKS
+        with pytest.raises(ConfigurationError):
+            TimeBase(1.0, float(MAX_TICKS + 1))
 
     def test_duration_is_product(self):
-        tb = make_timebase(0.25, 10.0)
+        tb = TimeBase(0.25, 10.0)
         assert tb.dt_s * tb.n_ticks == pytest.approx(10.0)
 
     @pytest.mark.parametrize("dt,dur", [(0.0, 1.0), (-0.1, 1.0), (0.5, 0.25)])
     def test_invalid_inputs(self, dt, dur):
         with pytest.raises(InvalidTimebaseError):
-            make_timebase(dt, dur)
+            TimeBase(dt, dur)
 
 
 class TestDose:

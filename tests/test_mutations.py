@@ -39,9 +39,9 @@ SHORT_TICKS = 40
 # list elements, and the free text (name, comments).
 OPTIONAL_PATHS = {"ecap_scs": 37, "adbs_parkinsons": 34, "rns_epilepsy": 44}
 FINDINGS_SHA256 = {
-    "ecap_scs": "4952b3d1101780b864b440f7e8efc059330431cb822c145be2e9ffe5fc3a8b6f",
-    "adbs_parkinsons": "714c4740c0d079aa81611309db395ca1038bb04228f0af30fdb950186acc505f",
-    "rns_epilepsy": "a31395e02ad7dd408c649850b7ab6e75be7b9f586322638813b5ed6d69f54da5",
+    "ecap_scs": "fa60819cd369b0d97091bbe620a701d6f57c425bb437d6e5487e190dd3f0c306",
+    "adbs_parkinsons": "55d0827a38bc69c0407c752dff534baa11ac8b13b7bbd4bc607c7d0f3257a6fb",
+    "rns_epilepsy": "fe465be962c4129a9654ccabb25a6e551bd1e7325306ecba0623cac91be809f1",
 }
 
 
@@ -79,37 +79,56 @@ def fault_events(result) -> list:
     return [r.to_dict() for r in result.events if r.severity == "Fault"]
 
 
+def mutation_cases(name: str):
+    """Each mutation case of reference file ``name``: (case, value, mutated raw)."""
+    raw = reference_raw(name)
+    for path in json_paths(raw):
+        for value in VALUES + (DELETE,):
+            where = ".".join(map(str, path))
+            case = f"del {where}" if value is DELETE else f"{where} = {value!r}"
+            yield case, value, mutated(raw, path, value)
+
+
+def case_line(case: str, report) -> str:
+    """The pinned line of one case: the case, its ``ok`` flag and its tagged findings."""
+    tagged = [(f.checklist_item, f.message) for f in report.findings]
+    return f"{case}\t{report.ok}\t{tagged}\n"
+
+
+def case_lines(name: str):
+    """Each case's pinned line, in order; FINDINGS_SHA256[name] is their sha256."""
+    for case, value, candidate in mutation_cases(name):
+        with warnings.catch_warnings():
+            if value in OVERFLOWING:
+                warnings.simplefilter("ignore", RuntimeWarning)
+            yield case_line(case, validate_scenario(candidate))
+
+
 @pytest.mark.parametrize("name", ["ecap_scs", "adbs_parkinsons", "rns_epilepsy"])
 def test_single_field_mutations(name):
-    raw = reference_raw(name)
     failures = []
     cases = passed = deletions_passed = 0
     digest = hashlib.sha256()
-    for path in json_paths(raw):
-        for value in VALUES + (DELETE,):
-            cases += 1
-            where = ".".join(map(str, path))
-            case = f"del {where}" if value is DELETE else f"{where} = {value!r}"
-            candidate = mutated(raw, path, value)
-            with warnings.catch_warnings():
-                if value in OVERFLOWING:
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                try:
-                    report = validate_scenario(candidate)
-                    tagged = [(f.checklist_item, f.message) for f in report.findings]
-                    digest.update(f"{case}\t{report.ok}\t{tagged}\n".encode())
-                    if not report.ok:
-                        continue
-                    passed += 1
-                    deletions_passed += value is DELETE
-                    assert report.scenario is not None, "ok report without a scenario"
-                    short = validate_scenario(short_copy(candidate))
-                    assert short.ok, f"40-tick copy fails validation: {short.findings}"
-                    result = run_scenario(short.scenario)
-                    assert not result.aborted, f"run aborted: {fault_events(result)}"
-                    summary_json_text(result), events_jsonl_text(result)   # what run writes
-                except Exception as e:  # collect every failing case, not just the first
-                    failures.append(f"{case}: {type(e).__name__}: {e}")
+    for case, value, candidate in mutation_cases(name):
+        cases += 1
+        with warnings.catch_warnings():
+            if value in OVERFLOWING:
+                warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                report = validate_scenario(candidate)
+                digest.update(case_line(case, report).encode())
+                if not report.ok:
+                    continue
+                passed += 1
+                deletions_passed += value is DELETE
+                assert report.scenario is not None, "ok report without a scenario"
+                short = validate_scenario(short_copy(candidate))
+                assert short.ok, f"40-tick copy fails validation: {short.findings}"
+                result = run_scenario(short.scenario)
+                assert not result.aborted, f"run aborted: {fault_events(result)}"
+                summary_json_text(result), events_jsonl_text(result)   # what run writes
+            except Exception as e:  # collect every failing case, not just the first
+                failures.append(f"{case}: {type(e).__name__}: {e}")
     assert not failures, f"{len(failures)} of {cases} mutations:\n" + "\n".join(failures)
     # The sweep must exercise both sides of validation.
     assert 0 < passed < cases
@@ -262,6 +281,33 @@ def test_unknown_key_is_a_finding(name, path, where):
     ]
 
 
+# Every field whose class has a plan is read as a nested object by that plan, so
+# each reports a missing or non-object value the same way.
+NESTED = [
+    ("ecap_scs", ("baseline_dose",), True),
+    ("rns_epilepsy", ("policy", "burst"), True),
+    ("ecap_scs", ("fallback", "dose"), True),
+    ("adbs_parkinsons", ("plant", "beta", "curve"), True),
+    ("ecap_scs", ("metrics", "step_response"), False),
+]
+
+
+@pytest.mark.parametrize("name, path, required", NESTED,
+                         ids=[".".join(p) for _, p, _ in NESTED])
+@pytest.mark.parametrize("value", [DELETE, 1], ids=["deleted", "1"])
+def test_nested_object_findings_share_one_shape(name, path, required, value):
+    raw = reference_raw(name)
+    if path == ("fallback", "dose"):
+        raw["fallback"] = {"kind": "FixedSafe", "dose": dict(raw["baseline_dose"])}
+    report = validate_scenario(mutated(raw, path, value))
+    parent = ".".join(path[:-1]) or "scenario"
+    if value is DELETE:
+        expected = [f"ConfigurationError: missing {path[-1]!r} in {parent}"] if required else []
+    else:
+        expected = [f"ConfigurationError: {'.'.join(path)} must be a JSON object, got 1"]
+    assert [f.message for f in report.findings] == expected
+
+
 def test_unknown_keys_are_listed_and_magnet_intervals_checked():
     raw = reference_raw("ecap_scs")
     raw["magnet"] = [{"start_tick": 1, "end_tick": 5, "stop": 9, "begin": 0}]
@@ -281,3 +327,13 @@ def test_ecap_estimator_is_the_identity(value, ok):
         assert [f.message for f in report.findings] == [
             "ConfigurationError: features.estimator must be 'identity', got 'matched_filter'"
         ]
+
+
+if __name__ == "__main__":
+    # Print every pinned case line, to diff a re-pin against another checkout:
+    #   PYTHONPATH=src python tests/test_mutations.py [file ...] > lines.txt
+    import sys
+
+    for name in sys.argv[1:] or OPTIONAL_PATHS:
+        for line in case_lines(name):
+            sys.stdout.write(f"{name}\t{line}")

@@ -25,6 +25,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neuroloop.core import teed_rate
 from neuroloop.engine import run_scenario, sweep
 from neuroloop.outputs import events_jsonl_text, summary_json_text, timeseries_csv_text
 from neuroloop.scenario import scenario_from_dict
@@ -192,3 +193,22 @@ def test_dwell_rules_hold_end_to_end(k_exit, k_enter, lo, width, noise_sd, seed)
             assert prev == "Fallback"
             assert r.mode[t] == ("Automated" if passes >= k_enter else "Fallback"), t
         prev = r.mode[t]
+
+
+def test_regulating_policy_returns_to_the_baseline_timing():
+    # A FixedSafe fallback at the baseline amplitude with a wider pulse. Once
+    # the loop re-entered Automated, the policy kept delivering with the
+    # fallback's pulse width; every tick's energy shows the timing in effect.
+    raw = variant_raw("beta", "fallback")
+    raw["fallback"] = {"kind": "FixedSafe",
+                       "dose": {**raw["baseline_dose"], "pulse_width_us": 90.0}}
+    scenario = scenario_from_dict(raw)
+    result = run_scenario(scenario)
+    reentry = result.mode.index("Automated", result.mode.index("Fallback"))
+    assert reentry < result.n_ticks - 1
+    template = {"Automated": scenario.baseline_dose, "Fallback": scenario.fallback.dose}
+    teed, expected = 0.0, []
+    for mode, delivered in zip(result.mode, result.delivered_mA.tolist()):
+        teed += teed_rate(delivered, template[mode]) * scenario.timebase.dt_s
+        expected.append(teed)
+    assert result.teed_cum.tolist() == expected
