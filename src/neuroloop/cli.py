@@ -27,7 +27,7 @@ from pathlib import Path
 from .control import ManualFixed
 from .core import SimulationError
 from .engine import compare_modes, run_scenario, sweep
-from .metrics import scan_delivered_series
+from .metrics import pulse_widths_us, scan_delivered_series
 from .outputs import (
     NonFiniteOutputError,
     aggregate_summaries,
@@ -35,7 +35,6 @@ from .outputs import (
     json_text,
     replay_run,
     run_files,
-    scan_pulse_width_us,
     write_run,
 )
 from .scenario import ScenarioParseError, load_scenario_file, validate_scenario
@@ -120,7 +119,7 @@ def cmd_sweep(args) -> int:
         scan = scan_delivered_series(
             r.delivered_mA,
             r.scenario.limits,
-            scan_pulse_width_us(r.scenario),
+            pulse_widths_us(r.scenario, r.mode),
             initial_mA=r.initial_delivered_mA,
         )
         violations += len(scan.violations)

@@ -45,12 +45,12 @@ scenario's policy config, whose ``step`` holds the previous command on any
 tick whose measurement quality is not OK. The supervisor separately decides
 whether enough has gone wrong to leave Automated mode altogether.
 
-Aborts: a ``SimulationError`` raised by a per-lane stage aborts only that
-lane, with a RUN_FAULT event at that tick and outputs truncated before it,
-as a run of its seed alone would. One raised by a batched stage can only
-come from configuration every lane shares, so it aborts every lane framed
-on that tick. Any other exception is a programming error and
-propagates.
+Aborts: a lane aborts only when one of ``_Lane.step``'s own stages raises a
+``SimulationError`` (a device impedance ramped to zero, say), with a RUN_FAULT
+event at that tick and outputs truncated before it, as a run of its seed
+alone would. Sensing raises none for a built scenario, whose construction
+checks exclude each of its raises, so an error it does raise, like any other
+exception, is a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ from .plant import (
     actuator_apply,
     beta_lfp_frame,
     device_step,
-    distance_profile,
     ecap_true,
     ieeg_frame,
     seizure_step,
@@ -378,8 +377,8 @@ class _Sensing:
     (measured, quality, detection, threshold), that is the biomarker or None
     when no measurement was taken (always None in a reset mode), its quality
     flags, the combined detection flag, and the detection threshold or None.
-    A per-lane stage that raises a ``SimulationError`` aborts its lane, whose
-    reading is then None; a batched stage lets the error propagate.
+    It aborts no lane: the checks that build a scenario exclude every error
+    its stages can raise, so one that does raise propagates.
     """
 
     distance_mm: Optional[np.ndarray] = None   # (n_ticks,) column shared by all lanes
@@ -391,9 +390,9 @@ class _Sensing:
 
 
 def _framed(lanes: list) -> list:
-    """Positions in ``lanes`` of the lanes that take a frame this tick: those
-    neither aborted nor in a reset mode."""
-    return [j for j, lane in enumerate(lanes) if not (lane.aborted or lane.in_reset)]
+    """Positions in ``lanes`` (the lanes not aborted) of the lanes that take a
+    frame this tick: those not in a reset mode."""
+    return [j for j, lane in enumerate(lanes) if not lane.in_reset]
 
 
 class EcapSensing(_Sensing):
@@ -406,12 +405,7 @@ class EcapSensing(_Sensing):
         self.saturation_uV = scenario.device.amplifier_saturation_uV
         self.noise = [_DrawsAhead(partial(lane_rngs[2].normal, 0.0, self.noise_sd))
                       for lane_rngs in rngs]   # sensor noise, from each lane's third stream
-        self.distance_mm = distance_profile(
-            plant.track, plant.base_distance_mm, scenario.timebase.n_ticks
-        )
-        self.params.validate_over_range(
-            float(self.distance_mm.min()), float(self.distance_mm.max())
-        )
+        self.distance_mm = plant.distances(scenario.timebase.n_ticks)
 
     def sense(self, t: int, lanes: list) -> list:
         distance = float(self.distance_mm[t])
@@ -420,15 +414,10 @@ class EcapSensing(_Sensing):
             if lane.in_reset:
                 readings.append(NO_READING)
                 continue
-            try:
-                est = ecap_true(lane.amplitude_mA, distance, self.params)
-                if self.noise_sd > 0:
-                    est += self.noise[lane.index].random()
-                measured, qual = ecap_range_check(est, self.saturation_uV)
-            except SimulationError as e:
-                lane.fault(t, e)
-                readings.append(None)
-                continue
+            est = ecap_true(lane.amplitude_mA, distance, self.params)
+            if self.noise_sd > 0:
+                est += self.noise[lane.index].random()
+            measured, qual = ecap_range_check(est, self.saturation_uV)
             readings.append((measured, qual, False, None))
         return readings
 
@@ -518,14 +507,9 @@ class IeegSensing(_Sensing):
         ictal = set()   # positions in ``lanes`` of the lanes seizing at t
         for j, lane in enumerate(lanes):
             i = lane.index
-            try:
-                self.seizures[i], now = seizure_step(
-                    self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s, self.uniforms[i],
-                )
-            except SimulationError as e:
-                lane.fault(t, e)
-                readings[j] = None
-                continue
+            self.seizures[i], now = seizure_step(
+                self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s, self.uniforms[i],
+            )
             if now:   # the column is False until a lane seizes
                 self.seizing[i, t] = True
                 ictal.add(j)
@@ -543,20 +527,13 @@ class IeegSensing(_Sensing):
                 self.sensed[r] = sensed
         more = range(1, len(self.tools))
         for j, r in zip(framed, at):
-            lane = lanes[j]
             qual, values = self.sensed[r]
-            try:
-                dets = self.detectors[lane.index]
-                value, threshold, flag = dets[0].observe(values[0])
-                flags = [flag]
-                for m in more:
-                    flags.append(dets[m].observe(values[m])[2])
-                flag = detect(flags, self.combinator)
-            except SimulationError as e:
-                lane.fault(t, e)
-                readings[j] = None
-                continue
-            readings[j] = (value, qual, flag, threshold)
+            dets = self.detectors[lanes[j].index]
+            value, threshold, flag = dets[0].observe(values[0])
+            flags = [flag]
+            for m in more:
+                flags.append(dets[m].observe(values[m])[2])
+            readings[j] = (value, qual, detect(flags, self.combinator), threshold)
         return readings
 
     def seizure_counts(self, i: int, n: int) -> tuple[int, int, int]:
@@ -600,18 +577,8 @@ def _run_lanes(scenarios: list) -> list[RunResult]:
 
     live = lanes
     for t in range(n):
-        try:
-            readings = sensing.sense(t, live)
-        except SimulationError as e:
-            # A batched stage: configuration every framed lane shares.
-            for j in _framed(live):
-                live[j].fault(t, e)
-            readings = [None if lane.aborted else NO_READING for lane in live]
-        aborted = False   # only where a reading is None or a step raises
-        for lane, reading in zip(live, readings):
-            if reading is None:
-                aborted = True
-                continue
+        aborted = False   # only where a step raises
+        for lane, reading in zip(live, sensing.sense(t, live)):
             try:
                 lane.step(t, *reading)
             except SimulationError as e:
@@ -625,9 +592,10 @@ def _run_lanes(scenarios: list) -> list[RunResult]:
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute a validated scenario; outputs are determined by (scenario, seed).
 
-    This is the lockstep loop with one lane. A ``SimulationError`` raised
-    inside the tick loop aborts the run with a RUN_FAULT event and truncated
-    outputs; any other exception is a programming error and propagates.
+    This is the lockstep loop with one lane. A ``SimulationError`` raised by
+    a stage of ``_Lane.step`` aborts the run with a RUN_FAULT event and
+    truncated outputs; any other exception is a programming error and
+    propagates.
     """
     return _run_lanes([scenario])[0]
 

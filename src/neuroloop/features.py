@@ -386,13 +386,9 @@ def tool_feature(spec, frames: SampleSource):
 def detect(flags: Iterable[bool], combinator: str) -> bool:
     """Combine per-tool detection flags with a ``COMBINATORS`` name (AND or OR).
 
-    Raises:
-        ConfigurationError: empty flag list.
+    A built ieeg plant has at least one tool, so ``flags`` is never empty.
     """
-    flag_list = list(flags)
-    if not flag_list:
-        raise ConfigurationError("detect needs at least one flag")
-    return COMBINATORS[combinator](flag_list)
+    return COMBINATORS[combinator](flags)
 
 
 # Every verdict of ``ecap_range_check``, indexed by 2*impossible + saturated.

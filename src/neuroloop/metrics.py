@@ -1,9 +1,9 @@
 """Run metrics: energy, time in range, seizure statistics, step response.
 
 Also home of the post-hoc safety scan, a deliberately independent code path
-that reads only the exported timeseries (or its CSV) and re-checks the
-amplitude, slew, and charge limits on every tick without consulting any
-engine state.
+that reads only the exported timeseries (or its CSV) and the scenario's
+doses, and re-checks the amplitude, slew, and charge limits on every tick
+without consulting any engine state.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import DoseLimits
 from .safety import EVENT_CHARGE_CLAMP, EVENT_LIMIT_CLAMP, EVENT_SLEW_CLAMP
+from .safety import MODE_AUTOMATED, MODE_EVENT_CODES, MODE_FALLBACK
 
 
 @dataclass(frozen=True)
@@ -122,10 +123,38 @@ class SafetyScanResult:
     violations: tuple  # (tick, kind, detail) triples
 
 
+def scan_pulse_width_us(scenario) -> float:
+    """Widest pulse any configured dose of ``scenario`` can deliver."""
+    return max(d.pulse_width_us for d in scenario.doses.values())
+
+
+def pulse_widths_us(scenario, modes) -> list:
+    """Each tick's pulse width from its supervisor mode, which raises KeyError unless
+    a supervisor has it. Automated: the policy's dose, else the baseline. Fallback:
+    by kind, LastKnownGood the wider of those (all its doses), Off the baseline,
+    FixedSafe and ManualLoop their dose. Magnet and reset modes deliver 0 mA on
+    the previous tick's dose (the baseline before tick 0)."""
+    doses = scenario.doses
+    if scenario.raw["fallback"]["kind"] == "LastKnownGood":
+        fallback = scan_pulse_width_us(scenario)
+    else:
+        fallback = doses.get("fallback", doses["baseline"]).pulse_width_us
+    own = {**dict.fromkeys(MODE_EVENT_CODES), MODE_FALLBACK: fallback,   # every mode
+           MODE_AUTOMATED: doses.get("policy", doses["baseline"]).pulse_width_us}
+    width = doses["baseline"].pulse_width_us
+    widths = []
+    for mode in modes:
+        w = own[mode]
+        if w is not None:
+            width = w
+        widths.append(width)
+    return widths
+
+
 def scan_delivered_series(
     delivered_mA,
     limits: DoseLimits,
-    pulse_width_us: float,
+    pulse_width_us,
     initial_mA: Optional[float] = None,
 ) -> SafetyScanResult:
     """Re-check every delivered amplitude against the hard limits.
@@ -133,8 +162,8 @@ def scan_delivered_series(
     Checks, per tick: amplitude a number, within [amp_min, amp_max]; step
     from the previous tick within the slew limit (the first tick is checked
     against ``initial_mA`` when given); per-pulse charge within the charge
-    limit. A small epsilon absorbs float round-off only, never a real
-    violation.
+    limit, at one ``pulse_width_us`` or each tick's (``pulse_widths_us``).
+    A small epsilon absorbs float round-off only, never a real violation.
     """
     a = np.asarray(delivered_mA, dtype=float)
     eps = 1e-9
@@ -158,7 +187,7 @@ def scan_delivered_series(
     for i in bad_slew:
         violations.append((int(i), "slew_exceeded", float(a[i] - prev[i])))
 
-    charge = a * pulse_width_us * 1e-3
+    charge = a * np.asarray(pulse_width_us, dtype=float) * 1e-3
     bad_q = np.nonzero(charge > limits.max_charge_per_pulse_uC + eps)[0]
     for i in bad_q:
         violations.append((int(i), "charge_exceeded", float(charge[i])))
@@ -167,28 +196,31 @@ def scan_delivered_series(
     return SafetyScanResult(ok=not violations, violations=tuple(violations))
 
 
-def scan_timeseries_csv(
-    path, limits: DoseLimits, pulse_width_us: float, initial_mA: Optional[float] = None,
-) -> SafetyScanResult:
-    """Run the safety scan against a stored timeseries.csv (``initial_mA`` as
-    in ``scan_delivered_series``).
+def scan_timeseries_csv(path, scenario, initial_mA: Optional[float] = None) -> SafetyScanResult:
+    """Run the safety scan against a stored timeseries.csv, at ``scenario``'s limits
+    and the pulse widths of the file's own ``supervisor_mode`` column
+    (``initial_mA`` as in ``scan_delivered_series``).
 
     Parses the CSV with plain text handling (no engine code) so the scan
     stays independent of the simulation path that produced the file. A file
-    the scan cannot read (not UTF-8, no ``delivered_mA`` column, a short row
-    or a cell that is not a number) fails the scan with one ``unreadable``
-    violation, at the first row not read.
+    the scan cannot read (not UTF-8, no ``delivered_mA`` or ``supervisor_mode``
+    column, a short row, a cell that is not a number or a mode no supervisor
+    has) fails the scan with one ``unreadable`` violation, at the first row
+    not read.
     """
     delivered: list = []
+    modes: list = []
     try:
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().rstrip("\n").split(",")
-            col = header.index("delivered_mA")
+            col, mode = header.index("delivered_mA"), header.index("supervisor_mode")
             for line in f:
                 fields = line.rstrip("\n").split(",")
+                modes.append(fields[mode])
                 delivered.append(float(fields[col]))
-    except (ValueError, IndexError) as e:   # UnicodeDecodeError is a ValueError
+        widths = pulse_widths_us(scenario, modes)
+    except (ValueError, IndexError, KeyError) as e:   # UnicodeDecodeError is a ValueError
+        tick = modes.index(e.args[0]) if isinstance(e, KeyError) else len(delivered)
         return SafetyScanResult(
-            ok=False, violations=((len(delivered), "unreadable", f"{type(e).__name__}: {e}"),)
-        )
-    return scan_delivered_series(delivered, limits, pulse_width_us, initial_mA)
+            ok=False, violations=((tick, "unreadable", f"{type(e).__name__}: {e}"),))
+    return scan_delivered_series(delivered, scenario.limits, widths, initial_mA)

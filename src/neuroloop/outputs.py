@@ -24,8 +24,9 @@ import numpy as np
 
 from .core import SimulationError
 from .engine import RunResult, run_scenario
-from .metrics import Metrics, SafetyScanResult, scan_timeseries_csv
-from .scenario import OutputFlags, Scenario, load_scenario_file, scenario_from_dict
+# scan_pulse_width_us is imported for perfbench/workloads.py, which reads it here.
+from .metrics import Metrics, SafetyScanResult, scan_pulse_width_us, scan_timeseries_csv
+from .scenario import OutputFlags, load_scenario_file, scenario_from_dict
 
 CSV_COLUMNS = (
     "tick",
@@ -121,11 +122,6 @@ def summary_json_text(result: RunResult) -> str:
     return json_text(doc)
 
 
-def scan_pulse_width_us(scenario: Scenario) -> float:
-    """Widest pulse any configured dose can deliver (for the charge scan)."""
-    return max(d.pulse_width_us for d in scenario.doses.values())
-
-
 def run_files(flags: OutputFlags) -> tuple:
     """(file name, enabled, renderer) of each output beside scenario.json, in write order:
     what ``write_run`` writes, ``replay_run`` compares and ``neuroloop run`` names. Built
@@ -174,7 +170,8 @@ def replay_run(rundir) -> ReplayReport:
     like any scenario file (a bad one raises a SimulationError), compares
     every output its ``outputs`` flags enable byte for byte against the
     fresh serialization (a missing file is a mismatch), and runs the
-    independent limit scan over the stored timeseries.csv.
+    independent limit scan over the stored timeseries.csv, at each tick's
+    pulse width as its own ``supervisor_mode`` column gives it.
     """
     rundir = Path(rundir)
     scenario = scenario_from_dict(load_scenario_file(rundir / "scenario.json"))
@@ -191,8 +188,7 @@ def replay_run(rundir) -> ReplayReport:
     scan = None
     ts = rundir / "timeseries.csv"
     if ts.exists():
-        scan = scan_timeseries_csv(ts, scenario.limits, scan_pulse_width_us(scenario),
-                                   fresh.initial_delivered_mA)
+        scan = scan_timeseries_csv(ts, scenario, fresh.initial_delivered_mA)
 
     ok = all(matched.values()) and bool(matched) and (scan is None or scan.ok)
     return ReplayReport(ok=ok, files_matched=matched, safety_scan=scan)

@@ -181,7 +181,12 @@ class EcapPlantParams:
         )
 
     def validate_over_range(self, d_min_mm: float, d_max_mm: float) -> None:
-        """Reject parameterizations that go unphysical anywhere in range."""
+        """Reject parameterizations that go unphysical anywhere in range, and a
+        range that is not finite. The ends bound every distance between them:
+        ``slope_at`` and ``threshold_at`` are monotone in distance, also in
+        floating point, as each of their operations is."""
+        if not (math.isfinite(d_min_mm) and math.isfinite(d_max_mm)):
+            raise InvalidPlantError(f"distance range [{d_min_mm}, {d_max_mm}] mm is not finite")
         for d in (d_min_mm, d_max_mm):
             if self.slope_at(d) <= 0:
                 raise InvalidPlantError(
@@ -194,14 +199,10 @@ class EcapPlantParams:
 
 
 def ecap_true(amplitude_mA: float, distance_mm: float, p: EcapPlantParams) -> float:
-    """Noise-free evoked-response amplitude in µV for the given drive."""
-    k = p.slope_at(distance_mm)
-    if k <= 0:
-        raise InvalidPlantError(
-            f"recruitment slope is nonpositive at distance {distance_mm} mm"
-        )
+    """Noise-free evoked-response amplitude in µV for the given drive; the slope
+    is positive over a run's distances (``validate_over_range``)."""
     drive = amplitude_mA - p.threshold_at(distance_mm)
-    return k * (drive if drive > 0.0 else 0.0)
+    return p.slope_at(distance_mm) * (drive if drive > 0.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +306,9 @@ def distance_profile(track: DisturbanceTrack, base_mm: float, n_ticks: int) -> n
     """Electrode-to-cord distance at each tick of a run: base plus active contributions."""
     ticks = np.arange(n_ticks)
     d = np.full(n_ticks, base_mm, dtype=float)
-    for seg in track.with_effect("distance"):
-        seg.add_offset(d, ticks)
+    with np.errstate(over="ignore", invalid="ignore"):   # validate_over_range rejects inf, NaN
+        for seg in track.with_effect("distance"):
+            seg.add_offset(d, ticks)
     return d
 
 

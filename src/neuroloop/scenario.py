@@ -11,7 +11,8 @@ runs its own checks. One reader,
 table below): a key the file omits keeps the dataclass default, a field
 without a default is required, any other key (but the top-level free-text
 ``_comment``) is an error, and each value must have the field's JSON type:
-a number field takes a finite JSON number (an integer field a JSON integer).
+a number field takes a finite JSON number (an integer field a JSON integer),
+a string field (``name`` too) a JSON string.
 
 ``validate_scenario`` is the only code that builds a ``Scenario``. It runs
 the design checklist: every finding is tagged with the checklist item it
@@ -122,14 +123,18 @@ class EcapPlantSpec(PlantSpec):
                 f"features.estimator must be 'identity', got {f['estimator']!r}")
         return spec
 
+    def distances(self, n_ticks: int):
+        """The distance at each tick, checked by ``validate_over_range``."""
+        d = distance_profile(self.track, self.base_distance_mm, n_ticks)
+        self.params.validate_over_range(float(d.min()), float(d.max()))
+        return d
+
     def check(self, s: "Scenario", found) -> None:
         # Operating region. The growth law must stay physical over the whole
         # distance trajectory (for any policy), and a setpoint target must be
         # reachable inside the actuation limits.
-        d = distance_profile(self.track, self.base_distance_mm, s.timebase.n_ticks)
-        worst = float(d.max())
         try:
-            self.params.validate_over_range(float(d.min()), worst)
+            worst = float(self.distances(s.timebase.n_ticks).max())
         except SimulationError as e:
             found(CHECKLIST_MENTAL_MODEL, str(e))
             return
@@ -239,7 +244,7 @@ class IeegPlantSpec(_FramedPlant):
             _known(_object(t, "detection tool"), "detection tool",
                    ("feature", "threshold", "half_wave"))
             th = _object(t.get("threshold", {}), "detection tool threshold")
-            feature, hw = str(t["feature"]), None
+            feature, hw = _object(t["feature"], "detection tool feature", str), None
             if feature in FEATURES and FEATURES[feature].needs_half_wave:
                 hw = _read(HALF_WAVE, _require(t, "half_wave", f"{feature} tool"), "half_wave")
             tools.append(_read(TOOL, th, "detection tool threshold", feature=feature, half_wave=hw))
@@ -324,7 +329,8 @@ def _require(raw: dict, key: str, where: str):
     return raw[key]
 
 
-_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", bool: "true or false"}
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", bool: "true or false",
+               str: "a JSON string"}
 
 
 def _object(value, where: str, kind: type = dict):
@@ -373,12 +379,12 @@ def _range(value) -> tuple:
 
 # Converter for each field annotation a key may name (annotations are strings
 # under postponed evaluation). A number must be a JSON number (an int a JSON
-# integer), a bool a JSON boolean and a tuple a JSON array. The one dict
+# integer), a bool, str or tuple a JSON boolean, string or array. The one dict
 # field is the device's impedance map, and the one optional tuple the metrics
 # range. A plan (a tuple, added with the schema below) reads a nested object.
 _CONVERT = {"float": _finite, "int": _int, "bool": lambda v: _object(v, "value", bool),
-            "str": str, "tuple": lambda v: tuple(_object(v, "value", list)),
-            "Optional[tuple]": _range,
+            "str": lambda v: _object(v, "value", str),
+            "tuple": lambda v: tuple(_object(v, "value", list)), "Optional[tuple]": _range,
             "dict": lambda m: {str(k): _finite(v) for k, v in
                                _object(m, "plant.device.impedance_ohm").items()}}
 
@@ -630,6 +636,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
         )
 
     attempt(CHECKLIST_VALIDATION, lambda: _known(raw, "scenario", TOP_LEVEL_KEYS))
+    name = attempt(CHECKLIST_VALIDATION, lambda: _object(raw.get("name", "unnamed"), "name", str))
     # Free text, but scenario.json must hold it as JSON: no NaN or Infinity.
     attempt(CHECKLIST_VALIDATION, lambda: json.dumps(raw.get("_comment"), allow_nan=False))
     timebase = attempt(CHECKLIST_VALIDATION, lambda: _read_section(raw, "timebase", TIMEBASE))
@@ -653,7 +660,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
         return ValidationReport(ok=False, findings=tuple(findings))
 
     s = Scenario(
-        name=str(raw.get("name", "unnamed")),
+        name=name,
         timebase=timebase,
         seed=seed,
         baseline_dose=baseline,

@@ -25,7 +25,6 @@ from neuroloop.core import (
     DomainError,
     Dose,
     InvalidPlantError,
-    SimulationError,
 )
 from neuroloop.engine import (
     NO_READING,
@@ -145,7 +144,7 @@ def failing_on_call(fn, call: int):
     return wrapper
 
 
-@pytest.mark.parametrize("stage", ["seizure_step", "clamp_and_slew"])
+@pytest.mark.parametrize("stage", ["device_step", "clamp_and_slew"])
 def test_per_lane_fault_aborts_only_its_lane(monkeypatch, stage):
     # Budget: 2 s per stage. Both stages run once per lane per tick, lane by
     # lane, so call tick * width + lane is that lane's call at that tick.
@@ -161,9 +160,11 @@ def test_per_lane_fault_aborts_only_its_lane(monkeypatch, stage):
         assert texts(r) == texts(run_scenario(r.scenario)), i
 
 
-def test_batched_fault_aborts_every_framed_lane(monkeypatch):
-    # Budget: 2 s. Lanes already in a reset mode take no frame and run on.
-    # The tick starts a noise block, whose frame call covers every framed lane.
+@pytest.mark.parametrize("run", [partial(sweep, n_seeds=6), run_scenario],
+                         ids=["sweep", "run_scenario"])
+def test_sensing_error_propagates(monkeypatch, run):
+    # Budget: 1 s. A sensing stage raises nothing for a built scenario, so an
+    # error it does raise is a programming error: no lane turns it into RUN_FAULT.
     tick = 2 * engine.NOISE_CHUNK
     original = engine.ieeg_frame
 
@@ -173,12 +174,8 @@ def test_batched_fault_aborts_every_framed_lane(monkeypatch):
         return original(seizing, cfg, noise, t)
 
     monkeypatch.setattr(engine, "ieeg_frame", failing)
-    batch = assert_lanes_match_serial(ieeg_scenario(), 6)
-    for r in batch:
-        in_reset = reset_tick(r) is not None and reset_tick(r) < tick
-        assert r.aborted != in_reset
-        assert r.n_ticks == (r.scenario.timebase.n_ticks if in_reset else tick)
-    assert any(r.aborted for r in batch) and not all(r.aborted for r in batch)
+    with pytest.raises(DomainError, match="synthetic shared-configuration failure"):
+        run(ieeg_scenario())
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -296,16 +293,11 @@ class PerTickIeegSensing(IeegSensing):
 
     def sense(self, t, lanes):
         readings = [NO_READING] * len(lanes)
-        for j, lane in enumerate(lanes):
+        for lane in lanes:
             i = lane.index
-            try:
-                self.seizures[i], self.seizing[i, t] = seizure_step(
-                    self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s,
-                    self.plant_rngs[i],
-                )
-            except SimulationError as e:
-                lane.fault(t, e)
-                readings[j] = None
+            self.seizures[i], self.seizing[i, t] = seizure_step(
+                self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s, self.plant_rngs[i],
+            )
         framed = _framed(lanes)
         if framed:
             idx = np.array([lanes[j].index for j in framed])

@@ -89,8 +89,28 @@ NON_FINITE_METRICS = [
     {"policy": {"target_uV": -1e308}},
 ]
 
+# Each of these once validated with a distance profile that is not finite: NaN
+# where opposite overflowing coughs meet, and inf past the largest float. The
+# first then faulted at the posture step, the second read NaN flagged OK.
+NON_FINITE_DISTANCES = [
+    ("ecap_scs", {"plant": {"ecap": {"slope_distance_coeff_per_mm": -0.2}, "disturbances": [
+        {"kind": "CoughTransient", "start_tick": 100, "delta_mm": 1e308, "rise_ticks": 10,
+         "fall_ticks": 10},
+        {"kind": "CoughTransient", "start_tick": 100, "delta_mm": -1e308, "rise_ticks": 10,
+         "fall_ticks": 10},
+        {"kind": "PostureStep", "start_tick": 750, "delta_mm": 6.0}]}}),
+    ("ecap_scs", with_first("ecap_scs", "plant", "disturbances", delta_mm=1e308)),
+]
+# Each of these once validated and then made run exit 3 as scenario.json
+# refused the NaN that a string field held (it was read with str()).
+NON_STRINGS = [
+    ("ecap_scs", {"name": math.nan}),
+    ("ecap_scs", {"baseline_dose": {"contact_set": math.nan},
+                  "plant": {"device": {"impedance_ohm": {"nan": 500.0}}}}),
+]
 
-MUTATIONS = LIMITS_BETWEEN_STEPS + [
+
+MUTATIONS = LIMITS_BETWEEN_STEPS + NON_FINITE_DISTANCES + NON_STRINGS + [
     (name, with_disturbance(name, d)) for name, _, d in UNMODELLED
 ] + [
     ("ecap_scs", {"limits": {"amp_min_mA": 4, "max_charge_per_pulse_uC": 0.7}}),
@@ -478,11 +498,14 @@ class TestReplay:
         assert "replay error" in capsys.readouterr().err
 
 
-    # Each of these once made replay exit 1 with a traceback from the CSV scan.
+    # Each of these once made replay exit 1 with a traceback from the CSV scan;
+    # the scan reads each tick's pulse width off the mode column.
     CSV_EDITS = {
         "non-numeric-cell": lambda rows, col: rows[1].__setitem__(col, "abc"),
         "no-delivered-header": lambda rows, col: rows[0].__setitem__(col, "delivered"),
         "short-row": lambda rows, col: rows.__setitem__(5, rows[5][:col]),
+        "unknown-mode": lambda rows, col: rows[3].__setitem__(col + 1, "Autonomous"),
+        "no-mode-header": lambda rows, col: rows[0].__setitem__(col + 1, "mode"),
     }
 
     @pytest.mark.parametrize("edit", CSV_EDITS.values(), ids=CSV_EDITS.keys())
@@ -516,6 +539,18 @@ class TestReplay:
         violations = json.loads(capsys.readouterr().out)["violations"]
         assert violations[0][:2] == [0, "slew_exceeded"]
 
+    def test_cut_timeseries_exit_3(self, ecap_file, tmp_path, capsys):
+        # A scan that paired the fresh run's modes with a cut file's rows exited 1.
+        out = tmp_path / "r"
+        assert main(["run", str(ecap_file), "--out", str(out)]) == EXIT_OK
+        ts = out / "timeseries.csv"
+        ts.write_text("".join(ts.read_text().splitlines(keepends=True)[:101]))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_FAULT
+        report = json.loads(capsys.readouterr().out)
+        assert report["files_matched"]["timeseries.csv"] is False
+        assert report["safety_scan_ok"] is True
+
     def test_timeseries_not_utf8_exit_3(self, ecap_file, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["run", str(ecap_file), "--out", str(out)]) == EXIT_OK
@@ -532,6 +567,45 @@ class TestReplay:
         stored.write_bytes(b"\xff\xfe" + stored.read_bytes())
         assert main(["replay", str(out)]) == EXIT_FAULT
         assert "replay error" in capsys.readouterr().err
+
+
+class TestChargeScanWidths:
+    """The limit scan checks each tick's charge at the pulse width of the dose its
+    supervisor mode delivers, not at the widest configured one."""
+
+    # A 200 µs fallback dose beside the 60 µs baseline: the widest width once
+    # flagged 0.51 µC at Automated ticks, which deliver 60 µs pulses.
+    WIDE_FALLBACK = {"fallback": {"dose": {"pulse_width_us": 200.0, "amplitude_mA": 2.0}}}
+
+    def scenario_file(self, tmp_path, **edits) -> str:
+        path = tmp_path / "scenario.json"
+        raw = deep_merge(reference_raw("adbs_parkinsons"), self.WIDE_FALLBACK)
+        path.write_text(json.dumps(deep_merge(raw, edits)))
+        return str(path)
+
+    def test_wide_fallback_dose_runs_replays_and_sweeps(self, tmp_path):
+        path = self.scenario_file(tmp_path)
+        assert main(["validate", path]) == EXIT_OK
+        assert main(["run", path, "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert main(["replay", str(tmp_path / "r")]) == EXIT_OK
+        assert main(["sweep", path, "--seeds", "2", "--out", str(tmp_path / "s")]) == EXIT_OK
+
+    def test_over_charge_at_the_narrow_width_is_flagged(self, tmp_path, capsys):
+        # At 0.2 µC, 60 µs pulses carry at most 3.33 mA: 3.4 mA at tick 1 is over.
+        path = self.scenario_file(tmp_path, limits={"max_charge_per_pulse_uC": 0.2})
+        out = tmp_path / "r"
+        assert main(["run", path, "--out", str(out)]) == EXIT_OK
+        ts = out / "timeseries.csv"
+        rows = [line.split(",") for line in ts.read_text().splitlines()]
+        col = rows[0].index("delivered_mA")
+        assert rows[2][col + 1] == "Automated"
+        rows[2][col] = "3.4"
+        ts.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_FAULT
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [v[:2] for v in violations] == [[1, "charge_exceeded"]]
+        assert violations[0][2] == pytest.approx(3.4 * 60e-3)
 
 
 class TestSeedChecks:

@@ -22,7 +22,6 @@ from neuroloop.features import (
     FEATURES,
     KERNEL_MIN_ROWS,
     THRESHOLD_MODES,
-    ConfigurationError,
     Detector,
     DomainError,
     HalfWaveConfig,
@@ -372,10 +371,6 @@ class TestDetect:
 
     def test_and_all_true(self):
         assert detect([True, True, True], "AND") is True
-
-    def test_empty(self):
-        with pytest.raises(ConfigurationError):
-            detect([], "OR")
 
     def test_monotone_in_flags(self):
         rng = np.random.default_rng(107)

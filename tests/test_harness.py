@@ -10,6 +10,7 @@ from neuroloop.engine import compare_modes, fixed_arm_scenario, run_scenario, sw
 from neuroloop.core import InvalidPlantError
 from neuroloop.features import Detector, line_length
 from neuroloop.metrics import (
+    pulse_widths_us,
     scan_delivered_series,
     scan_timeseries_csv,
     step_response_metrics,
@@ -526,7 +527,7 @@ class TestSupervisedRuns:
         def explode(*a, **kw):
             raise InvalidPlantError("synthetic plant failure")
 
-        monkeypatch.setattr(engine_mod, "ecap_true", explode)
+        monkeypatch.setattr(engine_mod, "clamp_and_slew", explode)
         r = run_scenario(scenario_from_dict(ecap_raw()))
         assert r.aborted
         assert any(e.code == "RUN_FAULT" and e.severity == "Fault" for e in r.events)
@@ -686,16 +687,35 @@ class TestSafetyScan:
         assert not scan.ok
         assert [v[:2] for v in scan.violations] == [(1, "amp_not_a_number")]
 
+    @pytest.mark.parametrize("fallback, width", [
+        ({"kind": "Off"}, 200.0),
+        ({"kind": "FixedSafe", "dose": {**ecap_raw()["baseline_dose"], "pulse_width_us": 100.0}},
+         100.0),
+        ({"kind": "ManualLoop", "dose": {**ecap_raw()["baseline_dose"], "pulse_width_us": 100.0}},
+         100.0),
+        ({"kind": "LastKnownGood"}, 300.0),
+    ], ids=lambda v: v["kind"] if isinstance(v, dict) else None)
+    def test_each_ticks_width_follows_its_mode(self, fallback, width):
+        # Automated delivers the policy's 300 µs dose; magnet and reset ticks hold
+        # the previous tick's width, the 200 µs baseline's before the first.
+        raw = ecap_raw(fallback=fallback)
+        raw["policy"] = {"kind": "ManualFixed",
+                         "dose": {**raw["baseline_dose"], "pulse_width_us": 300.0}}
+        modes = ["SuspendedMagnet", "Automated", "Fallback", "SuspendedMagnet", "EosReset"]
+        widths = pulse_widths_us(scenario_from_dict(raw), modes)
+        assert widths == [200.0, 300.0, width, width, width]
+        with pytest.raises(KeyError):
+            pulse_widths_us(scenario_from_dict(raw), ["Autonomous"])
+
     def test_csv_scan_matches_series_scan(self, tmp_path):
         raw = ecap_raw()
         scenario = scenario_from_dict(raw)
         r = run_scenario(scenario)
         outdir = write_run(r, tmp_path / "scan")
-        scan = scan_timeseries_csv(
-            outdir / "timeseries.csv", scenario.limits,
-            scenario.baseline_dose.pulse_width_us,
-        )
+        scan = scan_timeseries_csv(outdir / "timeseries.csv", scenario)
         assert scan.ok
+        assert scan == scan_delivered_series(r.delivered_mA, scenario.limits,
+                                             pulse_widths_us(scenario, r.mode))
 
 
 class TestSweep:

@@ -39,9 +39,9 @@ SHORT_TICKS = 40
 # list elements, and the free text (name, comments).
 OPTIONAL_PATHS = {"ecap_scs": 37, "adbs_parkinsons": 34, "rns_epilepsy": 44}
 FINDINGS_SHA256 = {
-    "ecap_scs": "fa60819cd369b0d97091bbe620a701d6f57c425bb437d6e5487e190dd3f0c306",
-    "adbs_parkinsons": "55d0827a38bc69c0407c752dff534baa11ac8b13b7bbd4bc607c7d0f3257a6fb",
-    "rns_epilepsy": "fe465be962c4129a9654ccabb25a6e551bd1e7325306ecba0623cac91be809f1",
+    "ecap_scs": "a484d24d6598f3d0b88735685c8fed58df4250997816623cc1ca5dc56580db86",
+    "adbs_parkinsons": "3a8c57a90022cb2cb1da57de372c78a4e1036e31a8fb03a3b7f7a98b2e45b140",
+    "rns_epilepsy": "e2ddd1cba3e06f9f32bd48745eb4647ca923698c4e0aac6a8b31424e029b2195",
 }
 
 
