@@ -19,7 +19,6 @@ stored scenario.json is unreadable or invalid.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -138,7 +137,7 @@ def cmd_replay(args) -> int:
     except (OSError, SimulationError) as e:
         print(f"replay error: {e}", file=sys.stderr)
         return EXIT_FAULT
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    sys.stdout.write(json_text(report.to_dict()))
     return EXIT_OK if report.ok else EXIT_FAULT
 
 

@@ -45,12 +45,12 @@ scenario's policy config, whose ``step`` holds the previous command on any
 tick whose measurement quality is not OK. The supervisor separately decides
 whether enough has gone wrong to leave Automated mode altogether.
 
-Aborts: a lane aborts only when one of ``_Lane.step``'s own stages raises a
-``SimulationError`` (a device impedance ramped to zero, say), with a RUN_FAULT
-event at that tick and outputs truncated before it, as a run of its seed
-alone would. Sensing raises none for a built scenario, whose construction
-checks exclude each of its raises, so an error it does raise, like any other
-exception, is a programming error and propagates.
+Aborts: a ``Scenario`` exists only when validation found nothing, and its
+findings exclude every ``SimulationError`` a run reaches but a device impedance
+ramped to zero (the run ledger, ``tests/test_run_ledger.py``, says why for
+each). A ``SimulationError`` from a stage of ``_Lane.step`` aborts its lane with
+a RUN_FAULT event at that tick and outputs truncated before it, as a run of its
+seed alone would; any other exception, or one from sensing, propagates.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ from .plant import (
     actuator_apply,
     beta_lfp_frame,
     device_step,
+    distance_profile,
     ecap_true,
     ieeg_frame,
     seizure_step,
@@ -377,8 +378,8 @@ class _Sensing:
     (measured, quality, detection, threshold), that is the biomarker or None
     when no measurement was taken (always None in a reset mode), its quality
     flags, the combined detection flag, and the detection threshold or None.
-    It aborts no lane: the checks that build a scenario exclude every error
-    its stages can raise, so one that does raise propagates.
+    It aborts no lane: a scenario's findings exclude every error its stages
+    can raise, so one that does raise propagates.
     """
 
     distance_mm: Optional[np.ndarray] = None   # (n_ticks,) column shared by all lanes
@@ -405,7 +406,8 @@ class EcapSensing(_Sensing):
         self.saturation_uV = scenario.device.amplifier_saturation_uV
         self.noise = [_DrawsAhead(partial(lane_rngs[2].normal, 0.0, self.noise_sd))
                       for lane_rngs in rngs]   # sensor noise, from each lane's third stream
-        self.distance_mm = plant.distances(scenario.timebase.n_ticks)
+        self.distance_mm = distance_profile(plant.track, plant.base_distance_mm,
+                                            scenario.timebase.n_ticks)
 
     def sense(self, t: int, lanes: list) -> list:
         distance = float(self.distance_mm[t])

@@ -406,10 +406,10 @@ def ecap_range_check(
     """Range checks for an amplitude-level evoked-potential estimate.
 
     Used when the simulation runs at amplitude level and the estimator is
-    the identity: negative or zero estimates are physiologically impossible,
-    estimates beyond the amplifier ceiling are saturated.
+    the identity: negative, zero or NaN estimates are physiologically
+    impossible, estimates beyond the amplifier ceiling are saturated.
     """
-    return estimate, _RANGE_VERDICTS[2 * (estimate <= 0.0) + (estimate >= saturation_uV)]
+    return estimate, _RANGE_VERDICTS[2 * (not estimate > 0.0) + (estimate >= saturation_uV)]
 
 
 @dataclass(frozen=True)

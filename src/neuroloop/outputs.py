@@ -15,6 +15,7 @@ a stored scenario and compare files byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -84,28 +85,26 @@ def timeseries_csv_text(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def events_jsonl_text(result: RunResult) -> str:
-    out = []
-    for rec in result.events:
-        out.append(json.dumps(rec.to_dict(), sort_keys=True, separators=(",", ":")))
-    return "\n".join(out) + ("\n" if out else "")
-
-
-def fault_count(result: RunResult) -> int:
-    return sum(1 for r in result.events if r.severity == "Fault")
-
-
 class NonFiniteOutputError(SimulationError):
     """A JSON output document holds a number that is not finite, which JSON has no form for."""
 
 
-def json_text(doc: dict) -> str:
-    """The text of scenario.json, summary.json, comparison.json or aggregate.json; raises
-    NonFiniteOutputError where ``doc`` holds inf or NaN."""
+def json_text(doc, indent=2, separators=None) -> str:
+    """The text of scenario.json, summary.json, comparison.json, aggregate.json, the replay
+    report or one events.jsonl line; raises NonFiniteOutputError where ``doc`` holds inf or NaN."""
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=indent, separators=separators,
+                          allow_nan=False) + "\n"
     except ValueError as e:   # the one ValueError a tree of dicts, lists and scalars raises
         raise NonFiniteOutputError(str(e)) from None
+
+
+def events_jsonl_text(result: RunResult) -> str:
+    return "".join(json_text(rec.to_dict(), None, (",", ":")) for rec in result.events)
+
+
+def fault_count(result: RunResult) -> int:
+    return sum(1 for r in result.events if r.severity == "Fault")
 
 
 def summary_json_text(result: RunResult) -> str:
@@ -153,13 +152,14 @@ class ReplayReport:
     safety_scan: Optional[SafetyScanResult]
 
     def to_dict(self) -> dict:
+        """The report as JSON values: a detail that is not finite is its string ("nan")."""
         return {
             "ok": self.ok,
             "files_matched": dict(self.files_matched),
             "safety_scan_ok": None if self.safety_scan is None else self.safety_scan.ok,
-            "violations": (
-                [] if self.safety_scan is None else list(self.safety_scan.violations)
-            ),
+            "violations": [] if self.safety_scan is None else [
+                (tick, kind, detail if isinstance(detail, str) or math.isfinite(detail)
+                 else str(detail)) for tick, kind, detail in self.safety_scan.violations],
         }
 
 

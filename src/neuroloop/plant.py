@@ -188,11 +188,12 @@ class EcapPlantParams:
         if not (math.isfinite(d_min_mm) and math.isfinite(d_max_mm)):
             raise InvalidPlantError(f"distance range [{d_min_mm}, {d_max_mm}] mm is not finite")
         for d in (d_min_mm, d_max_mm):
-            if self.slope_at(d) <= 0:
+            # Written so that NaN (0 * inf where d - distance_ref_mm overflows) fails.
+            if not self.slope_at(d) > 0:
                 raise InvalidPlantError(
                     f"recruitment slope is nonpositive at distance {d} mm"
                 )
-            if self.threshold_at(d) < 0:
+            if not self.threshold_at(d) >= 0:
                 raise InvalidPlantError(
                     f"activation threshold is negative at distance {d} mm"
                 )
@@ -656,15 +657,6 @@ class DeviceState:
         """The most current the output stage drives across ``z_ohm``, in whole steps."""
         return _floor_to_step(self.compliance_v / z_ohm * 1000.0, self.amp_step_mA)
 
-    def impedance_of(self, contact_set: str) -> float:
-        try:
-            return self.impedance_ohm_per_contact[contact_set]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown contact set {contact_set!r}; device knows "
-                f"{sorted(self.impedance_ohm_per_contact)}"
-            ) from None
-
 
 def _floor_to_step(x: float, step: float) -> float:
     """``x`` floored to whole multiples of ``step``, tolerating 9-digit noise.
@@ -696,14 +688,12 @@ def actuator_apply(amplitude_mA: float, template: Dose, dev: DeviceState) -> flo
 
     Amplitude is quantized down to the output resolution, then capped at the
     compliance-limited current for the active contact (the cap itself is a
-    whole number of steps, which makes the operation idempotent).
-
-    Raises:
-        ConfigurationError: unknown contact set.
+    whole number of steps, which makes the operation idempotent). Validation
+    keeps every dose to a contact set the device has.
     """
     cap = dev._caps.get(template.contact_set)
     if cap is None:
-        z = dev.impedance_of(template.contact_set)
+        z = dev.impedance_ohm_per_contact[template.contact_set]
         cap = dev._caps[template.contact_set] = dev.compliance_cap(z)
     amp = _floor_to_step(amplitude_mA, dev.amp_step_mA)
     amp = cap if cap < amp else amp

@@ -186,7 +186,8 @@ def failed_device_checks(cfg: TrustConfig, device: DeviceState, contact_set: str
     failed = 0
     if device.battery_v < device.eos_threshold_v:
         failed |= _BATTERY_BIT
-    if not cfg.impedance_min_ohm <= device.impedance_of(contact_set) <= cfg.impedance_max_ohm:
+    z = device.impedance_ohm_per_contact[contact_set]   # validation keeps contact_set known
+    if not cfg.impedance_min_ohm <= z <= cfg.impedance_max_ohm:
         failed |= _IMPEDANCE_BIT
     if device.dc_leak_flag:
         failed |= _DC_LEAK_BIT
@@ -326,14 +327,11 @@ def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
             to = MODE_FALLBACK
             _mode_event(log, tick, to, SEVERITY_ALERT,
                         {"kind": type(fallback).__name__, "fail_streak": fail_streak})
-    elif mode == MODE_FALLBACK:
-        if pass_streak >= trust.reenter_after_consecutive_passes:
-            to = MODE_AUTOMATED
-            log.append(EventRecord(tick, SEVERITY_INFO, EVENT_TRUST_REENTER,
-                                   {"pass_streak": pass_streak}))
-            _mode_event(log, tick, to, SEVERITY_ALERT, {"from": MODE_FALLBACK})
-    else:
-        raise ConfigurationError(f"unknown supervisor mode {mode!r}")
+    elif pass_streak >= trust.reenter_after_consecutive_passes:   # in Fallback
+        to = MODE_AUTOMATED
+        log.append(EventRecord(tick, SEVERITY_INFO, EVENT_TRUST_REENTER,
+                               {"pass_streak": pass_streak}))
+        _mode_event(log, tick, to, SEVERITY_ALERT, {"from": MODE_FALLBACK})
 
     # Every transition records this tick's magnet and DC-leak edges. Staying
     # changes only those, and when they do not change the state is returned

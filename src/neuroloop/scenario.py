@@ -18,10 +18,10 @@ a string field (``name`` too) a JSON string.
 the design checklist: every finding is tagged with the checklist item it
 violates (variables identified, limits present and ordered, fallback defined
 with entrance/exit criteria, monitoring enabled, operating region reachable).
-Its report carries the scenario whenever the schema matches and every
-section builds; cross-check findings make ``ok`` false but keep the scenario.
-An ``ok`` scenario runs without configuration errors. A derived scenario
-(another seed, a comparison's fixed arm) is an edit of ``raw``, rebuilt.
+Its report carries the scenario only when there is no finding, so every
+``Scenario`` has passed the whole checklist and runs without configuration
+errors. A derived scenario (another seed, a comparison's fixed arm) is an
+edit of ``raw``, rebuilt and checked again.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .core import (
     SimulationError,
     TimeBase,
     charge_per_pulse,
+    charge_per_tick,
 )
 from .control import (
     BangBangResponsive,
@@ -123,18 +124,14 @@ class EcapPlantSpec(PlantSpec):
                 f"features.estimator must be 'identity', got {f['estimator']!r}")
         return spec
 
-    def distances(self, n_ticks: int):
-        """The distance at each tick, checked by ``validate_over_range``."""
-        d = distance_profile(self.track, self.base_distance_mm, n_ticks)
-        self.params.validate_over_range(float(d.min()), float(d.max()))
-        return d
-
     def check(self, s: "Scenario", found) -> None:
         # Operating region. The growth law must stay physical over the whole
         # distance trajectory (for any policy), and a setpoint target must be
         # reachable inside the actuation limits.
+        d = distance_profile(self.track, self.base_distance_mm, s.timebase.n_ticks)
+        worst = float(d.max())
         try:
-            worst = float(self.distances(s.timebase.n_ticks).max())
+            self.params.validate_over_range(float(d.min()), worst)
         except SimulationError as e:
             found(CHECKLIST_MENTAL_MODEL, str(e))
             return
@@ -550,8 +547,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     """Build a typed Scenario from a parsed JSON object.
 
     This is ``validate_scenario``'s build: it returns the report's scenario,
-    which checklist cross-check findings do not withhold, and raises
-    ConfigurationError listing the findings when a section does not build.
+    and raises ConfigurationError listing every finding when there is one.
     """
     report = validate_scenario(raw)
     if report.scenario is None:
@@ -598,11 +594,14 @@ class Finding:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Checklist findings, plus the scenario when every section built."""
+    """Checklist findings, or the scenario when there are none."""
 
-    ok: bool
     findings: tuple
     scenario: Optional[Scenario] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.scenario is not None
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "findings": [asdict(f) for f in self.findings]}
@@ -613,9 +612,9 @@ def validate_scenario(raw: dict) -> ValidationReport:
 
     Returns a report whose findings are each tagged with the checklist item
     they violate. When the schema matches and every section builds, the
-    report carries the built scenario and the checklist's cross-checks run
-    on it. A report that is ``ok`` has a scenario that runs without
-    configuration errors.
+    checklist's cross-checks run on the built scenario, which the report
+    carries only when they find nothing: then it is ``ok``, and the scenario
+    runs without configuration errors.
     """
     findings: list[Finding] = []
 
@@ -657,7 +656,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
     metrics_cfg = attempt(CHECKLIST_VALIDATION, lambda: _read(
         METRICS, raw.get("metrics", {}), "metrics"))
     if findings:
-        return ValidationReport(ok=False, findings=tuple(findings))
+        return ValidationReport(tuple(findings))
 
     s = Scenario(
         name=name,
@@ -698,7 +697,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
 
     # Baseline and fallback doses are delivered as configured, so they must
     # lie inside the actuation limits (policy commands are clamped). Every
-    # dose must name a contact the device has, or the actuator faults.
+    # dose must name a contact the device has an impedance for.
     for role, d in s.doses.items():
         if role != "policy" and not limits.amp_min_mA <= d.amplitude_mA <= limits.amp_max_mA:
             found(
@@ -736,6 +735,12 @@ def validate_scenario(raw: dict) -> ValidationReport:
 
     # Each tick adds teed_rate(delivered) * dt_s to the energy total, delivering at most amp_max
     # or, while the impedance only grows, the compliance cap; summary.json needs a finite total.
+    # Each tick also takes drain_v_per_uC times its charge off the battery, which never charges;
+    # an end-of-service event reports a battery voltage that events.jsonl must hold as a number.
+    drain = device.drain_v_per_uC
+    if drain < 0:
+        found(CHECKLIST_DEVICE_STATE, f"drain_v_per_uC {drain} is negative: the battery never "
+                                      "charges")
     for role, d in s.doses.items():
         amp = limits.amp_max_mA
         z = device.impedance_ohm_per_contact.get(d.contact_set)
@@ -744,7 +749,11 @@ def validate_scenario(raw: dict) -> ValidationReport:
         if not math.isfinite(amp * amp * d.pulse_width_us * d.frequency_hz
                              * timebase.dt_s * timebase.n_ticks):
             found(CHECKLIST_LIMITS, f"{role} dose: the energy total at {amp} mA is not finite")
+        elif drain >= 0 and not math.isfinite(device.battery_v - drain * charge_per_tick(
+                amp, d, timebase.dt_s) * timebase.n_ticks):
+            found(CHECKLIST_DEVICE_STATE, f"{role} dose: the battery drain at {amp} mA over "
+                                          "the run is not finite")
 
     plant.check(s, found)
 
-    return ValidationReport(ok=not findings, findings=tuple(findings), scenario=s)
+    return ValidationReport(tuple(findings), None if findings else s)

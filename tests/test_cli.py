@@ -110,9 +110,20 @@ NON_STRINGS = [
 ]
 
 
-MUTATIONS = LIMITS_BETWEEN_STEPS + NON_FINITE_DISTANCES + NON_STRINGS + [
+# Each of these once validated and ran. A posture step 1e308 mm away from a
+# reference distance of -1e308 mm made the recruitment slope 0 * inf = NaN,
+# read as blank biomarkers flagged OK. A negative battery drain charged the
+# battery, and an overflowing one wrote "battery_v":-Infinity into events.jsonl.
+NAN_SLOPE = [("ecap_scs", {"plant": {"ecap": {"distance_ref_mm": -1e308}, "disturbances": [
+    {**d, "delta_mm": 1e308} if d["kind"] == "PostureStep" else d
+    for d in reference_raw("ecap_scs")["plant"]["disturbances"]]}})]
+BATTERY_DRAINS = [("rns_epilepsy", {"plant": {"device": {"drain_v_per_uC": drain}}})
+                  for drain in (1e308, -1.0, -1e308)]
+
+
+MUTATIONS = LIMITS_BETWEEN_STEPS + NON_FINITE_DISTANCES + NON_STRINGS + NAN_SLOPE + [
     (name, with_disturbance(name, d)) for name, _, d in UNMODELLED
-] + [
+] + BATTERY_DRAINS + [
     ("ecap_scs", {"limits": {"amp_min_mA": 4, "max_charge_per_pulse_uC": 0.7}}),
     ("ecap_scs", {"limits": {"amp_min_mA": 4}, "plant": {"device": {"compliance_v": 1.5}}}),
     ("ecap_scs", {"limits": {"amp_min_mA": 4},
@@ -262,8 +273,8 @@ class TestValidate:
 
 
 class TestNonFiniteOutput:
-    """summary.json, comparison.json and aggregate.json are written by one JSON
-    writer, which refuses a number that is not finite: exit 3, one line."""
+    """summary.json, comparison.json, aggregate.json and events.jsonl are written
+    by one JSON writer, which refuses a number that is not finite: exit 3, one line."""
 
     ERR = "output error: Out of range float values are not JSON compliant: inf\n"
 
@@ -297,6 +308,20 @@ class TestNonFiniteOutput:
             assert main(self.argv("compare", path, tmp_path / "c")) == EXIT_FAULT
         assert capsys.readouterr().err == self.ERR
         assert not (tmp_path / "c" / "comparison.json").exists()
+
+    def test_events_jsonl_holds_no_infinity(self, tmp_path, capsys):
+        # A gain of 1e308 on a 3 µV target overflows the first command, which a
+        # slew event reports: events.jsonl once held "requested_mA":Infinity, with exit 0.
+        edit = {"policy": {"gain_mA_per_uV": 1e308, "target_uV": 3.0},
+                "limits": {"amp_max_mA": 20.0}}
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(deep_merge(reference_raw("ecap_scs"), edit)))
+        out = tmp_path / "o"
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(self.argv("run", path, out)) == EXIT_FAULT
+        err = capsys.readouterr().err   # json's C encoder may leave out the value
+        assert err.startswith(self.ERR[:-len(": inf\n")]) and len(err.splitlines()) == 1
+        assert not (out / "events.jsonl").exists()
 
     @pytest.mark.parametrize("command, stage, spoil", [
         ("run", "run_scenario",
@@ -522,6 +547,25 @@ class TestReplay:
         assert report["files_matched"]["timeseries.csv"] is False
         assert report["safety_scan_ok"] is False
         assert [v[1] for v in report["violations"]] == ["unreadable"]
+
+    def test_report_of_non_finite_cells_is_strict_json(self, ecap_file, tmp_path, capsys):
+        # The report once printed the details of these cells as NaN and Infinity.
+        out = tmp_path / "r"
+        assert main(["run", str(ecap_file), "--out", str(out)]) == EXIT_OK
+        ts = out / "timeseries.csv"
+        rows = [line.split(",") for line in ts.read_text().splitlines()]
+        col = rows[0].index("delivered_mA")
+        rows[1][col], rows[3][col] = "nan", "inf"
+        ts.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_FAULT
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        violations = json.loads(capsys.readouterr().out, parse_constant=reject)["violations"]
+        assert [0, "amp_not_a_number", "nan"] in violations
+        assert [2, "amp_above_max", "inf"] in violations
 
     def test_tick_zero_slew_is_scanned(self, tmp_path, capsys):
         # The scan once compared tick 0 with itself, not with the initial delivered amplitude.

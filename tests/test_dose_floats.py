@@ -90,7 +90,7 @@ def floor_to_step(x, step):
 
 
 def actuator_apply_oracle(requested: Dose, dev: DeviceState) -> Dose:
-    z = dev.impedance_of(requested.contact_set)
+    z = dev.impedance_ohm_per_contact[requested.contact_set]
     cap = floor_to_step(dev.compliance_v / z * 1000.0, dev.amp_step_mA)
     quantized = floor_to_step(requested.amplitude_mA, dev.amp_step_mA)
     return with_amplitude(requested, min(quantized, cap))

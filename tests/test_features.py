@@ -391,6 +391,10 @@ class TestEcapAmplitude:
         assert est == -0.2
         assert QUALITY_IMPOSSIBLE in flags
 
+    def test_nan_estimate_flags_impossible(self):
+        # NaN fails every comparison, so it once passed as OK.
+        assert ecap_range_check(float("nan"), 1000.0)[1] == frozenset({QUALITY_IMPOSSIBLE})
+
 
 class TestSignalQuality:
     def test_all_samples_at_limit(self):

@@ -643,12 +643,12 @@ class TestOutputsAndReplay:
         assert report.files_matched[fname] is False
 
     def test_replay_skips_outputs_the_scenario_disables(self, tmp_path):
-        raw = ecap_raw(outputs={"timeseries": True, "events": False, "summary": True})
+        raw = ecap_raw(outputs={"timeseries": True, "events": True, "summary": False})
         outdir = write_run(run_scenario(scenario_from_dict(raw)), tmp_path / "run4")
-        assert not (outdir / "events.jsonl").exists()
+        assert not (outdir / "summary.json").exists()
         report = replay_run(outdir)
         assert report.ok, report.to_dict()
-        assert "events.jsonl" not in report.files_matched
+        assert "summary.json" not in report.files_matched
 
     def test_csv_schema(self, tmp_path):
         raw = ieeg_raw(timebase={"dt_s": 0.125, "duration_s": 5.0})

@@ -2,8 +2,9 @@
 
 Every JSON path of each shipped scenario (containers and list elements
 included) is set, one at a time, to each value in ``VALUES``, and is also
-deleted. Validation must return a report for every one of them, and whatever
-it passes must build and run: a 40-tick copy of each passing mutation runs
+deleted. Validation must return a report for every one of them, holding a
+scenario exactly when it has no finding, and whatever it passes must build
+and run: a 40-tick copy of each passing mutation runs
 without raising and without aborting, and renders the summary.json and
 events.jsonl that ``run`` writes. The deletions pin which keys are
 optional. Wrongly typed values, non-finite numbers and keys a section does
@@ -41,7 +42,7 @@ OPTIONAL_PATHS = {"ecap_scs": 37, "adbs_parkinsons": 34, "rns_epilepsy": 44}
 FINDINGS_SHA256 = {
     "ecap_scs": "a484d24d6598f3d0b88735685c8fed58df4250997816623cc1ca5dc56580db86",
     "adbs_parkinsons": "3a8c57a90022cb2cb1da57de372c78a4e1036e31a8fb03a3b7f7a98b2e45b140",
-    "rns_epilepsy": "e2ddd1cba3e06f9f32bd48745eb4647ca923698c4e0aac6a8b31424e029b2195",
+    "rns_epilepsy": "53513f0dba3c81ab18aab8928f001f06f3061fe938c457d679d50ab2949b86e7",
 }
 
 
@@ -117,11 +118,12 @@ def test_single_field_mutations(name):
             try:
                 report = validate_scenario(candidate)
                 digest.update(case_line(case, report).encode())
+                # A report holds a scenario exactly when it has no finding.
+                assert (report.scenario is None) == bool(report.findings), report.findings
                 if not report.ok:
                     continue
                 passed += 1
                 deletions_passed += value is DELETE
-                assert report.scenario is not None, "ok report without a scenario"
                 short = validate_scenario(short_copy(candidate))
                 assert short.ok, f"40-tick copy fails validation: {short.findings}"
                 result = run_scenario(short.scenario)

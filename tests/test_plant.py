@@ -534,8 +534,11 @@ class TestActuator:
             assert twice == once
 
     def test_unknown_contact(self):
-        with pytest.raises(ConfigurationError):
-            actuator_apply(1.0, Dose(1.0, 200.0, 50.0, "bogus"), self.DEV)
+        # The actuator reads the impedance map as it is: a dose on a contact
+        # the device does not have is a finding, so no scenario holds one.
+        raw = deep_merge(reference_raw("ecap_scs"), {"baseline_dose": {"contact_set": "bogus"}})
+        with pytest.raises(ConfigurationError, match="contact set 'bogus' unknown to the device"):
+            scenario_from_dict(raw)
 
 
 class TestDeviceStep:
