@@ -17,14 +17,16 @@ Frames and features run at once for every lane not in a reset mode: beta
 frames (``beta_lfp_frame``, ``signal_quality``, ``band_power``) each tick,
 their tick-only terms from a ``BetaTickTable`` built per 64-tick block; iEEG
 background frames (``ieeg_frame`` with no seizure), their quality and tool
-features once per NOISE_CHUNK-tick noise block, and only the seizing lanes'
-frames on their tick. The other stages are per lane and scalar: the seizure
-process, the detectors, evoked-response sensing (which has no frames), trust
-checks, supervisor, policy, budgets, clamp/slew, actuator and device. A
-lane's noise (frame rows, seizure uniforms or evoked-response sensor draws)
-is drawn NOISE_CHUNK ahead from its own stream, so every lane's outputs are
-bit-identical to a run of its seed alone. Per-tick
-columns are (S, n_ticks) arrays; each lane's result holds row views of them.
+features once per NOISE_CHUNK-tick noise block, and a seizing lane's ictal
+frames once per block it seizes in, from its first seizing tick there to the
+block's end (``ieeg_frame`` at per-row ticks). The other stages are per lane
+and scalar: the seizure process, the detectors, evoked-response sensing
+(which has no frames), trust checks, supervisor, policy, budgets,
+clamp/slew, actuator and device. A lane's noise (frame rows, seizure
+uniforms or evoked-response sensor draws) is drawn NOISE_CHUNK ahead from
+its own stream, so every lane's outputs are bit-identical to a run of its
+seed alone. Per-tick columns are (S, n_ticks) arrays; each lane's result
+holds row views of them.
 A lane carries its delivered dose as a float amplitude beside a template
 ``Dose`` (a policy, fallback or baseline dose) for the pulse width, rate and
 contact set; the stages pass the amplitude, so a tick builds no ``Dose``.
@@ -475,10 +477,14 @@ class IeegSensing(_Sensing):
     """Seizure process plus detection tools on synthesized iEEG frames.
 
     The seizure process and the detectors are per lane; the seizure process
-    advances even in a reset mode, where no frame is recorded. A noise
-    block's background frames (nobody seizing) and their (quality, tool
-    values) are computed on its first tick; only the seizing lanes are
-    framed and featurized on their tick. The biomarker is the first tool's
+    advances even in a reset mode, where no frame is recorded. Frames and
+    their (quality, tool values) are computed ahead, per noise block: on its
+    first tick, the background frames (nobody seizing) of every block row;
+    on the first tick t at which a framed lane seizes with no ictal reading
+    for its row, the ictal frames of that lane's rows from t to the block's
+    end, in one call. An ictal row depends only on its tick and its noise
+    row, so a seizure that ends early leaves rows unread, and one that
+    recurs in the block reads them. The biomarker is the first tool's
     smoothed feature value.
     """
 
@@ -489,7 +495,8 @@ class IeegSensing(_Sensing):
         self.seizures = [plant.seizures] * len(rngs)
         self.uniforms = [_DrawsAhead(lane_rngs[0].random) for lane_rngs in rngs]
         self.noise = _NoiseBlocks([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
-        self.sensed: list = []   # per block row: (quality, tool values)
+        self.quiet: list = []   # per block row: its background (quality, tool values)
+        self.ictal: list = []   # per block row: its ictal (quality, tool values), or None
         self.tools = plant.tools
         self.detectors = [[Detector(spec) for spec in self.tools] for _ in rngs]
         self.combinator = plant.combinator
@@ -519,17 +526,22 @@ class IeegSensing(_Sensing):
         if not framed:
             return readings
         rows, at = self.noise.at(t, [lanes[j].index for j in framed])
-        if t % NOISE_CHUNK == 0:
+        k = t % NOISE_CHUNK
+        if k == 0:
             quiet = ieeg_frame(np.zeros(len(rows), dtype=bool), self.cfg, rows, t)
-            self.sensed = self._features(quiet)
-        if ictal:   # a row is read once, on its tick, so its ictal reading replaces it
-            seized = [r for j, r in zip(framed, at) if j in ictal]
-            frames = ieeg_frame(np.ones(len(seized), dtype=bool), self.cfg, rows[seized], t)
-            for r, sensed in zip(seized, self._features(frames)):
-                self.sensed[r] = sensed
+            self.quiet = self._features(quiet)
+            self.ictal = [None] * len(rows)
         more = range(1, len(self.tools))
         for j, r in zip(framed, at):
-            qual, values = self.sensed[r]
+            if j in ictal:
+                if self.ictal[r] is None:   # frame the lane's rows at ticks t .. the block's end
+                    end = r + NOISE_CHUNK - k
+                    frames = ieeg_frame(np.ones(end - r, dtype=bool), self.cfg, rows[r:end],
+                                        np.arange(t, t + end - r))
+                    self.ictal[r:end] = self._features(frames)
+                qual, values = self.ictal[r]
+            else:
+                qual, values = self.quiet[r]
             dets = self.detectors[lanes[j].index]
             value, threshold, flag = dets[0].observe(values[0])
             flags = [flag]

@@ -8,6 +8,7 @@ without consulting any engine state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -62,7 +63,12 @@ def step_response_metrics(
     inside &= ~np.isnan(seg)
 
     tail_dev = np.abs(x[-max(1, x.size // 10):] - setpoint)
-    ss = None if np.isnan(tail_dev).all() else float(np.nanmean(tail_dev))
+    ss = None
+    if not np.isnan(tail_dev).all():
+        with np.errstate(over="ignore"):
+            ss = float(np.nanmean(tail_dev))
+            if math.isinf(ss):   # the sum overflowed: sum the terms over their count
+                ss = float(np.nansum(tail_dev / np.count_nonzero(~np.isnan(tail_dev))))
     if not inside.any():
         return StepResponse(False, None, None, 0.0, ss)
 

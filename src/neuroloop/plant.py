@@ -595,24 +595,26 @@ def ieeg_frame(
     seizing,
     cfg: IeegPlantConfig,
     noise: np.ndarray,
-    tick: int = 0,
+    tick=0,
 ) -> np.ndarray:
     """One tick of intracranial signal, in µV; rhythmic component when seizing.
 
     ``noise`` holds ``frame_len`` standard-normal draws per frame: 1-D with a
     bool ``seizing`` for one frame, (..., frame_len) with a flag array of
-    shape (...) for many.
+    shape (...) for many. ``tick`` is the tick of every frame (an int), or of
+    each frame (an int array of the flags' shape), so one call can frame a
+    lane over consecutive ticks; each frame equals a call at its own tick.
     """
     frame = noise * cfg.background_sd_uV
     seizing = np.asarray(seizing)
     if seizing.any():
         n = cfg.frame_len
-        t = (tick * n + np.arange(n)) / cfg.fs_hz
+        t = np.add.outer(np.multiply(tick, n), np.arange(n)) / cfg.fs_hz
         ictal = cfg.ictal_amplitude_uV * np.sin(2.0 * np.pi * cfg.ictal_hz * t)
         if frame.ndim == 1:
             frame += ictal
         else:
-            frame[seizing] += ictal
+            frame[seizing] += ictal if ictal.ndim == 1 else ictal[seizing]
     return frame
 
 

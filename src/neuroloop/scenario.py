@@ -141,6 +141,11 @@ class EcapPlantSpec(PlantSpec):
             if need > amp_max:
                 found(CHECKLIST_MENTAL_MODEL, f"target {target} µV needs {need:.2f} mA at "
                       f"distance {worst:.2f} mm, beyond amp_max {amp_max} mA")
+            # An estimate that is not positive holds the command, so gain * target
+            # is the largest step up; the command must stay finite.
+            if s.policy.gain_mA_per_uV * target == math.inf:
+                found(CHECKLIST_MENTAL_MODEL, f"gain {s.policy.gain_mA_per_uV} mA/µV times "
+                      f"target {target} µV overflows: the command is not finite")
 
 
 class _FramedPlant(PlantSpec):

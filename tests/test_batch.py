@@ -169,7 +169,7 @@ def test_sensing_error_propagates(monkeypatch, run):
     original = engine.ieeg_frame
 
     def failing(seizing, cfg, noise, t=0):
-        if t == tick:
+        if tick in np.atleast_1d(t):   # one tick, or one per row
             raise DomainError("synthetic shared-configuration failure")
         return original(seizing, cfg, noise, t)
 
@@ -233,6 +233,22 @@ def test_batched_frames_equal_single_frames():
         batch = ieeg_frame(seizing, icfg, noise, tick)
         for i in range(4):
             assert np.array_equal(batch[i], ieeg_frame(bool(seizing[i]), icfg, noise[i], tick))
+
+
+def test_frames_at_per_row_ticks_equal_one_call_per_tick():
+    # Budget: 0.1 s. Consecutive ticks (a lane's rows to a block's end) and
+    # scattered ones, under masks of every kind.
+    icfg = IeegPlantConfig(256.0, 32, 10.0, 300.0, 10.0)
+    rng = np.random.default_rng(5)
+    for ticks in (np.arange(37, 64), np.array([0, 9, 3, 10**6, 9, 41])):
+        noise = rng.standard_normal((len(ticks), 32))
+        for seizing in (np.ones(len(ticks), dtype=bool), np.zeros(len(ticks), dtype=bool),
+                        rng.random(len(ticks)) < 0.5, np.arange(len(ticks)) % 2 == 1):
+            batch = ieeg_frame(seizing, icfg, noise, ticks)
+            for i, t in enumerate(ticks.tolist()):
+                assert np.array_equal(batch[i], ieeg_frame(bool(seizing[i]), icfg, noise[i], t))
+                assert np.array_equal(batch[i], ieeg_frame(seizing[i:i + 1], icfg, noise[i:i + 1],
+                                                           t)[0])
 
 
 def test_noise_blocks_follow_each_lane_alone():
@@ -327,10 +343,26 @@ HALF_WAVE_TOOLS = {"tools": [
                    "short_window_ticks": 4}},
 ], "combinator": "AND"}
 
+def suppressed_recurring_scenario():
+    """About one onset per ten ticks, each detected on its first tick and
+    ended by the therapy that starts then, so seizures start mid-block and
+    recur in it; the battery reaches end of service after a seed-dependent
+    amount of therapy."""
+    return scenario_from_dict(ieeg_raw(
+        timebase={"dt_s": 0.125, "duration_s": 20.0},
+        plant={"seizures": {"rate_per_hour": 3000.0, "base_duration_ticks": 40,
+                            "suppression_prob": 1.0, "response_window_ticks": 20},
+               "device": {"battery_v": 3.001, "eos_threshold_v": 3.0, "drain_v_per_uC": 1e-5}},
+        features={"tools": [{"feature": "line_length", "threshold": {
+            "mode": "fixed", "value": 800.0, "short_window_ticks": 1}}], "combinator": "OR"},
+    ))
+
+
 # In each, some lanes seize (the ictal term); in the reset cases lanes
 # leave the frame batch at different ticks.
 BLOCK_CASES = {
     "eos_drain": lambda: ieeg_scenario(),
+    "suppressed_recurring": suppressed_recurring_scenario,
     "half_wave": lambda: scenario_from_dict(ieeg_raw(
         timebase={"dt_s": 0.125, "duration_s": 20.0}, features=HALF_WAVE_TOOLS)),
     # Ictal frames saturate and the background is flat.
@@ -385,3 +417,57 @@ def test_framed_ticks_are_a_prefix(monkeypatch, case):
         assert ticks == list(range(len(ticks))), i
         resets = [t for t, m in enumerate(r.mode) if m in RESET_MODES]
         assert len(ticks) == (resets[0] + 1 if resets else r.n_ticks), i
+
+
+def framed_ticks(result) -> int:
+    """How many ticks a lane was framed: up to its first reset tick, inclusive."""
+    reset = reset_tick(result)
+    return result.n_ticks if reset is None else reset + 1
+
+
+def seizure_runs(seizing) -> list:
+    """(first, end) of each run of seizing ticks."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], seizing, [0])).astype(np.int8)))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def test_seizures_that_recur_in_a_block_and_a_reset_mid_block():
+    # Budget: 1 s. A lane's ictal frames from its first seizing tick in a
+    # block to the block's end serve every later seizure of that block.
+    scenario = suppressed_recurring_scenario()
+    batch = assert_lanes_match_serial(scenario, 4)
+    base = scenario.plant.seizures.base_duration_ticks
+    recurring = []   # (lane, first tick) of a suppressed seizure followed in its block
+    for i, r in enumerate(batch):
+        runs = seizure_runs(r.seizing[:framed_ticks(r)])
+        recurring += [(i, a) for (a, b), (c, _) in zip(runs, runs[1:])
+                      if a % engine.NOISE_CHUNK and b - a < base
+                      and a // engine.NOISE_CHUNK == c // engine.NOISE_CHUNK]
+    assert recurring
+    resets = [reset_tick(r) for r in batch]
+    assert any(t is not None and t % engine.NOISE_CHUNK for t in resets), resets
+    assert None in resets, resets
+
+
+def test_ieeg_frames_once_per_block_and_per_seizure_segment(monkeypatch):
+    # Budget: 1.5 s. The 16 lanes perfbench traces on sweep_rns at base seed 0.
+    calls = []   # (any row seizing, the ticks) of each call
+    frame = engine.ieeg_frame
+
+    def recording(seizing, cfg, noise, tick=0):
+        calls.append((bool(seizing.any()), np.atleast_1d(tick).tolist()))
+        return frame(seizing, cfg, noise, tick)
+
+    monkeypatch.setattr(engine, "ieeg_frame", recording)
+    batch = sweep(scenario_from_dict(reference_raw("rns_epilepsy")), 16)
+    framed = [framed_ticks(r) for r in batch]
+    firsts = {}   # (lane, block) -> the lane's first seizing tick in the block
+    for i, r in enumerate(batch):
+        for t in np.flatnonzero(r.seizing[:framed[i]]).tolist():
+            firsts.setdefault((i, t // engine.NOISE_CHUNK), t)
+    quiet = [ticks for ictal, ticks in calls if not ictal]
+    segments = [ticks for ictal, ticks in calls if ictal]
+    assert quiet == [[t] for t in range(0, max(framed), engine.NOISE_CHUNK)]
+    assert sorted(segments) == sorted(list(range(t, (block + 1) * engine.NOISE_CHUNK))
+                                      for (_, block), t in firsts.items())
+    assert (len(quiet), len(segments)) == (120, 91)

@@ -83,9 +83,15 @@ RUNS_THROUGH = [
 # summary.json refused a step-response metric that overflowed to inf. A
 # metric that is not finite is a fault: exit 3, and no summary.json.
 NON_FINITE_METRICS = [
+    {"plant": {"ecap": {"sensor_noise_sd_uV": 1e308}}},
+]
+# Each of these did the same, and then exited 3, only because the float sum
+# behind steady_state_dev overflowed: every tail deviation is finite, and so
+# is their mean. run and sweep exit 0; compare still exits 3, as the variance
+# about the target, a mean of squares, is not finite (comparison.json).
+HUGE_DEVIATIONS = [
     {"plant": {"ecap": {"slope_uV_per_mA_at_ref": 1e308}}},
     {"plant": {"ecap": {"slope_distance_coeff_per_mm": 1e308}}},
-    {"plant": {"ecap": {"sensor_noise_sd_uV": 1e308}}},
     {"policy": {"target_uV": -1e308}},
 ]
 
@@ -158,6 +164,9 @@ MUTATIONS = LIMITS_BETWEEN_STEPS + NON_FINITE_DISTANCES + NON_STRINGS + NAN_SLOP
     ("adbs_parkinsons", {"features": {"smoothing_s": 5.0}}),
     ("ecap_scs", {"limits": {"amp_max_mA_typo": 8.0}}),
     ("ecap_scs", {"polcy": {}}),
+    # The first command, gain * (target - estimate), overflowed to inf: exit 3.
+    ("ecap_scs", {"policy": {"gain_mA_per_uV": 1e308, "target_uV": 3.0},
+                  "limits": {"amp_max_mA": 20.0}}),
 ] + OVERFLOWS
 
 
@@ -296,10 +305,26 @@ class TestNonFiniteOutput:
         assert capsys.readouterr().err == self.ERR
         assert not list(out.rglob("summary.json"))
 
-    def test_comparison_json_holds_no_infinity(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("edit", HUGE_DEVIATIONS, ids=json.dumps)
+    def test_huge_deviations_have_a_finite_mean(self, tmp_path, capsys, edit, command):
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(deep_merge(reference_raw("ecap_scs"), edit)))
+        out = tmp_path / "o"
+        assert main(self.argv(command, path, out)) == EXIT_OK   # and no RuntimeWarning
+        summaries = sorted(out.rglob("summary.json"))
+        assert len(summaries) == (1 if command == "run" else 2)
+        for summary in summaries:
+            dev = json.loads(summary.read_text())["metrics"]["step_response"]["steady_state_dev"]
+            assert 1e300 < dev < math.inf
+            assert main(["replay", str(summary.parent)]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [{"plant": {"ecap": {"slope_uV_per_mA_at_ref": 1e200}}},
+                                      *HUGE_DEVIATIONS], ids=json.dumps)
+    def test_comparison_json_holds_no_infinity(self, tmp_path, capsys, edit):
         # Every summary is finite, but the variance about the target is not:
         # comparison.json once held the non-JSON literal Infinity, with exit 0.
-        edit = {"plant": {"ecap": {"slope_uV_per_mA_at_ref": 1e200}}}
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(deep_merge(reference_raw("ecap_scs"), edit)))
         with warnings.catch_warnings():
@@ -310,12 +335,12 @@ class TestNonFiniteOutput:
         assert not (tmp_path / "c" / "comparison.json").exists()
 
     def test_events_jsonl_holds_no_infinity(self, tmp_path, capsys):
-        # A gain of 1e308 on a 3 µV target overflows the first command, which a
-        # slew event reports: events.jsonl once held "requested_mA":Infinity, with exit 0.
-        edit = {"policy": {"gain_mA_per_uV": 1e308, "target_uV": 3.0},
-                "limits": {"amp_max_mA": 20.0}}
+        # A gain of 1e308 on a band power more than 2 above the reference
+        # overflows the first command, which a slew event reports: events.jsonl
+        # once held "requested_mA":Infinity, with exit 0.
+        policy = {"kind": "Proportional", "reference": -2.0, "gain_mA_per_unit": 1e308}
         path = tmp_path / "mutated.json"
-        path.write_text(json.dumps(deep_merge(reference_raw("ecap_scs"), edit)))
+        path.write_text(json.dumps({**reference_raw("adbs_parkinsons"), "policy": policy}))
         out = tmp_path / "o"
         assert main(["validate", str(path)]) == EXIT_OK
         assert main(self.argv("run", path, out)) == EXIT_FAULT

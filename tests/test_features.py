@@ -469,6 +469,37 @@ def test_signal_quality_equals_the_abs_formula(frames, saturation, max_delta):
         assert [signal_quality(x, limits) for x in frames] == want
 
 
+# With ±1 µV samples, a peak-to-peak of exactly flatline_eps_uV (1 or 2 µV).
+SQ_EDGE_SAMPLES = st.one_of(SQ_SAMPLES, st.sampled_from([1.0, -1.0]))
+
+
+def sq_row(n: int):
+    """A row of n samples, or a flat one (of NaN or inf too)."""
+    return st.one_of(arrays(np.float64, n, elements=SQ_EDGE_SAMPLES),
+                     SQ_EDGE_SAMPLES.map(lambda v: np.full(n, v)))
+
+
+# Batches on both sides of the row count from which signal_quality checks
+# numpy arrays instead of Python floats.
+SQ_WIDE_BATCHES = st.tuples(st.integers(1, 2 * KERNEL_MIN_ROWS), st.integers(1, 8)).flatmap(
+    lambda shape: st.lists(sq_row(shape[1]), min_size=shape[0], max_size=shape[0]).map(np.array))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(frames=SQ_WIDE_BATCHES, max_delta=st.sampled_from([120.0, 0.0, math.inf]),
+       eps=st.sampled_from([1e-9, 1.0, 2.0]))
+def test_signal_quality_of_a_batch_equals_its_frames(frames, max_delta, eps):
+    # Budget: under 2 s. Both routes of a batch against each row as a frame,
+    # and against the oracle.
+    limits = SignalQualityLimits(saturation_uV=100.0, flatline_eps_uV=eps,
+                                 max_delta_uV_per_sample=max_delta)
+    with np.errstate(invalid="ignore"):   # the peak-to-peak of a row of equal infinities
+        want = [signal_quality(x, limits) for x in frames]
+        assert signal_quality(frames, limits) == want
+        if frames.shape[1] >= 2:
+            assert want == [signal_quality_oracle(x, limits) for x in frames]
+
+
 # Bounded finite frames: a batch of 1-4 rows of 8-64 samples within ±1000 µV.
 FRAMES = st.tuples(st.integers(1, 4), st.integers(8, 64)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))

@@ -40,7 +40,7 @@ SHORT_TICKS = 40
 # list elements, and the free text (name, comments).
 OPTIONAL_PATHS = {"ecap_scs": 37, "adbs_parkinsons": 34, "rns_epilepsy": 44}
 FINDINGS_SHA256 = {
-    "ecap_scs": "a484d24d6598f3d0b88735685c8fed58df4250997816623cc1ca5dc56580db86",
+    "ecap_scs": "8c067c9476bcc6dd075346a590859f35e5f019b99d0dff267a9db2c0dc595f52",
     "adbs_parkinsons": "3a8c57a90022cb2cb1da57de372c78a4e1036e31a8fb03a3b7f7a98b2e45b140",
     "rns_epilepsy": "53513f0dba3c81ab18aab8928f001f06f3061fe938c457d679d50ab2949b86e7",
 }

@@ -63,7 +63,7 @@ BAND = "BetaPlantSpec.__post_init__ runs check_band on the band and frame band_p
 COPIED = "seizure_step copies the fields of the state this check passed when it was built"
 DEVICE = "device_step copies the fields of the device this check passed when it was built"
 CAPS = "Budgets.counted copies the caps this check passed when they were built"
-OVERFLOW = ("ecap_scs", {"plant": {"ecap": {"slope_uV_per_mA_at_ref": 1e308}}},
+OVERFLOW = ("ecap_scs", {"plant": {"ecap": {"sensor_noise_sd_uV": 1e308}}},
             "NonFiniteOutputError: Out of range float values are not JSON compliant")
 # (function, exception, the message's first literal text) or (function,
 # "json.dumps", its allow_nan keyword) -> (kind, why, case). A case is
