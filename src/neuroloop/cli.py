@@ -5,7 +5,8 @@ Subcommands:
     validate <scenario.json>                  design-checklist report
     run      <scenario.json> --out DIR        execute one run (--seed overrides file)
     compare  <scenario.json> --out DIR        automated vs fixed-output twin
-    sweep    <scenario.json> --seeds N --out DIR   N independent seeds + aggregate
+    sweep    <scenario.json> --seeds N --out DIR   N independent seeds + aggregate,
+                                              one process per usable core
     replay   <rundir>                         re-verify stored outputs
 
 Exit codes: 0 ok, 2 validation failure, 3 runtime fault (or replay mismatch).
@@ -13,7 +14,8 @@ A scenario path that cannot be read, ``sweep --seeds`` below 1 and ``compare``
 on a ManualFixed policy, which has nothing to compare against, are validation
 failures; an output that cannot be written (``--out`` names a file, say) or
 that holds a metric which is not finite is a fault, and so is a replay whose
-stored scenario.json is unreadable or invalid.
+stored scenario.json is unreadable or invalid. ``compare`` writes nothing when
+its comparison is not finite.
 """
 
 from __future__ import annotations
@@ -93,10 +95,11 @@ def cmd_compare(args) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
     comparison = compare_modes(scenario)
+    text = json_text(comparison.to_dict())   # a non-finite comparison writes no arm
     out = Path(args.out)
     write_run(comparison.automated, out / "automated")
     write_run(comparison.fixed, out / "fixed")
-    (out / "comparison.json").write_text(json_text(comparison.to_dict()), encoding="utf-8")
+    (out / "comparison.json").write_text(text, encoding="utf-8")
     print(f"wrote {out}/comparison.json")
     if fault_count(comparison.automated) or fault_count(comparison.fixed):
         return EXIT_FAULT

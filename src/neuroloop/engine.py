@@ -13,6 +13,10 @@ so plant realizations do not shift when the controller behaves differently.
 One loop runs S lanes in lockstep: scenarios that differ in seed and policy
 only. ``sweep`` runs one lane per seed, ``compare_modes`` runs the automated
 and the fixed arm as two lanes, and ``run_scenario`` is the case S = 1.
+``sweep`` cuts its seeds into one contiguous batch per usable core: batch 0
+runs here, each other batch in a forked child that pickles its results back.
+With one batch, without ``os.fork`` or while another thread is alive, every
+lane runs here in one loop.
 Frames and features run at once for every lane not in a reset mode: beta
 frames (``beta_lfp_frame``, ``signal_quality``, ``band_power``) each tick,
 their tick-only terms from a ``BetaTickTable`` built per 64-tick block; iEEG
@@ -57,6 +61,10 @@ seed alone would; any other exception, or one from sensing, propagates.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
@@ -649,8 +657,10 @@ class ModeComparison:
 
 
 def _variance_about(series: np.ndarray, target: float) -> float:
-    dev = series - target
-    return float(np.nanmean(dev * dev))
+    """inf where the squares overflow; the CLI reports that as an output error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = series - target
+        return float(np.nanmean(dev * dev))
 
 
 def compare_modes(scenario: Scenario) -> ModeComparison:
@@ -675,12 +685,99 @@ def compare_modes(scenario: Scenario) -> ModeComparison:
     )
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: the most batches ``sweep`` forms."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _ForkedBatch:
+    """One batch of lanes run by ``_run_lanes`` in a forked child.
+
+    The child pickles ``("ok", results)`` or ``("err", exception)`` into a
+    pipe and exits; a child that cannot do so exits with status 1.
+    """
+
+    def __init__(self, scenarios: list) -> None:
+        self.seeds = f"seeds {scenarios[0].seed}..{scenarios[-1].seed}"
+        self.status = None   # exit status, once reaped
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:   # the child: never returns
+            status = 1
+            try:
+                os.close(read)
+                with os.fdopen(write, "wb") as fh:
+                    try:
+                        outcome = ("ok", _run_lanes(scenarios))
+                    except BaseException as e:   # the parent re-raises it
+                        outcome = ("err", e)
+                    pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.fh = os.fdopen(read, "rb")
+
+    def results(self) -> list[RunResult]:
+        """The batch's results, or the child's exception with its seeds noted."""
+        try:
+            tag, payload = pickle.load(self.fh)
+        except Exception as e:   # end of file, a cut stream or an object that cannot be rebuilt
+            raise RuntimeError(f"sweep worker for {self.seeds} exited with status "
+                               f"{self.reap()} without a result") from e
+        if tag == "err":
+            note = f"raised by the sweep worker for {self.seeds}"
+            if not hasattr(payload, "add_note"):   # Python 3.10
+                raise RuntimeError(note) from payload
+            payload.add_note(note)
+            raise payload
+        return payload
+
+    def reap(self, kill: bool = False) -> int:
+        """Wait for the child (killing it first if ``kill``) once; its exit status."""
+        if self.status is None:
+            self.fh.close()
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.status
+
+
 def sweep(scenario: Scenario, n_seeds: int) -> list[RunResult]:
     """Run ``n_seeds`` independent replicates seeded base, base+1, ...
 
-    The replicates run in lockstep, one lane each; each result equals a
-    ``run_scenario`` of its seed.
+    The seeds are split into ``min(usable_cores(), n_seeds)`` contiguous
+    batches, each run in lockstep, one lane per seed. Batch 0 runs in this
+    process; each other batch runs in a forked child that pickles its
+    results, or its exception, back through a pipe. Every child is reaped
+    before ``sweep`` returns or raises. With one batch, without ``os.fork``,
+    or while another thread is alive (a fork would copy locks it may hold),
+    every batch runs here. Each result equals a ``run_scenario`` of its
+    seed, so the output does not depend on the split.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    return _run_lanes([scenario.with_seed(scenario.seed + i) for i in range(n_seeds)])
+    scenarios = [scenario.with_seed(scenario.seed + i) for i in range(n_seeds)]
+    k = min(usable_cores(), n_seeds)
+    if k == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _run_lanes(scenarios)
+    cuts = [n_seeds * b // k for b in range(k + 1)]
+    batches = [scenarios[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []
+    try:
+        for batch in batches[1:]:
+            children.append(_ForkedBatch(batch))
+        results = _run_lanes(batches[0])
+        for child in children:
+            results += child.results()
+        return results
+    finally:
+        for child in children:
+            child.reap(kill=True)

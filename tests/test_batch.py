@@ -1,13 +1,15 @@
 """Lockstep lanes: every lane of a sweep equals a run of its seed alone.
 
-``engine.sweep`` runs its seeds as lanes of one loop, with frames and frame
-features computed for all lanes at once. These tests hold each lane to a
-serial ``run_scenario`` of the same seed, byte for byte on all three output
-files, and each batched feature or frame row to the same call on that row
-alone. iEEG sensing, which frames and featurizes per noise block, is held
-to a per-tick oracle, and the framed ticks of every lane to a prefix of the
-run, which the shared noise-block cursor relies on. Runtime budgets (2-core
-host) are noted per test; the whole file takes under 15 s.
+``engine.sweep`` runs each batch of its seeds as lanes of one loop, with
+frames and frame features computed for all lanes at once; the tests of that
+loop itself (shared columns, per-call counts) patch ``usable_cores`` to 1,
+so the whole sweep is one batch in this process. These tests hold each lane
+to a serial ``run_scenario`` of the same seed, byte for byte on all three
+output files, and each batched feature or frame row to the same call on
+that row alone. iEEG sensing, which frames and featurizes per noise block,
+is held to a per-tick oracle, and the framed ticks of every lane to a prefix
+of the run, which the shared noise-block cursor relies on. Runtime budgets
+(2-core host) are noted per test; the whole file takes under 15 s.
 """
 
 import itertools
@@ -123,8 +125,14 @@ def test_every_lane_equals_its_serial_run(kind):
     assert not any(r.aborted for r in batch)
 
 
-def test_lane_columns_are_rows_of_one_batch_array():
+def in_one_batch(monkeypatch) -> None:
+    """Make ``sweep`` run all its lanes in this process, in one lockstep loop."""
+    monkeypatch.setattr(engine, "usable_cores", lambda: 1)
+
+
+def test_lane_columns_are_rows_of_one_batch_array(monkeypatch):
     # Budget: 1 s.
+    in_one_batch(monkeypatch)
     batch = sweep(ieeg_scenario(duration_s=5.0), 3)
     for name in ("biomarker", "setpoint", "commanded_mA", "delivered_mA", "teed_cum", "seizing"):
         bases = [getattr(r, name).base for r in batch]
@@ -152,6 +160,7 @@ def test_per_lane_fault_aborts_only_its_lane(monkeypatch, stage):
     width, lane, tick = 4, 2, 50
     original = getattr(engine, stage)
     monkeypatch.setattr(engine, stage, failing_on_call(original, tick * width + lane))
+    in_one_batch(monkeypatch)
     batch = sweep(scenario, width)
     assert [r.aborted for r in batch] == [i == lane for i in range(width)]
     assert batch[lane].n_ticks == tick
@@ -411,6 +420,7 @@ def test_framed_ticks_are_a_prefix(monkeypatch, case):
         return sense(self, t, lanes)
 
     monkeypatch.setattr(sensing, "sense", recording)
+    in_one_batch(monkeypatch)
     batch = sweep(make(), 5)
     for i, r in enumerate(batch):
         ticks = framed.get(i, [])
@@ -459,6 +469,7 @@ def test_ieeg_frames_once_per_block_and_per_seizure_segment(monkeypatch):
         return frame(seizing, cfg, noise, tick)
 
     monkeypatch.setattr(engine, "ieeg_frame", recording)
+    in_one_batch(monkeypatch)
     batch = sweep(scenario_from_dict(reference_raw("rns_epilepsy")), 16)
     framed = [framed_ticks(r) for r in batch]
     firsts = {}   # (lane, block) -> the lane's first seizing tick in the block

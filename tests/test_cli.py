@@ -324,15 +324,19 @@ class TestNonFiniteOutput:
                                       *HUGE_DEVIATIONS], ids=json.dumps)
     def test_comparison_json_holds_no_infinity(self, tmp_path, capsys, edit):
         # Every summary is finite, but the variance about the target is not:
-        # comparison.json once held the non-JSON literal Infinity, with exit 0.
+        # comparison.json once held the non-JSON literal Infinity, with exit 0,
+        # and later compare printed numpy's overflow warning and left both arm
+        # directories behind.
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(deep_merge(reference_raw("ecap_scs"), edit)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(self.argv("run", path, tmp_path / "r")) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(self.argv("compare", path, tmp_path / "c")) == EXIT_FAULT
         assert capsys.readouterr().err == self.ERR
-        assert not (tmp_path / "c" / "comparison.json").exists()
+        assert not (tmp_path / "c").exists()
 
     def test_events_jsonl_holds_no_infinity(self, tmp_path, capsys):
         # A gain of 1e308 on a band power more than 2 above the reference
