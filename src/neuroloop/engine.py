@@ -51,12 +51,10 @@ scenario's policy config, whose ``step`` holds the previous command on any
 tick whose measurement quality is not OK. The supervisor separately decides
 whether enough has gone wrong to leave Automated mode altogether.
 
-Aborts: a ``Scenario`` exists only when validation found nothing, and its
-findings exclude every ``SimulationError`` a run reaches but a device impedance
-ramped to zero (the run ledger, ``tests/test_run_ledger.py``, says why for
-each). A ``SimulationError`` from a stage of ``_Lane.step`` aborts its lane with
-a RUN_FAULT event at that tick and outputs truncated before it, as a run of its
-seed alone would; any other exception, or one from sensing, propagates.
+A run cannot fault: a ``Scenario`` exists only when validation found nothing,
+and its findings exclude every ``SimulationError`` a run reaches (the run
+ledger, ``tests/test_run_ledger.py``, says why for each). So an exception from
+any stage is a programming error, and it propagates.
 """
 
 from __future__ import annotations
@@ -76,8 +74,6 @@ from .core import (
     EventRecord,
     OK_ONLY,
     SEVERITY_ALERT,
-    SEVERITY_FAULT,
-    SimulationError,
     charge_per_tick,
     teed_rate,
 )
@@ -104,7 +100,6 @@ from .plant import (
     seizure_step,
 )
 from .safety import (
-    EVENT_RUN_FAULT,
     EVENT_TRUST_FAIL,
     MODE_AUTOMATED,
     MODE_FALLBACK,
@@ -140,7 +135,7 @@ class RunResult:
     events: list                   # EventRecord, in emission order
     metrics: Metrics
     initial_delivered_mA: float
-    aborted: bool = False
+    aborted = False   # a run cannot fault; summary.json keeps the key
 
     @property
     def n_ticks(self) -> int:
@@ -150,10 +145,10 @@ class RunResult:
 class _NoiseBlocks:
     """Standard-normal frame noise for the framed lanes, NOISE_CHUNK frames ahead.
 
-    Reset modes latch and aborts are final, so a lane framed on tick t was
-    framed on every tick before it: the framed lanes share one cursor,
-    ``t % NOISE_CHUNK``, and on a block's first tick each draws its next
-    NOISE_CHUNK rows from its own stream, which equals drawing them one by one.
+    Reset modes latch, so a lane framed on tick t was framed on every tick
+    before it: the framed lanes share one cursor, ``t % NOISE_CHUNK``, and on
+    a block's first tick each draws its next NOISE_CHUNK rows from its own
+    stream, which equals drawing them one by one.
     """
 
     def __init__(self, rngs: list, frame_len: int) -> None:
@@ -201,7 +196,7 @@ class _Lane:
     """One seed's loop state, and its rows of the batch's per-tick columns.
 
     ``step`` runs the per-lane stages of one tick, from the trust checks to
-    the record. ``fault`` aborts the lane at a tick.
+    the record.
     """
 
     def __init__(self, index: int, scenario: Scenario, columns: dict, magnet: list) -> None:
@@ -226,8 +221,6 @@ class _Lane:
         self.initial_delivered = self.amplitude_mA
         self.last_good: Optional[tuple] = None   # (amplitude, template) for LastKnownGood
         self.teed = 0.0
-        self.n = n               # ticks completed; the abort tick once aborted
-        self.aborted = False
         self.biomarker = columns["biomarker"][index]
         self.setpoint = columns["setpoint"][index]
         self.commanded_mA = columns["commanded_mA"][index]
@@ -235,14 +228,6 @@ class _Lane:
         self.teed_cum = columns["teed_cum"][index]
         self.quality = [""] * n
         self.mode = [""] * n
-
-    def fault(self, t: int, e: SimulationError) -> None:
-        """Abort at tick t: an invariant breached, so stop, never corrupt."""
-        self.log.append(EventRecord(t, SEVERITY_FAULT, EVENT_RUN_FAULT,
-                                    {"error": f"{type(e).__name__}: {e}"}))
-        self.aborted = True
-        self.n = t
-        del self.quality[t:], self.mode[t:]
 
     def step(self, t: int, measured, qual, detection, threshold_now) -> None:
         sc = self.scenario
@@ -328,13 +313,13 @@ class _Lane:
             self.frequency_hz = template.frequency_hz
 
     def result(self, sensing: "_Sensing") -> RunResult:
-        n = self.n
         sc = self.scenario
-        biomarker = self.biomarker[:n]
+        n = sc.timebase.n_ticks
+        biomarker = self.biomarker
 
         mcfg = sc.metrics_cfg
         time_in_range: Optional[float] = None
-        if mcfg.biomarker_range is not None and n > 0:
+        if mcfg.biomarker_range is not None:
             lo, hi = mcfg.biomarker_range
             in_range = (biomarker >= lo) & (biomarker <= hi)
             time_in_range = float(np.count_nonzero(in_range)) / n
@@ -348,7 +333,7 @@ class _Lane:
                     mcfg.step_response.tol_frac, sc.timebase.dt_s,
                 )
 
-        seizure_count, early, seizure_ticks = sensing.seizure_counts(self.index, n)
+        seizure_count, early, seizure_ticks = sensing.seizure_counts(self.index)
         codes = Counter(e.code for e in self.log)
         run_metrics = Metrics(
             teed_total=self.teed,
@@ -356,27 +341,25 @@ class _Lane:
             seizure_count=seizure_count,
             seizure_ticks_total=seizure_ticks,
             early_termination_count=early,
-            fallback_frac=self.mode.count(MODE_FALLBACK) / n if n else 0.0,
+            fallback_frac=self.mode.count(MODE_FALLBACK) / n,
             limit_clamp_count=sum(codes[c] for c in CLAMP_CODES),
             step_response=sr,
         )
-        distance = sensing.distance_mm
         seizing = sensing.seizing
         return RunResult(
             scenario=sc,
             biomarker=biomarker,
             quality=self.quality,
-            setpoint=self.setpoint[:n],
-            commanded_mA=self.commanded_mA[:n],
-            delivered_mA=self.delivered_mA[:n],
+            setpoint=self.setpoint,
+            commanded_mA=self.commanded_mA,
+            delivered_mA=self.delivered_mA,
             mode=self.mode,
-            distance_mm=None if distance is None else distance[:n],
-            seizing=None if seizing is None else seizing[self.index, :n],
-            teed_cum=self.teed_cum[:n],
+            distance_mm=sensing.distance_mm,
+            seizing=None if seizing is None else seizing[self.index],
+            teed_cum=self.teed_cum,
             events=self.log,
             metrics=run_metrics,
             initial_delivered_mA=self.initial_delivered,
-            aborted=self.aborted,
         )
 
 
@@ -384,26 +367,24 @@ class _Sensing:
     """Plant plus feature extraction for one plant kind, built once per batch.
 
     ``sense(t, lanes)`` advances the plant one tick for each of ``lanes``
-    (the lanes not aborted, in lane order) and returns one reading per lane:
-    (measured, quality, detection, threshold), that is the biomarker or None
-    when no measurement was taken (always None in a reset mode), its quality
-    flags, the combined detection flag, and the detection threshold or None.
-    It aborts no lane: a scenario's findings exclude every error its stages
-    can raise, so one that does raise propagates.
+    (every lane, in lane order, so ``lanes[i].index == i``) and returns one
+    reading per lane: (measured, quality, detection, threshold), that is the
+    biomarker or None when no measurement was taken (always None in a reset
+    mode), its quality flags, the combined detection flag, and the detection
+    threshold or None.
     """
 
     distance_mm: Optional[np.ndarray] = None   # (n_ticks,) column shared by all lanes
     seizing: Optional[np.ndarray] = None       # (S, n_ticks) column, one row per lane
 
-    def seizure_counts(self, i: int, n: int) -> tuple[int, int, int]:
-        """Lane i's (onsets, early terminations, seizing ticks) over its first n ticks."""
+    def seizure_counts(self, i: int) -> tuple[int, int, int]:
+        """Lane i's (onsets, early terminations, seizing ticks)."""
         return 0, 0, 0
 
 
 def _framed(lanes: list) -> list:
-    """Positions in ``lanes`` (the lanes not aborted) of the lanes that take a
-    frame this tick: those not in a reset mode."""
-    return [j for j, lane in enumerate(lanes) if not lane.in_reset]
+    """The indices of the lanes that take a frame this tick: those not in a reset mode."""
+    return [i for i, lane in enumerate(lanes) if not lane.in_reset]
 
 
 class EcapSensing(_Sensing):
@@ -456,13 +437,12 @@ class BetaSensing(_Sensing):
         readings = [NO_READING] * len(lanes)
         framed = _framed(lanes)
         if framed:
-            idx = [lanes[j].index for j in framed]
-            frames = beta_lfp_frame([lanes[j] for j in framed], t, self.table,
-                                    self.noise.rows_at(t, idx))
+            frames = beta_lfp_frame([lanes[i] for i in framed], t, self.table,
+                                    self.noise.rows_at(t, framed))
             quals = signal_quality(frames, self.sq_limits)
             power = band_power(frames, *self.band, self.cfg.fs_hz)
-            for j, value, qual in zip(framed, self._smoothed(t, idx, power).tolist(), quals):
-                readings[j] = (value, qual, False, None)
+            for i, value, qual in zip(framed, self._smoothed(t, framed, power).tolist(), quals):
+                readings[i] = (value, qual, False, None)
         return readings
 
     def _smoothed(self, t: int, idx: list, power: np.ndarray) -> np.ndarray:
@@ -521,27 +501,26 @@ class IeegSensing(_Sensing):
 
     def sense(self, t: int, lanes: list) -> list:
         readings = [NO_READING] * len(lanes)
-        ictal = set()   # positions in ``lanes`` of the lanes seizing at t
-        for j, lane in enumerate(lanes):
-            i = lane.index
+        ictal = set()   # the lanes seizing at t
+        for i, lane in enumerate(lanes):
             self.seizures[i], now = seizure_step(
                 self.seizures[i], lane.amplitude_mA != 0.0, t, self.dt_s, self.uniforms[i],
             )
             if now:   # the column is False until a lane seizes
                 self.seizing[i, t] = True
-                ictal.add(j)
+                ictal.add(i)
         framed = _framed(lanes)
         if not framed:
             return readings
-        rows, at = self.noise.at(t, [lanes[j].index for j in framed])
+        rows, at = self.noise.at(t, framed)
         k = t % NOISE_CHUNK
         if k == 0:
             quiet = ieeg_frame(np.zeros(len(rows), dtype=bool), self.cfg, rows, t)
             self.quiet = self._features(quiet)
             self.ictal = [None] * len(rows)
         more = range(1, len(self.tools))
-        for j, r in zip(framed, at):
-            if j in ictal:
+        for i, r in zip(framed, at):
+            if i in ictal:
                 if self.ictal[r] is None:   # frame the lane's rows at ticks t .. the block's end
                     end = r + NOISE_CHUNK - k
                     frames = ieeg_frame(np.ones(end - r, dtype=bool), self.cfg, rows[r:end],
@@ -550,17 +529,17 @@ class IeegSensing(_Sensing):
                 qual, values = self.ictal[r]
             else:
                 qual, values = self.quiet[r]
-            dets = self.detectors[lanes[j].index]
+            dets = self.detectors[i]
             value, threshold, flag = dets[0].observe(values[0])
             flags = [flag]
             for m in more:
                 flags.append(dets[m].observe(values[m])[2])
-            readings[j] = (value, qual, detect(flags, self.combinator), threshold)
+            readings[i] = (value, qual, detect(flags, self.combinator), threshold)
         return readings
 
-    def seizure_counts(self, i: int, n: int) -> tuple[int, int, int]:
+    def seizure_counts(self, i: int) -> tuple[int, int, int]:
         s = self.seizures[i]
-        return s.onset_count, s.early_termination_count, int(self.seizing[i, :n].sum())
+        return s.onset_count, s.early_termination_count, int(self.seizing[i].sum())
 
 
 SENSING = {EcapPlantSpec: EcapSensing, BetaPlantSpec: BetaSensing, IeegPlantSpec: IeegSensing}
@@ -597,27 +576,17 @@ def _run_lanes(scenarios: list) -> list[RunResult]:
     columns = {name: np.full((len(scenarios), n), fill) for name, fill in COLUMNS.items()}
     lanes = [_Lane(i, sc, columns, magnet) for i, sc in enumerate(scenarios)]
 
-    live = lanes
     for t in range(n):
-        aborted = False   # only where a step raises
-        for lane, reading in zip(live, sensing.sense(t, live)):
-            try:
-                lane.step(t, *reading)
-            except SimulationError as e:
-                lane.fault(t, e)
-                aborted = True
-        if aborted:
-            live = [lane for lane in live if not lane.aborted]
+        for lane, reading in zip(lanes, sensing.sense(t, lanes)):
+            lane.step(t, *reading)
     return [lane.result(sensing) for lane in lanes]
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute a validated scenario; outputs are determined by (scenario, seed).
 
-    This is the lockstep loop with one lane. A ``SimulationError`` raised by
-    a stage of ``_Lane.step`` aborts the run with a RUN_FAULT event and
-    truncated outputs; any other exception is a programming error and
-    propagates.
+    This is the lockstep loop with one lane. A run cannot fault, so any
+    exception a stage raises is a programming error and propagates.
     """
     return _run_lanes([scenario])[0]
 

@@ -60,7 +60,6 @@ EVENT_TRUST_FAIL = "TRUST_FAIL"
 EVENT_TRUST_REENTER = "TRUST_REENTER"
 EVENT_BUDGET_DENY = "BUDGET_DENY"
 EVENT_DAY_ROLLOVER = "DAY_ROLLOVER"
-EVENT_RUN_FAULT = "RUN_FAULT"
 
 MODE_EVENT_CODES = {
     MODE_AUTOMATED: EVENT_MODE_AUTOMATED,

@@ -28,10 +28,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .core import (
     ConfigurationError,
@@ -565,7 +568,9 @@ def load_scenario_file(path) -> dict:
 
     Raises:
         ScenarioParseError: a path that cannot be read (missing, a directory),
-            text that is not UTF-8, or malformed JSON with line/column.
+            text that is not UTF-8, malformed JSON with line/column, or JSON
+            the parser refuses: nested past the recursion limit, or an
+            integer longer than ``sys.get_int_max_str_digits()`` digits.
     """
     try:
         raw = json.loads(Path(path).read_bytes().decode("utf-8"))
@@ -577,6 +582,11 @@ def load_scenario_file(path) -> dict:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise ScenarioParseError(f"{path}: JSON nested too deeply to parse") from e
+    except ValueError as e:   # the one other refusal: int() of too many digits
+        raise ScenarioParseError(f"{path}: a JSON integer has more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from e
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{path}: scenario must be a JSON object")
     return raw
@@ -746,6 +756,17 @@ def validate_scenario(raw: dict) -> ValidationReport:
     if drain < 0:
         found(CHECKLIST_DEVICE_STATE, f"drain_v_per_uC {drain} is negative: the battery never "
                                       "charges")
+    # device_step adds the ramp to each impedance once per tick, so a falling impedance is
+    # least on the device built at the last tick, which must pass DeviceState's check too.
+    falling, n = device.impedance_ramp_ohm_per_tick, timebase.n_ticks
+    if falling < 0:   # np.add.accumulate adds one by one, so it gives the same floats
+        ends = {c: float(np.add.accumulate(np.concatenate(([z], np.full(n, falling))))[-1])
+                for c, z in device.impedance_ohm_per_contact.items()}
+        try:
+            replace(device, impedance_ohm_per_contact=ends)
+        except ConfigurationError as e:
+            found(CHECKLIST_DEVICE_STATE, f"impedance_ramp_ohm_per_tick {falling} over {n} "
+                                          f"ticks: {e}")
     for role, d in s.doses.items():
         amp = limits.amp_max_mA
         z = device.impedance_ohm_per_contact.get(d.contact_set)

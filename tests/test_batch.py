@@ -152,38 +152,31 @@ def failing_on_call(fn, call: int):
     return wrapper
 
 
-@pytest.mark.parametrize("stage", ["device_step", "clamp_and_slew"])
-def test_per_lane_fault_aborts_only_its_lane(monkeypatch, stage):
-    # Budget: 2 s per stage. Both stages run once per lane per tick, lane by
-    # lane, so call tick * width + lane is that lane's call at that tick.
-    scenario = ieeg_scenario()
-    width, lane, tick = 4, 2, 50
-    original = getattr(engine, stage)
-    monkeypatch.setattr(engine, stage, failing_on_call(original, tick * width + lane))
-    in_one_batch(monkeypatch)
-    batch = sweep(scenario, width)
-    assert [r.aborted for r in batch] == [i == lane for i in range(width)]
-    assert batch[lane].n_ticks == tick
-    for i, r in enumerate(batch):
-        monkeypatch.setattr(engine, stage, failing_on_call(original, tick if i == lane else -1))
-        assert texts(r) == texts(run_scenario(r.scenario)), i
-
-
-@pytest.mark.parametrize("run", [partial(sweep, n_seeds=6), run_scenario],
-                         ids=["sweep", "run_scenario"])
-def test_sensing_error_propagates(monkeypatch, run):
-    # Budget: 1 s. A sensing stage raises nothing for a built scenario, so an
-    # error it does raise is a programming error: no lane turns it into RUN_FAULT.
-    tick = 2 * engine.NOISE_CHUNK
-    original = engine.ieeg_frame
-
-    def failing(seizing, cfg, noise, t=0):
+def failing_at_tick(fn, tick: int):
+    """``ieeg_frame``-like ``fn``, except that a call framing ``tick`` raises."""
+    def wrapper(seizing, cfg, noise, t=0):
         if tick in np.atleast_1d(t):   # one tick, or one per row
             raise DomainError("synthetic shared-configuration failure")
-        return original(seizing, cfg, noise, t)
+        return fn(seizing, cfg, noise, t)
 
-    monkeypatch.setattr(engine, "ieeg_frame", failing)
-    with pytest.raises(DomainError, match="synthetic shared-configuration failure"):
+    return wrapper
+
+
+FAILING = {   # a sensing stage at tick 64, and two per-lane stages on their call 100
+    "ieeg_frame": partial(failing_at_tick, tick=2 * engine.NOISE_CHUNK),
+    "device_step": partial(failing_on_call, call=100),
+    "clamp_and_slew": partial(failing_on_call, call=100),
+}
+
+
+@pytest.mark.parametrize("stage", FAILING)
+@pytest.mark.parametrize("run", [partial(sweep, n_seeds=6), run_scenario],
+                         ids=["sweep", "run_scenario"])
+def test_stage_error_propagates(monkeypatch, run, stage):
+    # Budget: 1 s per case. No stage raises a simulation error for a built
+    # scenario, so one that does is a programming error: it escapes the run.
+    monkeypatch.setattr(engine, stage, FAILING[stage](getattr(engine, stage)))
+    with pytest.raises((DomainError, InvalidPlantError), match="synthetic"):
         run(ieeg_scenario())
 
 
@@ -409,7 +402,7 @@ PREFIX_CASES = {**{f"ieeg_{c}": (IeegSensing, BLOCK_CASES[c]) for c in BLOCK_CAS
 def test_framed_ticks_are_a_prefix(monkeypatch, case):
     # Budget: 1 s per case. The framed lanes share one noise-block cursor,
     # t % NOISE_CHUNK, which holds because a lane framed on tick t was framed
-    # on every tick before it: reset modes latch and aborts are final.
+    # on every tick before it: reset modes latch.
     sensing, make = PREFIX_CASES[case]
     framed = {}
     sense = sensing.sense

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -403,6 +404,35 @@ class TestUnreadablePaths:
         assert main(["replay", str(tmp_path / "absent")]) == EXIT_FAULT
         self.one_line(capsys, "replay error:")
 
+    # JSON the parser refuses: once a RecursionError or a ValueError
+    # traceback and exit 1.
+    REFUSED = {
+        "nested-200000-deep": lambda: "[" * 200_000 + "]" * 200_000,
+        "seed-past-the-digit-limit": lambda: json.dumps({**ecap_raw(), "seed": 0}).replace(
+            '"seed": 0', '"seed": ' + "7" * (sys.get_int_max_str_digits() + 1)),
+    }
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    @pytest.mark.parametrize("refused", REFUSED)
+    def test_json_the_parser_refuses_exit_2(self, tmp_path, monkeypatch, capsys, command,
+                                            refused):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "refused.json"
+        path.write_text(self.REFUSED[refused]())
+        assert main([command, str(path)] + self.ARGS[command]) == EXIT_VALIDATION
+        self.one_line(capsys, f"parse error: {path}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("refused", REFUSED)
+    def test_replay_of_json_the_parser_refuses_exit_3(self, ecap_file, tmp_path, capsys,
+                                                      refused):
+        out = tmp_path / "r"
+        assert main(["run", str(ecap_file), "--out", str(out)]) == EXIT_OK
+        (out / "scenario.json").write_text(self.REFUSED[refused]())
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == EXIT_FAULT
+        self.one_line(capsys, "replay error:")
+
 
 class TestRun:
     def test_writes_outputs(self, ecap_file, tmp_path):
@@ -446,6 +476,18 @@ class TestRun:
         path = tmp_path / "nofallback.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+    def test_impedance_ramped_to_zero_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # Once a RUN_FAULT at tick 99, exit 3 and truncated outputs.
+        raw = deep_merge(reference_raw("ecap_scs"),
+                         {"plant": {"device": {"impedance_ramp_ohm_per_tick": -5.0}}})
+        path = tmp_path / "ramp.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+        out = capsys.readouterr().out
+        assert ("[Device state] impedance_ramp_ohm_per_tick -5.0 over 1500 ticks: impedance of "
+                "contact 'E1' must be positive") in out
 
     def test_fault_run_exit_3(self, tmp_path):
         raw = ecap_raw(plant={"device": {"battery_v": 3.2, "drain_v_per_uC": 1e-3}})

@@ -31,6 +31,7 @@ from neuroloop.safety import (
 )
 from neuroloop.scenario import (
     ScenarioParseError,
+    CHECKLIST_DEVICE_STATE,
     CHECKLIST_FALLBACK,
     CHECKLIST_LIMITS,
     CHECKLIST_SENSOR,
@@ -116,6 +117,28 @@ class TestValidation:
         report = validate_scenario(raw)
         assert not report.ok
         assert any("slope" in f.message for f in report.findings)
+
+    @pytest.mark.parametrize("ramp", [-5.0, -0.3334])
+    def test_impedance_ramped_to_zero_is_a_device_state_finding(self, ramp):
+        # 500 ohm over 1,500 ticks: the impedance reaches zero on the device
+        # built at tick 99 (-5) or at the last tick, 1499 (-0.3334).
+        raw = deep_merge(reference_raw("ecap_scs"),
+                         {"plant": {"device": {"impedance_ramp_ohm_per_tick": ramp}}})
+        report = validate_scenario(raw)
+        assert [f.checklist_item for f in report.findings] == [CHECKLIST_DEVICE_STATE]
+        assert "impedance of contact 'E1' must be positive" in report.findings[0].message
+
+    @pytest.mark.parametrize("ramp", [-1 / 3, -0.33333333333333337])
+    def test_impedance_ramp_is_judged_by_sequential_sums(self, ramp):
+        # 500 + ramp * 1500 reads 0.0 and -5.7e-14, but 1,500 additions of
+        # the ramp, as device_step makes them, leave about 1.1e-11 ohm.
+        raw = deep_merge(reference_raw("ecap_scs"),
+                         {"plant": {"device": {"impedance_ramp_ohm_per_tick": ramp}}})
+        assert 500.0 + ramp * 1500 <= 0.0
+        report = validate_scenario(raw)
+        assert report.ok, report.findings
+        r = run_scenario(report.scenario)
+        assert r.n_ticks == len(r.mode) == 1500
 
     def test_unknown_contact_set_caught_before_running(self):
         raw = ecap_raw(baseline_dose={"amplitude_mA": 4.0, "pulse_width_us": 200.0,
@@ -464,16 +487,17 @@ class TestSupervisedRuns:
         )
         assert scan.ok
 
-    def test_fallback_frac_counts_only_stored_ticks(self):
-        # The impedance ramps to zero, which aborts the run at tick 99 with a
-        # RUN_FAULT after that tick's mode was chosen; it stores 99 rows.
+    def test_fallback_frac_is_the_share_of_fallback_ticks(self):
+        # The impedance falls below impedance_min_ohm mid-run, so trust fails
+        # and the loop falls back for the rest of the run.
         raw = reference_raw("ecap_scs")
-        raw["plant"]["device"]["impedance_ramp_ohm_per_tick"] = -5.0
+        raw["plant"]["device"]["impedance_ramp_ohm_per_tick"] = -0.3
         raw["trust"]["checks"].append("ImpedanceInRange")
         raw["trust"]["impedance_min_ohm"] = 300.0
         r = run_scenario(scenario_from_dict(raw))
-        assert r.aborted and r.n_ticks == len(r.mode) == 99
-        assert r.metrics.fallback_frac == r.mode.count(MODE_FALLBACK) / 99 == 56 / 99
+        fallback = r.mode.count(MODE_FALLBACK)
+        assert 0 < fallback < r.n_ticks == 1500
+        assert r.metrics.fallback_frac == fallback / 1500
 
     def test_device_checks_read_the_delivering_contact(self):
         # The baseline dose is on E1 (500 ohm); the policy delivers on E2
@@ -521,27 +545,18 @@ class TestSupervisedRuns:
         assert r.metrics.seizure_count >= 3
         assert r.metrics.early_termination_count == r.metrics.seizure_count
 
-    def test_internal_failure_aborts_with_fault_event(self, monkeypatch):
-        import neuroloop.engine as engine_mod
-
-        def explode(*a, **kw):
-            raise InvalidPlantError("synthetic plant failure")
-
-        monkeypatch.setattr(engine_mod, "clamp_and_slew", explode)
-        r = run_scenario(scenario_from_dict(ecap_raw()))
-        assert r.aborted
-        assert any(e.code == "RUN_FAULT" and e.severity == "Fault" for e in r.events)
-        assert r.n_ticks == 0  # failed on the very first tick, nothing forged
-
-    def test_programming_error_escapes_the_run(self, monkeypatch):
-        # Only simulation errors become RUN_FAULT; a bug must fail loudly.
+    @pytest.mark.parametrize("error", [InvalidPlantError, TypeError])
+    @pytest.mark.parametrize("stage", ["ecap_true", "clamp_and_slew"])
+    def test_programming_error_escapes_the_run(self, monkeypatch, stage, error):
+        # A run cannot fault, so an error a stage raises, a simulation error
+        # included, is a bug: it fails loudly and is never an event.
         import neuroloop.engine as engine_mod
 
         def broken(*a, **kw):
-            raise TypeError("synthetic programming error")
+            raise error("synthetic programming error")
 
-        monkeypatch.setattr(engine_mod, "ecap_true", broken)
-        with pytest.raises(TypeError, match="synthetic programming error"):
+        monkeypatch.setattr(engine_mod, stage, broken)
+        with pytest.raises(error, match="synthetic programming error"):
             run_scenario(scenario_from_dict(ecap_raw()))
 
     def test_mode_trajectory_reconstructible_from_events(self):

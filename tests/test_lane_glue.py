@@ -189,7 +189,7 @@ def test_reduce_then_divide_is_mean_bit_for_bit(w, lanes, data):
 @given(lanes=st.integers(1, 6), n_ticks=st.integers(1, 3 * engine.NOISE_CHUNK),
        drops=st.lists(st.integers(0, 3 * engine.NOISE_CHUNK), max_size=6))
 def test_strided_noise_rows_equal_the_gather(lanes, n_ticks, drops):
-    """Lanes leave the framed set for good (reset modes latch, aborts are final)."""
+    """Lanes leave the framed set for good: reset modes latch."""
     def blocks():
         return engine._NoiseBlocks([np.random.default_rng(s) for s in range(lanes)], 3)
 

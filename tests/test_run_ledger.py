@@ -14,11 +14,10 @@ subclass and each ``json.dumps`` in what it reaches. The set must equal
   validation, with the finding the row names;
 - unreachable: the row says why; where the run copies a field that a check
   passed when it was built, the row's edit shows that check refusing it;
-- by design, exit 3: state reached only during the run. There are two
-  causes: an impedance that ramps to zero, which aborts the lane with a
-  RUN_FAULT event, and an output number that is not finite, which the one
-  JSON writer refuses with NonFiniteOutputError. The row's edit validates,
-  and its run ends there.
+- by design, exit 3: state reached only during the run. There is one
+  cause: an output number that is not finite, which the one JSON writer
+  refuses with NonFiniteOutputError. The row's edit validates, and its run
+  ends there.
 
 A new raise or ``json.dumps`` on the run path fails here until its row says
 why. Divisions are not covered.
@@ -36,7 +35,6 @@ from neuroloop.core import SimulationError
 from neuroloop.engine import run_scenario
 from neuroloop.features import FEATURES
 from neuroloop.outputs import events_jsonl_text, summary_json_text
-from neuroloop.safety import EVENT_RUN_FAULT
 from neuroloop.scenario import validate_scenario
 
 from conftest import deep_merge, reference_raw
@@ -138,10 +136,10 @@ LEDGER = {
         UNREACHABLE, "reached by spelling only: a beta plant's curve is read as a "
                      "BetaSuppression", None),
     ("plant.DeviceState.__post_init__", "ConfigurationError", "impedance of contact "): (
-        EXIT_3, "device_step ramps each impedance by impedance_ramp_ohm_per_tick; one that "
-                "reaches zero (or too near it for a finite compliance current) aborts the lane",
+        FINDING, "device_step adds impedance_ramp_ohm_per_tick to each impedance once per "
+                 "tick; validation runs this check on the impedances after n_ticks additions",
         ("ecap_scs", {"plant": {"device": {"impedance_ramp_ohm_per_tick": -100.0}}},
-         "ConfigurationError: impedance of contact 'E1' must be positive")),
+         "impedance of contact 'E1' must be positive")),
     ("outputs.json_text", "NonFiniteOutputError", ""): (
         EXIT_3, "a metric or an event payload that overflowed during the run", OVERFLOW),
     ("outputs.json_text", "json.dumps", "allow_nan=False"): (
@@ -243,11 +241,11 @@ def test_every_run_site_is_in_the_ledger():
     assert sorted(run_sites()) == sorted(LEDGER)
 
 
-def test_each_row_has_a_kind_and_exit_3_has_two_causes():
+def test_each_row_has_a_kind_and_exit_3_has_one_cause():
     kinds = [kind for kind, _, _ in LEDGER.values()]
     assert set(kinds) == {FINDING, UNREACHABLE, EXIT_3}
     assert all(case for kind, _, case in LEDGER.values() if kind != UNREACHABLE)
-    assert len({case[2] for kind, _, case in LEDGER.values() if kind == EXIT_3}) == 2
+    assert len({case[2] for kind, _, case in LEDGER.values() if kind == EXIT_3}) == 1
 
 
 CHECKED = [site for site, (kind, _, case) in LEDGER.items() if case and kind != EXIT_3]
@@ -269,14 +267,9 @@ def test_each_exit_3_site_ends_a_run_of_a_valid_scenario(site):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         result = run_scenario(report.scenario)
-    if result.aborted:
-        fault = result.events[-1]
-        assert fault.code == EVENT_RUN_FAULT
-        error = fault.payload["error"]
-    else:
-        try:
-            events_jsonl_text(result), summary_json_text(result)
-            error = ""
-        except SimulationError as e:
-            error = f"{type(e).__name__}: {e}"
+    try:
+        events_jsonl_text(result), summary_json_text(result)
+        error = ""
+    except SimulationError as e:
+        error = f"{type(e).__name__}: {e}"
     assert error.startswith(case[2])

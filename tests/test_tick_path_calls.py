@@ -6,7 +6,9 @@ comparison that replaces it, and ``round(x, 9)`` converts through a decimal
 string; so ``round`` stays only on ``plant._floor_to_step``'s fallback line.
 ``safety.supervisor_step`` builds no closure per call, ``engine._Lane``
 reads plain attributes instead of properties, and the tick loop of
-``engine._run_lanes`` scans no lanes with a generator or ``any``.
+``engine._run_lanes`` scans no lanes with a generator or ``any``. A run
+cannot fault, so neither ``_Lane.step`` nor the tick loop has a ``try``:
+no per-lane abort path comes back.
 The source is parsed with ``ast``, nothing is imported.
 Runtime budget: well under 0.1 s.
 """
@@ -81,11 +83,25 @@ def test_lane_defines_no_property():
     assert found == [], f"cache it as an attribute: {found}"
 
 
-def test_tick_loop_scans_no_lanes_with_a_generator_or_any():
+def tick_loop() -> ast.For:
     run = top_level("engine", "_run_lanes")
     loops = [node for node in ast.walk(run) if isinstance(node, ast.For)
              and isinstance(node.target, ast.Name) and node.target.id == "t"]
     assert len(loops) == 1
-    found = [c.lineno for c in ast.walk(loops[0]) if isinstance(c, ast.GeneratorExp)]
-    found += [c.lineno for c in calls(loops[0], "any")]
+    return loops[0]
+
+
+def test_tick_loop_scans_no_lanes_with_a_generator_or_any():
+    loop = tick_loop()
+    found = [c.lineno for c in ast.walk(loop) if isinstance(c, ast.GeneratorExp)]
+    found += [c.lineno for c in calls(loop, "any")]
     assert found == [], f"a per-tick scan of the lanes: {found}"
+
+
+def test_lane_step_and_tick_loop_catch_nothing():
+    step = next(node for node in top_level("engine", "_Lane").body
+                if isinstance(node, ast.FunctionDef) and node.name == "step")
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    found = [node.lineno for part in (step, tick_loop()) for node in ast.walk(part)
+             if isinstance(node, tries)]
+    assert found == [], f"a stage error caught on the tick path: {found}"
