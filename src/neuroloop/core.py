@@ -56,7 +56,6 @@ QUALITY_OK = "OK"
 QUALITY_SATURATED = "Saturated"
 QUALITY_FLATLINE = "Flatline"
 QUALITY_IMPOSSIBLE = "Impossible"
-QUALITY_EXTERNAL_NOISE = "ExternalNoise"
 OK_ONLY = frozenset({QUALITY_OK})   # the quality of a sample with no defect
 
 SEVERITY_INFO = "Info"

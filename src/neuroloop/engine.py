@@ -20,10 +20,11 @@ lane runs here in one loop.
 Frames and features run at once for every lane not in a reset mode: beta
 frames (``beta_lfp_frame``, ``signal_quality``, ``band_power``) each tick,
 their tick-only terms from a ``BetaTickTable`` built per 64-tick block; iEEG
-background frames (``ieeg_frame`` with no seizure), their quality and tool
+background frames (``ieeg_frame`` not seizing), their quality and tool
 features once per NOISE_CHUNK-tick noise block, and a seizing lane's ictal
 frames once per block it seizes in, from its first seizing tick there to the
-block's end (``ieeg_frame`` at per-row ticks). The other stages are per lane
+block's end (``ieeg_frame`` seizing, at per-row ticks). Frame quality is
+judged at the device's amplifier saturation. The other stages are per lane
 and scalar: the seizure process, the detectors, evoked-response sensing
 (which has no frames), trust checks, supervisor, policy, budgets,
 clamp/slew, actuator and device. A lane's noise (frame rows, seizure
@@ -81,7 +82,6 @@ from .control import ManualFixed, PolicyState
 from .features import (
     QUALITY_TEXT,
     Detector,
-    SignalQualityLimits,
     band_power,
     detect,
     ecap_range_check,
@@ -424,9 +424,7 @@ class BetaSensing(_Sensing):
         self.table = BetaTickTable(self.cfg)
         self.band = (plant.band_lo_hz, plant.band_hi_hz)
         self.noise = _NoiseBlocks([lane_rngs[1] for lane_rngs in rngs], self.cfg.frame_len)
-        self.sq_limits = SignalQualityLimits(
-            saturation_uV=scenario.device.amplifier_saturation_uV
-        )
+        self.saturation_uV = scenario.device.amplifier_saturation_uV
         # Each lane's last ``smooth`` band powers, oldest first, right-aligned.
         # A run never holds more than n_ticks of them.
         tb = scenario.timebase
@@ -439,7 +437,7 @@ class BetaSensing(_Sensing):
         if framed:
             frames = beta_lfp_frame([lanes[i] for i in framed], t, self.table,
                                     self.noise.rows_at(t, framed))
-            quals = signal_quality(frames, self.sq_limits)
+            quals = signal_quality(frames, self.saturation_uV)
             power = band_power(frames, *self.band, self.cfg.fs_hz)
             for i, value, qual in zip(framed, self._smoothed(t, framed, power).tolist(), quals):
                 readings[i] = (value, qual, False, None)
@@ -488,16 +486,14 @@ class IeegSensing(_Sensing):
         self.tools = plant.tools
         self.detectors = [[Detector(spec) for spec in self.tools] for _ in rngs]
         self.combinator = plant.combinator
-        self.sq_limits = SignalQualityLimits(
-            saturation_uV=scenario.device.amplifier_saturation_uV
-        )
+        self.saturation_uV = scenario.device.amplifier_saturation_uV
         self.seizing = np.zeros((len(rngs), scenario.timebase.n_ticks), dtype=bool)
 
     def _features(self, frames: np.ndarray) -> list:
         """Each row's (quality, tool values), for an (m, frame_len) array."""
         values = [np.asarray(tool_feature(spec, frames), dtype=float).tolist()
                   for spec in self.tools]
-        return list(zip(signal_quality(frames, self.sq_limits), zip(*values)))
+        return list(zip(signal_quality(frames, self.saturation_uV), zip(*values)))
 
     def sense(self, t: int, lanes: list) -> list:
         readings = [NO_READING] * len(lanes)
@@ -515,7 +511,7 @@ class IeegSensing(_Sensing):
         rows, at = self.noise.at(t, framed)
         k = t % NOISE_CHUNK
         if k == 0:
-            quiet = ieeg_frame(np.zeros(len(rows), dtype=bool), self.cfg, rows, t)
+            quiet = ieeg_frame(False, self.cfg, rows, t)
             self.quiet = self._features(quiet)
             self.ictal = [None] * len(rows)
         more = range(1, len(self.tools))
@@ -523,8 +519,7 @@ class IeegSensing(_Sensing):
             if i in ictal:
                 if self.ictal[r] is None:   # frame the lane's rows at ticks t .. the block's end
                     end = r + NOISE_CHUNK - k
-                    frames = ieeg_frame(np.ones(end - r, dtype=bool), self.cfg, rows[r:end],
-                                        np.arange(t, t + end - r))
+                    frames = ieeg_frame(True, self.cfg, rows[r:end], np.arange(t, t + end - r))
                     self.ictal[r:end] = self._features(frames)
                 qual, values = self.ictal[r]
             else:

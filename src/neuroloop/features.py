@@ -2,8 +2,9 @@
 
 The detection features used by the responsive-epilepsy controller
 (line length, area, half-wave counting, logical combination), band power
-for the adaptive-DBS controller, and the evoked potential amplitude
-estimator with its signal-quality checks.
+for the adaptive-DBS controller, and the quality checks a run reads: of a
+frame against the amplifier's saturation and a flatline bound
+(``signal_quality``), and of an evoked-potential estimate (``ecap_range_check``).
 
 All feature functions are stateless and take either one frame (a 1-D
 array-like of samples) or a batch of frames (an (S, frame_len) array, one
@@ -38,7 +39,6 @@ from .core import (
     DomainError,
     InsufficientDataError,
     OK_ONLY,
-    QUALITY_EXTERNAL_NOISE,
     QUALITY_FLATLINE,
     QUALITY_IMPOSSIBLE,
     QUALITY_SATURATED,
@@ -119,20 +119,17 @@ def _fsum_rows(a: np.ndarray):
     math.fsum; a larger one with ``_split_sums``, and with math.fsum only
     on the rows it does not certify. A certified sum is the exactly rounded
     sum of its row, which is what math.fsum returns, so both routes give
-    every row bit-identical to math.fsum of that row. A row on which
-    math.fsum raises for an overflowing partial sum reads inf (``_fsum``).
+    every row bit-identical to math.fsum of that row. Every math.fsum goes
+    through ``_fsum``, so a row whose partial sum overflows reads inf.
     """
-    try:
-        if a.ndim == 1:
-            return math.fsum(a.tolist())
-        if len(a) < KERNEL_MIN_ROWS:
-            return np.array([math.fsum(row) for row in a.tolist()])
-        sums, exact = _split_sums(a)
-        for i in np.flatnonzero(~exact).tolist():
-            sums[i] = math.fsum(a[i].tolist())
-        return sums
-    except OverflowError:   # a partial sum overflowed: redo the batch row by row
-        return _fsum(a.tolist()) if a.ndim == 1 else np.array([_fsum(r) for r in a.tolist()])
+    if a.ndim == 1:
+        return _fsum(a.tolist())
+    if len(a) < KERNEL_MIN_ROWS:
+        return np.array([_fsum(row) for row in a.tolist()])
+    sums, exact = _split_sums(a)
+    for i in np.flatnonzero(~exact).tolist():
+        sums[i] = _fsum(a[i].tolist())
+    return sums
 
 
 def _fsum(terms: list) -> float:
@@ -404,9 +401,7 @@ _RANGE_VERDICTS = (
 )
 
 
-def ecap_range_check(
-    estimate: float, saturation_uV: float = float("inf")
-) -> tuple[float, frozenset]:
+def ecap_range_check(estimate: float, saturation_uV: float) -> tuple[float, frozenset]:
     """Range checks for an amplitude-level evoked-potential estimate.
 
     Used when the simulation runs at amplitude level and the estimator is
@@ -416,37 +411,29 @@ def ecap_range_check(
     return estimate, _RANGE_VERDICTS[2 * (not estimate > 0.0) + (estimate >= saturation_uV)]
 
 
-@dataclass(frozen=True)
-class SignalQualityLimits:
-    """Bounds used by ``signal_quality``."""
+# A window whose peak-to-peak is below this many µV is a Flatline. Read at
+# each call of ``signal_quality``.
+FLATLINE_EPS_UV = 1e-9
 
-    saturation_uV: float
-    flatline_eps_uV: float = 1e-9
-    max_delta_uV_per_sample: float = float("inf")
-
-
-# Every verdict of ``signal_quality``, indexed by 4*saturated + 2*flatline + noisy.
-_QUALITY_VERDICTS = tuple(
-    frozenset(
-        flag
-        for bit, flag in ((4, QUALITY_SATURATED), (2, QUALITY_FLATLINE), (1, QUALITY_EXTERNAL_NOISE))
-        if code & bit
-    ) or OK_ONLY
-    for code in range(8)
+# Every verdict of ``signal_quality``, indexed by 2*saturated + flatline.
+_QUALITY_VERDICTS = (
+    OK_ONLY,
+    frozenset({QUALITY_FLATLINE}),
+    frozenset({QUALITY_SATURATED}),
+    frozenset({QUALITY_FLATLINE, QUALITY_SATURATED}),
 )
 
 # Every verdict of both checks, as its timeseries.csv cell.
 QUALITY_TEXT = {qual: "+".join(sorted(qual)) for qual in _QUALITY_VERDICTS + _RANGE_VERDICTS}
 
 
-def signal_quality(w: SampleSource, limits: SignalQualityLimits):
-    """Classify a window as OK / Saturated / Flatline / ExternalNoise.
+def signal_quality(w: SampleSource, saturation_uV: float):
+    """Classify a window as OK / Saturated / Flatline.
 
-    Saturated: any sample at or beyond the amplifier limit. Flatline:
-    peak-to-peak below ``flatline_eps_uV``. ExternalNoise: any
-    sample-to-sample jump above the configured rate bound. Multiple flags
-    may apply; OK is returned only when none do. A frame gives a frozenset,
-    a batch a list of them.
+    Saturated: any sample at or beyond ``saturation_uV`` in magnitude (the
+    amplifier limit). Flatline: peak-to-peak below ``FLATLINE_EPS_UV``.
+    Both flags may apply; OK is returned only when neither does. A frame
+    gives a frozenset, a batch a list of them.
 
     A frame, or a batch of fewer than ``KERNEL_MIN_ROWS`` rows, is
     classified row by row from its row max and min as Python floats; a
@@ -458,28 +445,21 @@ def signal_quality(w: SampleSource, limits: SignalQualityLimits):
         raise InsufficientDataError("signal_quality needs a nonempty window")
     # |x| >= s is x >= s or x <= -s, so the row max and min give both tests;
     # a NaN sample makes them NaN, and such a row is scanned sample by sample.
-    s, eps = limits.saturation_uV, limits.flatline_eps_uV
+    s, eps = saturation_uV, FLATLINE_EPS_UV
     rows = x.reshape(-1, x.shape[-1])   # a frame is a batch of one row
     mx, mn = rows.max(axis=1), rows.min(axis=1)
-    # No jump exceeds an infinite bound, so that pass is skipped.
-    noisy = None
-    if rows.shape[1] >= 2 and limits.max_delta_uV_per_sample < math.inf:
-        noisy = np.abs(np.diff(rows, axis=1)).max(axis=1) > limits.max_delta_uV_per_sample
     if len(rows) < KERNEL_MIN_ROWS:
         # The same comparisons on each row's max and min as Python floats.
-        jumps = [False] * len(rows) if noisy is None else noisy.tolist()
         verdicts = []
-        for i, (hi, lo, jump) in enumerate(zip(mx.tolist(), mn.tolist(), jumps)):
+        for i, (hi, lo) in enumerate(zip(mx.tolist(), mn.tolist())):
             saturated = (hi >= s or lo <= -s) if hi == hi else bool((np.abs(rows[i]) >= s).any())
-            verdicts.append(_QUALITY_VERDICTS[4 * saturated + 2 * (hi - lo < eps) + jump])
+            verdicts.append(_QUALITY_VERDICTS[2 * saturated + (hi - lo < eps)])
     else:
         saturated = (mx >= s) | (mn <= -s)
         lost = np.isnan(mx)
         if lost.any():
             saturated[lost] = np.any(np.abs(rows[lost]) >= s, axis=1)
-        code = 4 * saturated
-        code += 2 * (mx - mn < eps)
-        if noisy is not None:
-            code += noisy
+        code = 2 * saturated
+        code += (mx - mn) < eps
         verdicts = [_QUALITY_VERDICTS[c] for c in code.tolist()]
     return verdicts[0] if x.ndim == 1 else verdicts

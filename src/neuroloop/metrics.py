@@ -41,7 +41,7 @@ def step_response_metrics(
     setpoint: float,
     step_tick: int,
     tol_frac: float,
-    dt_s: float = 1.0,
+    dt_s: float,
 ) -> StepResponse:
     """Characterize how a biomarker series recovers after a step at ``step_tick``.
 
@@ -161,14 +161,15 @@ def scan_delivered_series(
     delivered_mA,
     limits: DoseLimits,
     pulse_width_us,
-    initial_mA: Optional[float] = None,
+    initial_mA: float,
 ) -> SafetyScanResult:
     """Re-check every delivered amplitude against the hard limits.
 
     Checks, per tick: amplitude a number, within [amp_min, amp_max]; step
-    from the previous tick within the slew limit (the first tick is checked
-    against ``initial_mA`` when given); per-pulse charge within the charge
-    limit, at one ``pulse_width_us`` or each tick's (``pulse_widths_us``).
+    from the previous tick within the slew limit (tick 0's step is from
+    ``initial_mA``, the amplitude delivered before the run); per-pulse
+    charge within the charge limit, at one ``pulse_width_us`` or each
+    tick's (``pulse_widths_us``).
     A small epsilon absorbs float round-off only, never a real violation.
     """
     a = np.asarray(delivered_mA, dtype=float)
@@ -188,7 +189,7 @@ def scan_delivered_series(
 
     prev = np.empty_like(a)
     prev[1:] = a[:-1]
-    prev[0] = initial_mA if initial_mA is not None else a[0]
+    prev[0] = initial_mA
     bad_slew = np.nonzero(np.abs(a - prev) > limits.max_slew_mA_per_tick + eps)[0]
     for i in bad_slew:
         violations.append((int(i), "slew_exceeded", float(a[i] - prev[i])))
@@ -202,7 +203,7 @@ def scan_delivered_series(
     return SafetyScanResult(ok=not violations, violations=tuple(violations))
 
 
-def scan_timeseries_csv(path, scenario, initial_mA: Optional[float] = None) -> SafetyScanResult:
+def scan_timeseries_csv(path, scenario, initial_mA: float) -> SafetyScanResult:
     """Run the safety scan against a stored timeseries.csv, at ``scenario``'s limits
     and the pulse widths of the file's own ``supervisor_mode`` column
     (``initial_mA`` as in ``scan_delivered_series``).

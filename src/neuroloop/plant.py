@@ -537,21 +537,17 @@ def beta_lfp_frame(
     table: BetaTickTable,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """One tick's worth of synthesized field potential, in µV.
+    """One tick's worth of synthesized field potential, in µV, for a batch of doses.
 
-    ``table`` holds the tick-only terms of ``table.cfg``. ``noise`` holds
-    standard-normal draws, ``frame_len`` per frame: a 1-D ``noise`` with one
-    dose gives one frame, an (S, frame_len) ``noise`` with a sequence of S
-    doses gives S frames, row i driven by dose i: anything with an
-    ``amplitude_mA`` and a ``frequency_hz``, such as a ``Dose`` or an engine
-    lane (its delivered amplitude and template). Frames are phase-coherent
-    across ticks (the oscillators run on absolute time). A frame consumes
-    exactly ``frame_len`` draws regardless of configuration, so paired runs
-    with the same seed see identical noise.
+    ``table`` holds the tick-only terms of ``table.cfg``. ``noise`` is an
+    (S, frame_len) array of standard-normal draws and ``doses`` a sequence of
+    S doses; row i of the (S, frame_len) result is driven by dose i:
+    anything with an ``amplitude_mA`` and a ``frequency_hz``, such as a
+    ``Dose`` or an engine lane (its delivered amplitude and template).
+    Frames are phase-coherent across ticks (the oscillators run on absolute
+    time). A frame consumes exactly ``frame_len`` draws regardless of
+    configuration, so paired runs with the same seed see identical noise.
     """
-    single = noise.ndim == 1
-    if single:
-        doses = (doses,)
     cfg = table.cfg
     k = table.row(tick)
 
@@ -574,7 +570,7 @@ def beta_lfp_frame(
                 frame += table.gamma(rate)[k]
             else:
                 frame[rows] += table.gamma(rate)[k]
-    return frame[0] if single else frame
+    return frame
 
 
 @dataclass(frozen=True)
@@ -592,29 +588,24 @@ class IeegPlantConfig(_FrameConfig):
 
 
 def ieeg_frame(
-    seizing,
+    seizing: bool,
     cfg: IeegPlantConfig,
     noise: np.ndarray,
-    tick=0,
+    tick,
 ) -> np.ndarray:
-    """One tick of intracranial signal, in µV; rhythmic component when seizing.
+    """Intracranial signal frames, in µV; a rhythmic component when ``seizing``.
 
-    ``noise`` holds ``frame_len`` standard-normal draws per frame: 1-D with a
-    bool ``seizing`` for one frame, (..., frame_len) with a flag array of
-    shape (...) for many. ``tick`` is the tick of every frame (an int), or of
-    each frame (an int array of the flags' shape), so one call can frame a
-    lane over consecutive ticks; each frame equals a call at its own tick.
+    ``noise`` holds ``frame_len`` standard-normal draws per frame: 1-D for
+    one frame, (m, frame_len) for m. ``seizing`` holds for every frame of
+    the call. ``tick`` is the tick of every frame (an int), or of each of m
+    frames (an int array of shape (m,)), so one call can frame a lane over
+    consecutive ticks; each frame equals a call at its own tick.
     """
     frame = noise * cfg.background_sd_uV
-    seizing = np.asarray(seizing)
-    if seizing.any():
+    if seizing:
         n = cfg.frame_len
         t = np.add.outer(np.multiply(tick, n), np.arange(n)) / cfg.fs_hz
-        ictal = cfg.ictal_amplitude_uV * np.sin(2.0 * np.pi * cfg.ictal_hz * t)
-        if frame.ndim == 1:
-            frame += ictal
-        else:
-            frame[seizing] += ictal if ictal.ndim == 1 else ictal[seizing]
+        frame += cfg.ictal_amplitude_uV * np.sin(2.0 * np.pi * cfg.ictal_hz * t)
     return frame
 
 

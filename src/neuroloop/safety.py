@@ -95,7 +95,7 @@ def clamp_and_slew(
     limits: DoseLimits,
     prev_delivered_mA: float,
     log: list,
-    tick: int = 0,
+    tick: int,
 ) -> float:
     """Legalize a commanded amplitude; never raises, always yields a compliant one.
 
@@ -289,7 +289,7 @@ def trust_check_step(cfg: TrustConfig, quality: frozenset, biomarker: Optional[f
 
 def supervisor_step(st: SupervisorState, fail_streak: int, pass_streak: int,
                     magnet_applied: bool, device: DeviceState, trust: TrustConfig,
-                    fallback: FallbackKind, log: list, tick: int = 0) -> SupervisorState:
+                    fallback: FallbackKind, log: list, tick: int) -> SupervisorState:
     """Advance the mode machine one tick, given the lane's dwell streaks.
 
     Precedence, highest first: DC leak, end of service, magnet, trust

@@ -592,6 +592,26 @@ def load_scenario_file(path) -> dict:
     return raw
 
 
+# The deepest a ``_comment`` may nest lists and objects. Writing scenario.json
+# and pickling a scenario for a forked sweep worker recurse one or two frames
+# a level, so deeper comments once validated and then hit the recursion limit
+# (1,000 frames by default): sweep on 2 cores from 491 levels, run from 987.
+MAX_COMMENT_DEPTH = 100
+
+
+def _check_comment(comment) -> None:
+    """Raise unless scenario.json can hold ``comment``: free text, but JSON
+    (no NaN or Infinity) nested at most MAX_COMMENT_DEPTH deep."""
+    depth, level = 0, [comment]
+    while level := [x for x in level if isinstance(x, (list, dict))]:
+        depth += 1
+        if depth > MAX_COMMENT_DEPTH:
+            raise ValueError(f"_comment nests lists and objects more than "
+                             f"{MAX_COMMENT_DEPTH} deep")
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+    json.dumps(comment, allow_nan=False)
+
+
 def load_scenario(path) -> Scenario:
     """Parse and build a scenario from a file path."""
     return scenario_from_dict(load_scenario_file(path))
@@ -651,8 +671,7 @@ def validate_scenario(raw: dict) -> ValidationReport:
 
     attempt(CHECKLIST_VALIDATION, lambda: _known(raw, "scenario", TOP_LEVEL_KEYS))
     name = attempt(CHECKLIST_VALIDATION, lambda: _object(raw.get("name", "unnamed"), "name", str))
-    # Free text, but scenario.json must hold it as JSON: no NaN or Infinity.
-    attempt(CHECKLIST_VALIDATION, lambda: json.dumps(raw.get("_comment"), allow_nan=False))
+    attempt(CHECKLIST_VALIDATION, lambda: _check_comment(raw.get("_comment")))
     timebase = attempt(CHECKLIST_VALIDATION, lambda: _read_section(raw, "timebase", TIMEBASE))
     seed = attempt(CHECKLIST_VALIDATION, lambda: _build_seed(raw))
     baseline = attempt(CHECKLIST_MENTAL_MODEL, lambda: _read_section(raw, "baseline_dose", DOSE))

@@ -190,7 +190,7 @@ def _supervisor_transition_table(k_exit: int, k_enter: int):
                     )
                     assert (failed == 0) == verdict_pass
                     st = supervisor_step(
-                        SupervisorState(mode=mode), f2, p2, False, device, trust, fb, []
+                        SupervisorState(mode=mode), f2, p2, False, device, trust, fb, [], 0
                     )
                     key = (mode, f, p, verdict_pass)
                     table[key] = (
@@ -237,12 +237,12 @@ def test_c06_supervisor_model_check():
         healthy = DeviceState(battery_v=3.6, eos_threshold_v=3.0,
                               impedance_ohm_per_contact={"E1": 500.0},
                               compliance_v=10.0, amp_step_mA=0.1)
-        st = supervisor_step(SupervisorState(), 0, 1, False, dead, trust, fb, [])
+        st = supervisor_step(SupervisorState(), 0, 1, False, dead, trust, fb, [], 0)
         assert st.mode == MODE_EOS_RESET
         for streaks, magnet in itertools.product(((0, 1), (1, 0)), (False, True)):
             st2 = st
             for _ in range(5):
-                st2 = supervisor_step(st2, *streaks, magnet, healthy, trust, fb, [])
+                st2 = supervisor_step(st2, *streaks, magnet, healthy, trust, fb, [], 0)
                 assert st2.mode == MODE_EOS_RESET
         st3, _ = clinician_reset(st)
         assert st3.mode == MODE_AUTOMATED

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from neuroloop import cli
 from neuroloop.cli import EXIT_FAULT, EXIT_OK, EXIT_VALIDATION, main
+from neuroloop.scenario import MAX_COMMENT_DEPTH
 
 from conftest import SCENARIO_DIR, deep_merge, ecap_raw, reference_raw
 
@@ -236,6 +240,55 @@ class TestValidate:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
         assert "not JSON compliant" in capsys.readouterr().out
+
+    # Free text, yet writing scenario.json and pickling a scenario into a
+    # forked sweep worker recurse with the comment's nesting. Past those
+    # depths a comment once validated and then crashed with exit 1: sweep
+    # on 2 cores from 491 levels, compare from 985 and run from 987.
+    COMMANDS = {"validate": [], "run": ["--out", "o"], "compare": ["--out", "o"],
+                "sweep": ["--seeds", "2", "--out", "o"]}
+
+    @staticmethod
+    def deep_comment_file(where: Path, depth: int) -> Path:
+        """ecap_scs cut to 10 ticks, with a comment of lists nested ``depth`` deep."""
+        path = where / f"comment_{depth}.json"
+        text = json.dumps(deep_merge(reference_raw("ecap_scs"), {"timebase": {"duration_s": 0.2}}))
+        path.write_text(text[:-1] + ', "_comment": ' + "[" * depth + "]" * depth + "}")
+        return path
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("depth", [MAX_COMMENT_DEPTH + 1, 491])
+    def test_comment_nested_too_deeply_exit_2(self, tmp_path, monkeypatch, capsys, command,
+                                              depth):
+        monkeypatch.chdir(tmp_path)
+        path = self.deep_comment_file(tmp_path, depth)
+        assert main([command, str(path)] + self.COMMANDS[command]) == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+        assert f"_comment nests lists and objects more than {MAX_COMMENT_DEPTH} deep" in \
+            capsys.readouterr().out
+
+    def test_comment_987_deep_exit_2_in_a_fresh_process(self, tmp_path):
+        # Budget: about 1 s. The JSON parser takes 987 levels only from the
+        # shallow stack of a fresh process, as the CLI runs, not from pytest's.
+        path = self.deep_comment_file(tmp_path, 987)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        for command, args in self.COMMANDS.items():
+            proc = subprocess.run([sys.executable, "-m", "neuroloop", command, str(path)] + args,
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert proc.returncode == EXIT_VALIDATION, (command, proc.stderr)
+            assert "_comment nests lists and objects" in proc.stdout, command
+            assert not (tmp_path / "o").exists()
+
+    def test_deepest_comment_validation_accepts_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = self.deep_comment_file(tmp_path, MAX_COMMENT_DEPTH)
+        for command, args in self.COMMANDS.items():
+            out = [command if a == "o" else a for a in args]   # --out named after the command
+            assert main([command, str(path)] + out) == EXIT_OK, command
+        assert main(["replay", "run"]) == EXIT_OK
 
     @pytest.mark.parametrize("name, edit", MUTATIONS,
                              ids=[f"{n}:{json.dumps(e)}" for n, e in MUTATIONS])

@@ -8,6 +8,10 @@ tests do not either: code only tests call belongs in the tests. Names are
 matched by spelling, so a method counts as read when any attribute of that
 name is. Dunder names are called by Python itself and are skipped.
 
+Likewise every default of a top-level function in ``src/`` must be left out
+by at least one call in that code or a demo (functions matched by spelling):
+a default that only tests leave out is an option that only tests set.
+
 The benchmark's tracer names the functions it times in ``TRACED``; a name
 that no longer resolves is reported as 0 calls, not as an error, so every
 name is checked here against the package.
@@ -80,3 +84,58 @@ def test_every_traced_name_is_a_function_of_its_layer():
         if not callable(getattr(importlib.import_module(f"neuroloop.{layer}"), name, None))
     ]
     assert missing == [], f"perfbench/tracer.py traces names neuroloop does not define: {missing}"
+
+
+def defaults(tree: ast.Module, where: str):
+    """(function, parameter, location) of each default of a top-level function."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            with_default = positional[len(positional) - len(a.defaults):]
+            with_default += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for arg in with_default:
+                yield node.name, arg.arg, f"{where}:{node.lineno}"
+
+
+def left_out(tree: ast.Module, params: dict):
+    """(function, parameter) for each parameter some call of the function
+    leaves out, functions matched by spelling.
+
+    ``params`` maps a function name to its positional and its keyword-only
+    parameter names. A call with ``*args`` or ``**kwargs`` may leave out any
+    parameter it does not name.
+    """
+    for node in ast.walk(tree):
+        f = node.func if isinstance(node, ast.Call) else None
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name not in params:
+            continue
+        positional, keyword_only = params[name]
+        named = {kw.arg for kw in node.keywords}
+        passed = named - {None}
+        if None not in named and not any(isinstance(a, ast.Starred) for a in node.args):
+            passed.update(positional[:len(node.args)])
+        for param in positional + keyword_only:
+            if param not in passed:
+                yield name, param
+
+
+def test_every_default_is_left_out_by_some_call():
+    # A default that only tests leave out is an option that only tests set:
+    # every call in the program passes the value, so it is a required parameter.
+    trees, found, params = [], {}, {}
+    for path in PROGRAM:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        trees.append(tree)
+        if path.parent.name == "neuroloop":
+            found.update(((name, param), location) for name, param, location
+                         in defaults(tree, path.relative_to(ROOT).as_posix()))
+            params.update((node.name, ([a.arg for a in node.args.posonlyargs + node.args.args],
+                                       [a.arg for a in node.args.kwonlyargs]))
+                          for node in tree.body if isinstance(node, FUNCTIONS))
+    omitted = {pair for tree in trees for pair in left_out(tree, params)}
+    assert len(found) > 3
+    never = {f"{name}({param}=...)": location for (name, param), location in found.items()
+             if (name, param) not in omitted}
+    assert never == {}, f"defaults that no call in src/ or demos/ leaves out: {never}"

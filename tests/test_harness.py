@@ -101,7 +101,7 @@ class TestValidation:
         raw = ecap_raw(timebase={"dt_s": 0.02, "duration_s": 2.0})
         assert validate_scenario(raw).ok
         result = run_scenario(scenario_from_dict(raw))
-        assert not result.aborted
+        assert "" not in result.mode   # every tick recorded its mode
 
     def test_unphysical_plant_range_caught_for_any_policy(self):
         # A slope that collapses to zero inside the distance trajectory must
@@ -308,7 +308,7 @@ class TestStepResponseMetrics:
 
     def test_never_attained_marked_not_fabricated(self):
         series = np.zeros(50)
-        sr = step_response_metrics(series, 1.0, 0, 0.05)
+        sr = step_response_metrics(series, 1.0, 0, 0.05, dt_s=1.0)
         assert not sr.attained
         assert sr.response_time_s is None and sr.settling_time_s is None
 
@@ -727,10 +727,11 @@ class TestSafetyScan:
         scenario = scenario_from_dict(raw)
         r = run_scenario(scenario)
         outdir = write_run(r, tmp_path / "scan")
-        scan = scan_timeseries_csv(outdir / "timeseries.csv", scenario)
+        scan = scan_timeseries_csv(outdir / "timeseries.csv", scenario, r.initial_delivered_mA)
         assert scan.ok
         assert scan == scan_delivered_series(r.delivered_mA, scenario.limits,
-                                             pulse_widths_us(scenario, r.mode))
+                                             pulse_widths_us(scenario, r.mode),
+                                             r.initial_delivered_mA)
 
 
 class TestSweep:

@@ -225,11 +225,13 @@ def cardiac_train(segs: tuple, t: np.ndarray, tick: int) -> np.ndarray:
     return out
 
 
+def beta_frame(dose, tick: int, table: BetaTickTable, noise: np.ndarray) -> np.ndarray:
+    """One dose's frame from one frame of noise: ``beta_lfp_frame`` of a one-row batch."""
+    return beta_lfp_frame([dose], tick, table, noise[None])[0]
+
+
 def beta_frame_oracle(doses, tick: int, cfg: BetaPlantConfig, noise: np.ndarray) -> np.ndarray:
     """Oracle of ``beta_lfp_frame``: every tick-only term computed for this tick alone."""
-    single = noise.ndim == 1
-    if single:
-        doses = (doses,)
     n = cfg.frame_len
     t = (tick * n + np.arange(n)) / cfg.fs_hz
 
@@ -252,7 +254,7 @@ def beta_frame_oracle(doses, tick: int, cfg: BetaPlantConfig, noise: np.ndarray)
             frame[rows] += cfg.gamma_entrainment_uV * np.sin(
                 2.0 * np.pi * half_rate[:, None] * t
             )
-    return frame[0] if single else frame
+    return frame
 
 
 class TestBetaFrames:
@@ -264,7 +266,7 @@ class TestBetaFrames:
         rng = np.random.default_rng(1)
         off = Dose(0.0, 60.0, 130.0)
         powers = [
-            band_power(beta_lfp_frame(off, t, table, draws(rng, cfg)), 13.0, 30.0, cfg.fs_hz)
+            band_power(beta_frame(off, t, table, draws(rng, cfg)), 13.0, 30.0, cfg.fs_hz)
             for t in range(200)
         ]
         envelope = dose_response_eval(cfg.curve, 0.0)
@@ -280,8 +282,8 @@ class TestBetaFrames:
         cfg = beta_cfg(gamma_entrainment_uV=1.0, noise_rms_uV=0.1)
         on = Dose(2.5, 60.0, 130.0)
         off = Dose(0.0, 60.0, 130.0)
-        frame_on = beta_lfp_frame(on, 0, BetaTickTable(cfg), draws(2, cfg))
-        frame_off = beta_lfp_frame(off, 0, BetaTickTable(cfg), draws(2, cfg))
+        frame_on = beta_frame(on, 0, BetaTickTable(cfg), draws(2, cfg))
+        frame_off = beta_frame(off, 0, BetaTickTable(cfg), draws(2, cfg))
         # Stimulating at 130 Hz entrains a component at 65 Hz.
         p_on = band_power(frame_on, 60.0, 70.0, cfg.fs_hz)
         p_off = band_power(frame_off, 60.0, 70.0, cfg.fs_hz)
@@ -296,8 +298,8 @@ class TestBetaFrames:
         clean, dirty = BetaTickTable(cfg_clean), BetaTickTable(cfg_dirty)
         total_clean = total_dirty = 0.0
         for t in range(50):
-            f_clean = beta_lfp_frame(dose, t, clean, draws(7 + t, cfg_clean))
-            f_dirty = beta_lfp_frame(dose, t, dirty, draws(7 + t, cfg_dirty))
+            f_clean = beta_frame(dose, t, clean, draws(7 + t, cfg_clean))
+            f_dirty = beta_frame(dose, t, dirty, draws(7 + t, cfg_dirty))
             total_clean += band_power(f_clean, 13.0, 30.0, cfg_clean.fs_hz)
             total_dirty += band_power(f_dirty, 13.0, 30.0, cfg_dirty.fs_hz)
         assert total_dirty > total_clean
@@ -306,15 +308,15 @@ class TestBetaFrames:
         track = DisturbanceTrack((CircadianSine(0, 100, 0.5, phase=np.pi / 2),))
         cfg = beta_cfg(noise_rms_uV=0.0, disturbances=track)
         dose = Dose(0.0, 60.0, 130.0)
-        peak = beta_lfp_frame(dose, 0, BetaTickTable(cfg), draws(0, cfg))
-        trough = beta_lfp_frame(dose, 50, BetaTickTable(cfg), draws(0, cfg))
+        peak = beta_frame(dose, 0, BetaTickTable(cfg), draws(0, cfg))
+        trough = beta_frame(dose, 50, BetaTickTable(cfg), draws(0, cfg))
         assert np.abs(peak).max() == pytest.approx(3 * np.abs(trough).max(), rel=1e-6)
 
     def test_deterministic_given_same_stream(self):
         cfg = beta_cfg()
         dose = Dose(1.0, 60.0, 130.0)
-        a = beta_lfp_frame(dose, 5, BetaTickTable(cfg), draws(9, cfg))
-        b = beta_lfp_frame(dose, 5, BetaTickTable(cfg), draws(9, cfg))
+        a = beta_frame(dose, 5, BetaTickTable(cfg), draws(9, cfg))
+        b = beta_frame(dose, 5, BetaTickTable(cfg), draws(9, cfg))
         assert np.array_equal(a, b)
 
 
@@ -335,9 +337,8 @@ class TestBetaTickTable:
         noise = np.random.default_rng(seed).standard_normal((len(doses), table.cfg.frame_len))
         batch = beta_lfp_frame(doses, tick, table, noise)
         assert np.array_equal(batch, beta_frame_oracle(doses, tick, table.cfg, noise))
-        for i, dose in enumerate(doses):
-            single = beta_lfp_frame(dose, tick, table, noise[i])
-            assert np.array_equal(single, beta_frame_oracle(dose, tick, table.cfg, noise[i]))
+        for i, dose in enumerate(doses):   # a one-row batch is its row of the whole
+            assert np.array_equal(beta_frame(dose, tick, table, noise[i]), batch[i])
 
     def test_block_edges(self):
         # Ticks at block edges, at the segments' starts and in the partial

@@ -4,12 +4,14 @@
   full run's first n ticks. Its ``timeseries.csv`` is the full run's header
   and first n rows, and its events are the full run's events with
   ``tick < n``. Since no run can fault, nothing else shortens a run.
+- Magnet causality: a magnet interval that starts at tick t leaves the
+  ``timeseries.csv`` rows and the events before t byte-identical.
 - Output flags: turning ``outputs.timeseries`` or ``outputs.summary`` off
   leaves every other file of the run byte-identical.
 
 Each shipped file runs as shipped, which logs no event, and with a magnet
 interval, which logs mode changes on both sides of the middle cut.
-Runtime budget: under 2 s (about 1.5 s on a 2-core host).
+Runtime budget: under 3 s (about 2.5 s on a 2-core host).
 """
 
 from functools import lru_cache
@@ -18,6 +20,7 @@ import pytest
 
 from neuroloop.engine import run_scenario
 from neuroloop.outputs import events_jsonl_text, timeseries_csv_text, write_run
+from neuroloop.safety import MODE_SUSPENDED_MAGNET
 from neuroloop.scenario import scenario_from_dict
 
 from conftest import deep_merge, reference_raw
@@ -57,6 +60,22 @@ def test_a_cut_run_is_a_prefix_of_the_full_run(name, magnet):
         assert cut.events == [e for e in full.events if e.tick < n], (name, n)
         assert events_jsonl_text(cut) == "".join(
             events_jsonl_text(full).splitlines(keepends=True)[:len(cut.events)])
+
+
+@pytest.mark.parametrize("at", ["1", "n/3", "n/2", "n-1"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_magnet_changes_nothing_before_it_starts(name, at):
+    # Budget: under 1 s for the 12 cases.
+    shipped = full_run(name, False)
+    n = shipped.n_ticks
+    t = {"1": 1, "n/3": n // 3, "n/2": n // 2, "n-1": n - 1}[at]
+    raw = reference_raw(name)
+    raw["magnet"] = [{"start_tick": t, "end_tick": n}]
+    magnet = run_scenario(scenario_from_dict(raw))
+    assert magnet.mode[t] == MODE_SUSPENDED_MAGNET   # the magnet takes effect at t
+    rows = timeseries_csv_text(magnet).splitlines(keepends=True)
+    assert rows[:t + 1] == timeseries_csv_text(shipped).splitlines(keepends=True)[:t + 1]
+    assert [e for e in magnet.events if e.tick < t] == [e for e in shipped.events if e.tick < t]
 
 
 def written(result, out) -> dict:

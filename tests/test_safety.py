@@ -11,7 +11,6 @@ from neuroloop.core import (
     ConfigurationError,
     Dose,
     DoseLimits,
-    QUALITY_EXTERNAL_NOISE,
     QUALITY_FLATLINE,
     QUALITY_IMPOSSIBLE,
     QUALITY_OK,
@@ -77,7 +76,7 @@ def dose(amp, pw=200.0, f=50.0):
 def clamp(command_mA, template, limits, prev_delivered_mA):
     """One clamp_and_slew call on a fresh log: (amplitude, events)."""
     log = []
-    return clamp_and_slew(command_mA, template, limits, prev_delivered_mA, log), log
+    return clamp_and_slew(command_mA, template, limits, prev_delivered_mA, log, 0), log
 
 
 def budget_step(b, event_active, therapy_requested, tick):
@@ -191,8 +190,7 @@ def check(inputs: TrustInputs, cfg: TrustConfig, fail_streak: int = 0, pass_stre
 
 def boundary_inputs():
     """TrustInputs at each check's boundaries, one field varied at a time."""
-    flags = (QUALITY_OK, QUALITY_SATURATED, QUALITY_FLATLINE, QUALITY_IMPOSSIBLE,
-             QUALITY_EXTERNAL_NOISE)
+    flags = (QUALITY_OK, QUALITY_SATURATED, QUALITY_FLATLINE, QUALITY_IMPOSSIBLE)
     for subset in itertools.product((False, True), repeat=len(flags)):
         yield TrustInputs(quality=frozenset(f for f, on in zip(flags, subset) if on))
     # EcapNonNegative's boundaries (-0.0 is not negative), then BiomarkerInPhysRange's.
@@ -231,7 +229,7 @@ class TestCheckTable:
                     c for c in cfg.checks if ladder_check_fails(c, inputs, cfg)
                 )
                 assert passed == (not failed)
-        assert cases == 2 * 6 * (32 + 10 + 3 + 4 + 2)
+        assert cases == 2 * 6 * (16 + 10 + 3 + 4 + 2)
         assert outcomes == {(name, fails) for name in CHECK_FAILS for fails in (False, True)}
 
     def test_each_check_alone_masks_the_others(self):
