@@ -50,11 +50,11 @@ def narrate(title, raw, max_lines=12):
 magnet = json.loads(json.dumps(BASE))
 magnet["magnet"] = [{"start_tick": 150, "end_tick": 250}]
 r = narrate("magnet suspend and resume", magnet)
-# Ramp-down honors the slew limit (2 mA/pulse from ~5 mA), so the output
-# reaches 0 mA on the third suspended pulse and stays there.
-print(f"  ramp-down: {list(r.delivered_mA[150:154])}")
-assert np.all(r.delivered_mA[153:250] == 0.0)
-print("  -> 0 mA within 3 pulses of magnet application, resumed after removal")
+# A suspension commands 0 mA, a stop: it is delivered on the first suspended
+# pulse, not ramped down under the 2 mA/pulse slew limit from ~5 mA.
+print(f"  stop: {list(r.delivered_mA[149:153])}")
+assert np.all(r.delivered_mA[150:250] == 0.0)
+print("  -> 0 mA from the first pulse of magnet application, resumed after removal")
 
 # The range check tops out at 0.9 uV, below the 1.0 uV setpoint, so the
 # converging loop must trip it; the FixedSafe dose (6 mA -> 1.5 uV) keeps

@@ -28,7 +28,7 @@ from pathlib import Path
 from .control import ManualFixed
 from .core import SimulationError
 from .engine import compare_modes, run_scenario, sweep
-from .metrics import pulse_widths_us, scan_delivered_series
+from .metrics import scan_run_series
 from .outputs import (
     NonFiniteOutputError,
     aggregate_summaries,
@@ -118,12 +118,7 @@ def cmd_sweep(args) -> int:
     violations = 0
     for r in results:
         write_run(r, out / f"seed_{r.scenario.seed}")
-        scan = scan_delivered_series(
-            r.delivered_mA,
-            r.scenario.limits,
-            pulse_widths_us(r.scenario, r.mode),
-            initial_mA=r.initial_delivered_mA,
-        )
+        scan = scan_run_series(r.delivered_mA, r.mode, r.scenario, r.initial_delivered_mA)
         violations += len(scan.violations)
     agg = aggregate_summaries(results)
     agg["safety_violations_total"] = violations

@@ -273,7 +273,8 @@ class _Lane:
         elif mode == MODE_FALLBACK:
             cmd, template = fallback_dose(sc.fallback, self.last_good, baseline)
         else:
-            # Magnet suspension or a latched reset: stimulation off.
+            # Magnet suspension or a latched reset: a stop, 0 mA from this
+            # tick on (clamp_and_slew delivers 0 mA at once, never slewed).
             cmd = 0.0
 
         # ---- budgets ----------------------------------------------------
@@ -285,7 +286,7 @@ class _Lane:
 
         # ---- safety clamps + actuator -----------------------------------
         legal = clamp_and_slew(cmd, template, sc.limits, prev, log, t)
-        delivered = actuator_apply(legal, template, device)
+        delivered = actuator_apply(legal, template, device) if legal else 0.0
 
         # A "known good" dose is one the automated loop chose while trust
         # passed; forced-off doses (suspend/reset) never qualify. It changes
@@ -294,8 +295,14 @@ class _Lane:
             self.last_good = (delivered, template)
 
         # ---- device -----------------------------------------------------
-        self.device = device_step(device, charge_per_tick(delivered, template, sc.timebase.dt_s))
-        self.teed += teed_rate(delivered, template) * sc.timebase.dt_s
+        # 0 mA delivers +0.0 charge and adds +0.0 energy, so a stopped lane
+        # skips that arithmetic; the device still steps, so a ramp advances.
+        if delivered:
+            dt_s = sc.timebase.dt_s
+            self.device = device_step(device, charge_per_tick(delivered, template, dt_s))
+            self.teed += teed_rate(delivered, template) * dt_s
+        else:
+            self.device = device_step(device, 0.0)
 
         # ---- record -----------------------------------------------------
         if measured is not None:

@@ -2,8 +2,9 @@
 
 Also home of the post-hoc safety scan, a deliberately independent code path
 that reads only the exported timeseries (or its CSV) and the scenario's
-doses, and re-checks the amplitude, slew, and charge limits on every tick
-without consulting any engine state.
+doses, and re-checks the amplitude, slew, and charge limits on every tick,
+and that every magnet or reset tick delivers 0 mA, without consulting any
+engine state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from .core import DoseLimits
 from .safety import EVENT_CHARGE_CLAMP, EVENT_LIMIT_CLAMP, EVENT_SLEW_CLAMP
-from .safety import MODE_AUTOMATED, MODE_EVENT_CODES, MODE_FALLBACK
+from .safety import MODE_AUTOMATED, MODE_EVENT_CODES, MODE_FALLBACK, MODE_SUSPENDED_MAGNET
+from .safety import RESET_MODES
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,9 @@ def pulse_widths_us(scenario, modes) -> list:
     """Each tick's pulse width from its supervisor mode, which raises KeyError unless
     a supervisor has it. Automated: the policy's dose, else the baseline. Fallback:
     by kind, LastKnownGood the wider of those (all its doses), Off the baseline,
-    FixedSafe and ManualLoop their dose. Magnet and reset modes deliver 0 mA on
-    the previous tick's dose (the baseline before tick 0)."""
+    FixedSafe and ManualLoop their dose. Magnet and reset modes are stops, 0 mA,
+    which carry no charge at any width: they keep the previous tick's width (the
+    baseline's before tick 0)."""
     doses = scenario.doses
     if scenario.raw["fallback"]["kind"] == "LastKnownGood":
         fallback = scan_pulse_width_us(scenario)
@@ -165,11 +168,12 @@ def scan_delivered_series(
 ) -> SafetyScanResult:
     """Re-check every delivered amplitude against the hard limits.
 
-    Checks, per tick: amplitude a number, within [amp_min, amp_max]; step
-    from the previous tick within the slew limit (tick 0's step is from
-    ``initial_mA``, the amplitude delivered before the run); per-pulse
-    charge within the charge limit, at one ``pulse_width_us`` or each
-    tick's (``pulse_widths_us``).
+    Checks, per tick: amplitude a number, within [amp_min, amp_max] or
+    exactly 0.0 (a stop, always legal); step from the previous tick within
+    the slew limit, unless it steps to 0.0 (a stop is delivered at once;
+    tick 0's step is from ``initial_mA``, the amplitude delivered before the
+    run); per-pulse charge within the charge limit, at one ``pulse_width_us``
+    or each tick's (``pulse_widths_us``).
     A small epsilon absorbs float round-off only, never a real violation.
     """
     a = np.asarray(delivered_mA, dtype=float)
@@ -180,7 +184,8 @@ def scan_delivered_series(
     for i in np.nonzero(np.isnan(a))[0]:
         violations.append((int(i), "amp_not_a_number", float(a[i])))
 
-    bad_lo = np.nonzero(a < limits.amp_min_mA - eps)[0]
+    stop = a == 0.0
+    bad_lo = np.nonzero((a < limits.amp_min_mA - eps) & ~stop)[0]
     bad_hi = np.nonzero(a > limits.amp_max_mA + eps)[0]
     for i in bad_lo:
         violations.append((int(i), "amp_below_min", float(a[i])))
@@ -190,7 +195,7 @@ def scan_delivered_series(
     prev = np.empty_like(a)
     prev[1:] = a[:-1]
     prev[0] = initial_mA
-    bad_slew = np.nonzero(np.abs(a - prev) > limits.max_slew_mA_per_tick + eps)[0]
+    bad_slew = np.nonzero((np.abs(a - prev) > limits.max_slew_mA_per_tick + eps) & ~stop)[0]
     for i in bad_slew:
         violations.append((int(i), "slew_exceeded", float(a[i] - prev[i])))
 
@@ -203,10 +208,26 @@ def scan_delivered_series(
     return SafetyScanResult(ok=not violations, violations=tuple(violations))
 
 
+STOP_MODES = (MODE_SUSPENDED_MAGNET, *RESET_MODES)
+
+
+def scan_run_series(delivered_mA, modes, scenario, initial_mA: float) -> SafetyScanResult:
+    """``scan_delivered_series`` at ``scenario``'s limits and the pulse widths of
+    the ``supervisor_mode`` column ``modes`` (``pulse_widths_us``), plus the off
+    check: a tick in magnet suspension or a reset mode whose delivered amplitude
+    is not exactly 0.0 is a ``stop_not_zero`` violation."""
+    scan = scan_delivered_series(delivered_mA, scenario.limits,
+                                 pulse_widths_us(scenario, modes), initial_mA)
+    off = [(t, "stop_not_zero", float(delivered_mA[t]))
+           for t, mode in enumerate(modes) if mode in STOP_MODES and delivered_mA[t] != 0.0]
+    if not off:
+        return scan
+    return SafetyScanResult(ok=False, violations=tuple(sorted(scan.violations + tuple(off))))
+
+
 def scan_timeseries_csv(path, scenario, initial_mA: float) -> SafetyScanResult:
-    """Run the safety scan against a stored timeseries.csv, at ``scenario``'s limits
-    and the pulse widths of the file's own ``supervisor_mode`` column
-    (``initial_mA`` as in ``scan_delivered_series``).
+    """Run ``scan_run_series`` against a stored timeseries.csv, with the file's own
+    ``supervisor_mode`` column (``initial_mA`` as in ``scan_delivered_series``).
 
     Parses the CSV with plain text handling (no engine code) so the scan
     stays independent of the simulation path that produced the file. A file
@@ -225,9 +246,8 @@ def scan_timeseries_csv(path, scenario, initial_mA: float) -> SafetyScanResult:
                 fields = line.rstrip("\n").split(",")
                 modes.append(fields[mode])
                 delivered.append(float(fields[col]))
-        widths = pulse_widths_us(scenario, modes)
+        return scan_run_series(delivered, modes, scenario, initial_mA)
     except (ValueError, IndexError, KeyError) as e:   # UnicodeDecodeError is a ValueError
         tick = modes.index(e.args[0]) if isinstance(e, KeyError) else len(delivered)
         return SafetyScanResult(
             ok=False, violations=((tick, "unreadable", f"{type(e).__name__}: {e}"),))
-    return scan_delivered_series(delivered, scenario.limits, widths, initial_mA)

@@ -99,16 +99,23 @@ def clamp_and_slew(
 ) -> float:
     """Legalize a commanded amplitude; never raises, always yields a compliant one.
 
+    A command of 0 mA is a stop (a policy's own off, ``FallbackOff``, a budget
+    deny, magnet suspension or a reset): always legal, it is delivered at once,
+    with no slew limit, ``amp_min_mA`` floor, charge clamp or event.
+
     ``template`` is the commanded dose, whose pulse width the charge limit
-    reads. Order is fixed: slew-limit the amplitude relative to the
-    previously delivered one, then clamp into [amp_min, amp_max] (clamping
-    last so the result is always in range even when the slew alone would not
-    reach it), then reduce the amplitude if the per-pulse charge limit is
-    exceeded. Each intervention appends an Alert event to ``log``.
+    reads. Any other command is legalized in a fixed order: slew-limit the
+    amplitude relative to the previously delivered one, then clamp into
+    [amp_min, amp_max] (clamping last so the result is always in range even
+    when the slew alone would not reach it), then reduce the amplitude if the
+    per-pulse charge limit is exceeded. Each intervention appends an Alert
+    event to ``log``.
 
     The clamps are comparisons with the semantics of builtin ``min`` and
     ``max`` (``max(a, b)`` is ``b if b > a else a``), without their call cost.
     """
+    if command_mA == 0.0:
+        return 0.0
     slew = limits.max_slew_mA_per_tick
     lo = prev_delivered_mA - slew
     hi = prev_delivered_mA + slew

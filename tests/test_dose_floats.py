@@ -65,6 +65,8 @@ def switched_off(d: Dose) -> Dose:
 def clamp_and_slew_oracle(command: Dose, limits: DoseLimits, prev: Dose, tick: int = 0):
     events = []
     amp = command.amplitude_mA
+    if amp == 0:   # a stop: delivered at once, whatever the limits
+        return with_amplitude(command, 0.0), events
     lo = prev.amplitude_mA - limits.max_slew_mA_per_tick
     hi = prev.amplitude_mA + limits.max_slew_mA_per_tick
     slewed = min(max(amp, lo), hi)

@@ -100,10 +100,14 @@ class TestClampAndSlew:
         assert out == 3.0 and events == []
 
     def test_ramp_down_is_slew_limited(self):
-        limits = DoseLimits(0.0, 6.0, 1.0, 2.0)
-        out, events = clamp(0.0, dose(0.0), limits, 4.0)
+        limits = DoseLimits(0.5, 6.0, 1.0, 2.0)
+        out, events = clamp(0.5, dose(0.5), limits, 4.0)
         assert out == 3.0
         assert [e.code for e in events] == [EVENT_SLEW_CLAMP]
+        # 0 mA is a stop: no slew limit, no amp_min floor, no event.
+        for stop in (0.0, -0.0, 0):
+            out, events = clamp(stop, dose(0.0), limits, 4.0)
+            assert repr(out) == "0.0" and events == []
 
     def test_charge_violation_reduces_amplitude_with_alert(self):
         limits = DoseLimits(0.0, 6.0, 10.0, 0.5)  # 0.5 uC cap

@@ -12,7 +12,9 @@ never see a trust check fail. For each plant kind, five variants do:
 - ``impedance``: an impedance ramp that leaves the trusted range.
 
 Each variant's three outputs are pinned by sha256 (pinned before the trust
-checks became lane counters and bit masks, and unchanged by it), each
+checks became lane counters and bit masks, and unchanged by it; the beta
+magnet, eos and dc_leak pins moved when a stop became 0 mA at once, as their
+stops had ramped down under the 0.5 mA slew limit), each
 variant is checked to take the path it is named after, and a 3-lane sweep
 of each equals its serial runs. A Hypothesis property then recomputes every
 tick's verdict of an ecap run from its biomarker and quality columns and
@@ -113,9 +115,9 @@ PINNED = {
     "ecap_dc_leak": ('84b9b812f4f8fd29', '8e77cb96474d3580', 'dc1df73dc78277e3'),
     "ecap_impedance": ('87291feac3cf7091', 'd75778959852f45a', 'ef115784e5ac9c1a'),
     "beta_fallback": ('b4915b43af32da9a', '1a3a1aa83bce5556', '2da0337d5379c5ee'),
-    "beta_magnet": ('7410ce77ed5d04bb', '6ae4136ea4f247e5', '924c07bd18e23811'),
-    "beta_eos": ('cb26728b11b76349', 'c320e617d2bad291', '94f33e114bf9ded4'),
-    "beta_dc_leak": ('b868a1021f30a721', '167b7d5a1ff5d08b', 'df6eb6b9b1ee32e4'),
+    "beta_magnet": ('1267b27bb72de8de', '5a4d7719e8817d22', '7184a8896de1db75'),
+    "beta_eos": ('c70fe07bb71bd154', 'a7592825761b819e', 'd58de235526dfb83'),
+    "beta_dc_leak": ('c1442e440d083b5c', '8e77cb96474d3580', '7fc7fbd58a1ebd58'),
     "beta_impedance": ('c9fb8d5e675cc3d5', '4e24dcfa5eb1ee84', '4eacc8793f147243'),
     "ieeg_fallback": ('5850453f7125220b', '1bf1aedc5e8df3a5', 'c1adf52d4c8173b0'),
     "ieeg_magnet": ('079033c3e60d337d', 'dba629667de42242', '43f15d17ed6a177d'),
